@@ -2,8 +2,11 @@
 
 Subcommands cover the full workflow: scene simulation, dictionary inspection,
 training both networks, single-point evaluation, the three sweep reports, and
-the grid leakage report. Config files are JSON (see harness.config_from_dict);
-a missing or invalid config exits with code 2 and a JSON error on stderr.
+the grid leakage report. `eval --snr s` is one point of `sweep snr`: with no
+checkpoints it writes the sweep's row at s, and `simulate --snr s` writes
+that point's pilot blocks. Config files are JSON (see
+harness.config_from_dict); a missing or invalid config, or a checkpoint that
+does not fit it, exits with code 2 and a JSON error on stderr.
 """
 from __future__ import annotations
 
@@ -16,9 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import container, harness
-from .channel import make_phase_matrix, noise_var_for_snr, simulate_pilots
-from .rng import substream
-from .schemes import PipelineContext
 
 CONFIG_ERROR = 2
 
@@ -96,22 +96,17 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     sw = cfg.sweep
     trials = args.trials if args.trials is not None else sw.trials
-    E = make_phase_matrix(cfg.system.n_ris, cfg.system.tau,
-                          substream(sw.seed, "phase"), kind=sw.phase_kind)
-    scenes = harness.draw_scenes(cfg.system, sw.seed, "eval-scene", trials)
-    Y = np.zeros((trials, cfg.system.n_bs, cfg.system.tau), dtype=np.complex128)
-    G = np.zeros((trials, cfg.system.n_bs, cfg.system.n_ris), dtype=np.complex128)
-    nv = np.zeros(trials)
-    for t, scene in enumerate(scenes):
-        rng = substream(sw.seed, "eval-noise", f"snr{args.snr:g}", str(t))
-        nv[t] = noise_var_for_snr(scene, cfg.system, E, args.snr,
-                                  convention=sw.snr_convention)
-        Y[t] = simulate_pilots(scene, cfg.system, E, nv[t], rng).Y
-        G[t] = scene.G[0]
+    label = harness.snr_label(args.snr)
+    E = harness.phase_schedule(cfg)
+    scenes = harness.draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", trials)
+    pilots = harness.draw_pilots(scenes, cfg.system, E, args.snr, sw.seed, label,
+                                 sw.snr_convention)
     out = Path(args.out or "runs/pilots.plce")
     out.parent.mkdir(parents=True, exist_ok=True)
     digest = container.save_container(
-        out, {"Y": Y, "G": G, "E": E, "noise_var": nv},
+        out, {"Y": np.stack([blk.Y for blk in pilots]),
+              "G": np.stack([scene.G[0] for scene in scenes]), "E": E,
+              "noise_var": np.array([blk.noise_var for blk in pilots])},
         meta={"kind": "pilots", "snr_db": args.snr, "trials": trials,
               "config": harness.config_to_dict(cfg)})
     _emit({"written": str(out), "sha256": digest, "trials": trials})
@@ -144,24 +139,20 @@ def cmd_build_dict(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    sw = cfg.sweep
-    E = make_phase_matrix(cfg.system.n_ris, cfg.system.tau,
-                          substream(sw.seed, "phase"), kind=sw.phase_kind)
+    E = harness.phase_schedule(cfg)
+    out = Path(args.out or f"runs/{args.network}.plce")
+    out.parent.mkdir(parents=True, exist_ok=True)
     if args.network == "stage1":
         bs = harness.build_bs_dictionary(cfg)
         _progress(f"training stage 1 on {cfg.stage1.train_size} scenes")
         dp, trace = harness.train_stage1_model(cfg, bs, E)
-        out = Path(args.out or "runs/stage1.plce")
-        out.parent.mkdir(parents=True, exist_ok=True)
         digest = harness.save_stage1(out, dp)
     else:
         _, cas = harness.build_ris_dictionaries(cfg)
-        snr = args.snr if args.snr is not None else sw.eval_snr_db
+        snr = args.snr if args.snr is not None else cfg.sweep.eval_snr_db
         _progress(f"training stage 2 at {snr:g} dB on {cfg.stage2.train_size} scenes")
-        lp, trace = harness.train_stage2_model(cfg, cas, E, snr, f"snr{snr:g}")
-        out = Path(args.out or "runs/stage2.plce")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        digest = harness.save_stage2(out, lp)
+        lp, trace = harness.train_stage2_model(cfg, cas, E, snr, harness.snr_label(snr))
+        digest = harness.save_stage2(out, lp, harness.schedule_fingerprint(E))
     _emit({"written": str(out), "sha256": digest,
            "final_loss": trace[-1]["loss"], "episodes": len(trace)})
     return 0
@@ -171,43 +162,26 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     sw = cfg.sweep
     snr = args.snr if args.snr is not None else sw.eval_snr_db
-    bs = harness.build_bs_dictionary(cfg)
-    _, cas = harness.build_ris_dictionaries(cfg)
-    E = make_phase_matrix(cfg.system.n_ris, cfg.system.tau,
-                          substream(sw.seed, "phase"), kind=sw.phase_kind)
-    needs1 = any(s.startswith("dncnn") for s in sw.schemes)
-    needs2 = "dncnn-istanet" in sw.schemes
     dp = lp = None
     if args.stage1:
         dp = _load_checkpoint(args.stage1, harness.load_stage1, "stage-1")
-    elif needs1:
-        if args.no_train:
-            raise ConfigError(
-                "schemes need a stage-1 network but no --stage1 checkpoint "
-                "was given and --no-train forbids training one")
-        _progress("no stage-1 checkpoint given, training")
-        dp, _ = harness.train_stage1_model(cfg, bs, E)
+    elif args.no_train and any(s.startswith("dncnn") for s in sw.schemes):
+        raise ConfigError(
+            "schemes need a stage-1 network but no --stage1 checkpoint "
+            "was given and --no-train forbids training one")
     if args.stage2:
-        lp = _load_checkpoint(args.stage2, harness.load_stage2, "stage-2")
-    elif needs2:
-        if args.no_train:
-            raise ConfigError(
-                "schemes need a stage-2 network but no --stage2 checkpoint "
-                "was given and --no-train forbids training one")
-        _progress("no stage-2 checkpoint given, training")
-        lp, _ = harness.train_stage2_model(cfg, cas, E, snr, f"snr{snr:g}")
-    scenes = harness.draw_scenes(cfg.system, sw.seed, "eval-scene", sw.trials)
-    ctx = PipelineContext(config=cfg.system, bs=bs, cas=cas, E=E,
-                          stage1=dp, stage2=lp, support_guard=sw.support_guard)
-    errs = harness.evaluate_point(scenes, ctx, snr, sw.seed, f"snr{snr:g}",
-                                  sw.schemes, convention=sw.snr_convention)
-    rows = [[name, float(snr), float(e.mean()), float(e.std()), sw.trials]
-            for name, e in ((n, errs[n]) for n in sw.schemes)]
-    out = Path(args.out or "runs/eval")
-    out.mkdir(parents=True, exist_ok=True)
-    harness.write_csv(out / "eval.csv",
-                      ["scheme", "snr_db", "nmse_mean", "nmse_std", "trials"], rows)
-    _emit({name: float(errs[name].mean()) for name in sw.schemes})
+        E = harness.phase_schedule(cfg)
+        lp = _load_checkpoint(args.stage2, lambda p: harness.load_stage2(p, E), "stage-2")
+    elif args.no_train and "dncnn-istanet" in sw.schemes:
+        raise ConfigError(
+            "schemes need a stage-2 network but no --stage2 checkpoint "
+            "was given and --no-train forbids training one")
+    # one point of the SNR sweep; stage 1 keeps the sweep's training SNRs
+    one = dataclasses.replace(cfg, sweep=dataclasses.replace(
+        sw, snr_db=(float(snr),), train_snr_db=sw.stage1_snr_db))
+    records = harness.run_snr_sweep(one, args.out or "runs/eval", progress=_progress,
+                                    stage1=dp, stage2=lp, stem="eval")
+    _emit({rec["scheme"]: rec["nmse_mean"] for rec in records})
     return 0
 
 
@@ -248,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the resolved config and derived sizes").set_defaults(fn=cmd_info)
 
     p = sub.add_parser("simulate", parents=[common],
-                       help="draw scenes and pilot blocks into a container")
+                       help="write the pilot blocks of the SNR-sweep point "
+                            "at --snr into a container")
     p.add_argument("--trials", type=int)
     p.add_argument("--snr", type=float, default=20.0)
     p.set_defaults(fn=cmd_simulate)
@@ -263,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", parents=[common],
-                       help="paired single-point evaluation of all schemes")
+                       help="one point of the SNR sweep: paired evaluation of "
+                            "all schemes, with optional trained networks")
     p.add_argument("--snr", type=float)
     p.add_argument("--stage1", help="stage-1 checkpoint")
     p.add_argument("--stage2", help="stage-2 checkpoint")

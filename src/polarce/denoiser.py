@@ -149,13 +149,12 @@ def denoise(C: np.ndarray, dp: DenoiserParams):
 
 def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray,
                         scenes: list[SceneRealization], noise_vars: list[float],
-                        rng: np.random.Generator, average_users: bool = False) -> Stage1Dataset:
-    """Draw pilot observations and grid-coded clean targets for given scenes.
+                        rng: np.random.Generator) -> Stage1Dataset:
+    """Draw user-0 pilot observations and grid-coded clean targets for given scenes.
 
     Target column l carries the complex amplitude the l-th path contributes to
     the clean row-compressed vector, at that path's nearest grid row. Columns
-    follow ascending grid index. With average_users the input row vector is
-    averaged across users (targets always describe user 0).
+    follow ascending grid index.
     """
     n = len(scenes)
     n_rows = bs.F.shape[1]
@@ -165,12 +164,8 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
     idx = np.zeros((n, L), dtype=np.int64)
     e_bar = E @ np.ones(E.shape[1]) / E.shape[1]
     for i, scene in enumerate(scenes):
-        users = range(config.n_users) if average_users else (0,)
-        cr = np.zeros(n_rows, dtype=np.complex128)
-        for u in users:
-            blk = simulate_pilots(scene, config, E, noise_vars[i], rng, user=u)
-            cr += row_energy(blk.Y, bs)
-        cr /= len(tuple(users))
+        blk = simulate_pilots(scene, config, E, noise_vars[i], rng)
+        cr = row_energy(blk.Y, bs)
         rows = ris_side_rows(scene, config, user=0)
         gi = np.array([nearest_grid_index(bs.grid, p.angle, p.distance)
                        for p in scene.bridge_bs])

@@ -4,6 +4,11 @@ Every randomized step pulls its generator from a labeled substream of one root
 seed, so a rerun with the same config file reproduces results bit for bit. CSV
 outputs contain only deterministic quantities; wall times and other run
 metadata go to a sidecar .meta.json next to each CSV.
+
+The SNR sweep, the pilot sweep and `polarce eval` run one evaluation body
+(`_sweep`); they differ only in the points they list. A point's label names
+its scene, noise and stage-2 substreams, so `polarce eval --snr s` is the SNR
+sweep's row at s and `polarce simulate --snr s` writes that row's pilot blocks.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .channel import (PathParams, SceneRealization, SystemConfig,
+from .channel import (PathParams, PilotBlock, SceneRealization, SystemConfig,
                       build_channels, draw_scene, make_phase_matrix,
                       noise_var_for_snr, simulate_pilots, steering_vector)
 from .denoiser import (DenoiserParams, Stage1Config, init_denoiser,
@@ -33,9 +38,10 @@ from .unrolled import (ListaParams, Stage2Config, lista_init,
 __all__ = [
     "SweepConfig", "ExperimentConfig", "default_config", "config_to_dict",
     "config_from_dict", "load_config", "save_config", "nmse",
-    "build_bs_dictionary", "build_ris_dictionaries", "evaluate_point",
+    "build_bs_dictionary", "build_ris_dictionaries", "phase_schedule",
+    "snr_label", "draw_scenes", "draw_pilots", "evaluate_point",
     "run_snr_sweep", "run_pilot_sweep", "run_leakage_report", "run_loss_curves",
-    "save_stage1", "load_stage1", "save_stage2", "load_stage2", "write_csv",
+    "schedule_fingerprint", "save_stage1", "load_stage1", "save_stage2", "load_stage2", "write_csv",
     "count_lattice_peaks",
 ]
 
@@ -175,6 +181,19 @@ def build_ris_dictionaries(cfg: ExperimentConfig):
     return single, build_cascaded_dictionary(single)
 
 
+def phase_schedule(cfg: ExperimentConfig, tau: int | None = None) -> np.ndarray:
+    """RIS phase matrix of the configured system, or of the pilot-sweep point tau."""
+    labels = ("phase",) if tau is None else ("phase", f"tau{tau}")
+    return make_phase_matrix(cfg.system.n_ris, cfg.system.tau if tau is None else tau,
+                             substream(cfg.sweep.seed, *labels),
+                             kind=cfg.sweep.phase_kind)
+
+
+def snr_label(snr_db: float) -> str:
+    """Substream label of the SNR-sweep point at snr_db."""
+    return f"snr{_fmt(float(snr_db))}"
+
+
 # ---------------------------------------------------------------- checkpoints
 
 def _config_hash(cfg: ExperimentConfig) -> str:
@@ -207,10 +226,29 @@ def save_stage2(path, lp: ListaParams, extra_meta: dict | None = None) -> str:
     return container.save_container(path, arrays, meta=meta)
 
 
-def load_stage2(path) -> ListaParams:
+def schedule_fingerprint(E: np.ndarray) -> dict:
+    """Checkpoint meta that binds a stage-2 network to its phase schedule.
+
+    The learned mixing matrix V only fits the schedule it was trained on.
+    """
+    return {"tau": int(E.shape[1]), "phase_hash": container.content_hash({"E": E})}
+
+
+def load_stage2(path, E: np.ndarray | None = None) -> ListaParams:
+    """Stage-2 parameters; given E, the checkpoint must carry E's fingerprint."""
     arrays, meta = container.load_container(path)
     if meta.get("kind") != "stage2":
         raise ValueError(f"not a stage-2 checkpoint: {path}")
+    if E is not None:
+        want = schedule_fingerprint(E)
+        got = {k: meta.get(k) for k in want}
+        if None in got.values():
+            raise ValueError("no phase-schedule fingerprint; retrain it with "
+                             "`polarce train stage2`")
+        if got != want:
+            raise ValueError(f"trained for pilot length {got['tau']} and phase "
+                             f"hash {got['phase_hash'][:12]}, but this run uses "
+                             f"{want['tau']} and {want['phase_hash'][:12]}")
     return ListaParams(lam=arrays["lam"], kappa=arrays["kappa"],
                        V=arrays["V"], F=arrays["F"])
 
@@ -260,22 +298,30 @@ def train_stage2_model(cfg: ExperimentConfig, cas: CascadedDictionary,
 
 # ----------------------------------------------------------------- evaluation
 
+def draw_pilots(scenes: list[SceneRealization], system: SystemConfig,
+                E: np.ndarray, snr_db: float, seed: int, label: str,
+                convention: str = "receive") -> list[PilotBlock]:
+    """Pilot blocks of one sweep point; trial t draws its own noise substream."""
+    return [simulate_pilots(scene, system, E,
+                            noise_var_for_snr(scene, system, E, snr_db,
+                                              convention=convention),
+                            substream(seed, "eval-noise", label, str(t)))
+            for t, scene in enumerate(scenes)]
+
+
 def evaluate_point(scenes: list[SceneRealization], ctx: PipelineContext,
                    snr_db: float, seed: int, label: str,
                    schemes: tuple[str, ...], convention: str = "receive"):
-    """Per-trial squared errors for every scheme, on a shared pilot draw."""
-    system = ctx.config
-    pilots = []
-    for t, scene in enumerate(scenes):
-        rng = substream(seed, "eval-noise", label, str(t))
-        nv = noise_var_for_snr(scene, system, ctx.E, snr_db, convention=convention)
-        pilots.append(simulate_pilots(scene, system, ctx.E, nv, rng))
-    out = {}
+    """Per-trial NMSE and wall seconds of every scheme, on a shared pilot draw."""
+    pilots = draw_pilots(scenes, ctx.config, ctx.E, snr_db, seed, label, convention)
+    errs, secs = {}, {}
     for name in schemes:
+        t0 = time.perf_counter()
         G_hats = SCHEME_FUNCS[name](pilots, ctx)
-        out[name] = np.array([nmse(G_hats[t], scenes[t].G[0])
-                              for t in range(len(scenes))])
-    return out
+        secs[name] = time.perf_counter() - t0
+        errs[name] = np.array([nmse(G_hats[t], scenes[t].G[0])
+                               for t in range(len(scenes))])
+    return errs, secs
 
 
 def _fmt(v) -> str:
@@ -299,139 +345,95 @@ def _write_outputs(outdir, stem: str, header, rows, meta: dict):
         json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _needs(schemes):
-    s1 = any(s.startswith("dncnn") for s in schemes)
-    s2 = "dncnn-istanet" in schemes
-    return s1, s2
+def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
+           progress=None, stage1: DenoiserParams | None = None,
+           stage2: ListaParams | None = None) -> list[dict]:
+    """Evaluate every scheme at each (axis value, label, system, E, snr_db) point.
 
-
-def run_snr_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
-    """NMSE versus noise level; one stage-1 model, one stage-2 model per point."""
-    sw = cfg.sweep
-    t0 = time.perf_counter()
-    bs = build_bs_dictionary(cfg)
-    _, cas = build_ris_dictionaries(cfg)
-    E = make_phase_matrix(cfg.system.n_ris, cfg.system.tau,
-                          substream(sw.seed, "phase"), kind=sw.phase_kind)
-    needs1, needs2 = _needs(sw.schemes)
-    meta: dict = {"config": config_to_dict(cfg), "config_hash": _config_hash(cfg),
-                  "checkpoints": {}, "timing": {}}
-
-    dp = None
-    if needs1:
-        dp, trace1 = train_stage1_model(cfg, bs, E)
-        meta["checkpoints"]["stage1"] = container.content_hash(
-            {**dp.params, **dp.buffers})
-        meta["stage1_trace"] = trace1
-        meta["timing"]["stage1_train_s"] = time.perf_counter() - t0
-    train2_scenes = (draw_scenes(cfg.system, sw.seed, "train2-scene",
-                                 cfg.stage2.train_size) if needs2 else None)
-
-    rows, records = [], []
-    for snr in sw.snr_db:
-        tp = time.perf_counter()
-        label = f"snr{_fmt(float(snr))}"
-        scenes = draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", sw.trials)
-        lp = None
-        if needs2:
-            lp, trace2 = train_stage2_model(cfg, cas, E, snr, label,
-                                            scenes=train2_scenes)
-            meta["checkpoints"][f"stage2_{label}"] = \
-                container.content_hash({"lam": lp.lam, "kappa": lp.kappa,
-                                        "V": lp.V, "F": lp.F})
-            meta.setdefault("stage2_traces", {})[_fmt(float(snr))] = trace2
-        ctx = PipelineContext(config=cfg.system, bs=bs, cas=cas, E=E,
-                              stage1=dp, stage2=lp,
-                              support_guard=sw.support_guard)
-        errs = evaluate_point(scenes, ctx, snr, sw.seed, label,
-                              sw.schemes, convention=sw.snr_convention)
-        wall = time.perf_counter() - tp
-        for name in sw.schemes:
-            e = errs[name]
-            rec = {"scheme": name, "snr_db": float(snr),
-                   "nmse_mean": float(e.mean()), "nmse_std": float(e.std()),
-                   "trials": sw.trials, "wall_time_s": wall}
-            records.append(rec)
-            rows.append([rec["scheme"], rec["snr_db"], rec["nmse_mean"],
-                         rec["nmse_std"], rec["trials"]])
-        meta["timing"][f"point_{label}_s"] = wall
-        if progress:
-            progress(f"snr={snr} done")
-    meta["timing"]["total_s"] = time.perf_counter() - t0
-    _write_outputs(outdir, "snr_sweep",
-                   ["scheme", "snr_db", "nmse_mean", "nmse_std", "trials"],
-                   rows, meta)
-    return records
-
-
-def run_pilot_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
-    """NMSE versus pilot length at a fixed noise level.
-
-    The stage-1 model is trained once at the longest pilot length (its
-    row-compressed input keeps the same shape for every tau); stage 2 is
-    retrained per point because its mixing matrix is tied to the schedule.
+    Stage 1 trains once, on the point with the longest pilot block (its
+    row-compressed input keeps the same shape for every tau); stage 2 trains
+    per point, on one shared scene draw, because its mixing matrix is tied to
+    the point's schedule. A given network replaces the training. Writes
+    <stem>.csv and <stem>.meta.json and returns one record per scheme and point.
     """
     sw = cfg.sweep
     t0 = time.perf_counter()
     bs = build_bs_dictionary(cfg)
     _, cas = build_ris_dictionaries(cfg)
-    needs1, needs2 = _needs(sw.schemes)
+    needs1 = any(s.startswith("dncnn") for s in sw.schemes)
+    needs2 = "dncnn-istanet" in sw.schemes
     meta: dict = {"config": config_to_dict(cfg), "config_hash": _config_hash(cfg),
                   "checkpoints": {}, "timing": {}}
 
-    tau_ref = max(sw.tau)
-    dp = None
-    if needs1:
-        system_ref = dataclasses.replace(cfg.system, tau=tau_ref)
-        E_ref = make_phase_matrix(cfg.system.n_ris, tau_ref,
-                                  substream(sw.seed, "phase", f"tau{tau_ref}"),
-                                  kind=sw.phase_kind)
-        dp, trace1 = train_stage1_model(cfg, bs, E_ref, system=system_ref)
+    dp = stage1
+    if needs1 and dp is None:
+        _, _, system_ref, E_ref, _ = max(points, key=lambda p: p[2].tau)
+        ts = time.perf_counter()
+        dp, meta["stage1_trace"] = train_stage1_model(cfg, bs, E_ref, system=system_ref)
+        meta["timing"]["stage1_train_s"] = time.perf_counter() - ts
+    if dp is not None:
         meta["checkpoints"]["stage1"] = container.content_hash(
             {**dp.params, **dp.buffers})
-        meta["stage1_trace"] = trace1
-        meta["timing"]["stage1_train_s"] = time.perf_counter() - t0
     train2_scenes = (draw_scenes(cfg.system, sw.seed, "train2-scene",
-                                 cfg.stage2.train_size) if needs2 else None)
+                                 cfg.stage2.train_size)
+                     if needs2 and stage2 is None else None)
 
     rows, records = [], []
-    for tau in sw.tau:
+    for value, label, system, E, snr in points:
         tp = time.perf_counter()
-        label = f"tau{int(tau)}"
-        system_tau = dataclasses.replace(cfg.system, tau=int(tau))
         scenes = draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", sw.trials)
-        E = make_phase_matrix(cfg.system.n_ris, int(tau),
-                              substream(sw.seed, "phase", label),
-                              kind=sw.phase_kind)
-        lp = None
-        if needs2:
-            lp, _ = train_stage2_model(cfg, cas, E, sw.eval_snr_db, label,
-                                       system=system_tau, scenes=train2_scenes)
-            meta["checkpoints"][f"stage2_{label}"] = container.content_hash(
-                {"lam": lp.lam, "kappa": lp.kappa, "V": lp.V, "F": lp.F})
-        ctx = PipelineContext(config=system_tau, bs=bs, cas=cas, E=E,
+        lp = stage2
+        if needs2 and lp is None:
+            ts = time.perf_counter()
+            lp, trace2 = train_stage2_model(cfg, cas, E, snr, label, system=system,
+                                            scenes=train2_scenes)
+            meta["timing"][f"stage2_train_{label}_s"] = time.perf_counter() - ts
+            meta.setdefault("stage2_traces", {})[_fmt(value)] = trace2
+        if lp is not None:
+            meta["checkpoints"][f"stage2_{label}"] = container.content_hash(vars(lp))
+        ctx = PipelineContext(config=system, bs=bs, cas=cas, E=E,
                               stage1=dp, stage2=lp,
                               support_guard=sw.support_guard)
-        errs = evaluate_point(scenes, ctx, sw.eval_snr_db, sw.seed,
-                              label, sw.schemes,
-                              convention=sw.snr_convention)
-        wall = time.perf_counter() - tp
+        errs, secs = evaluate_point(scenes, ctx, snr, sw.seed, label,
+                                    sw.schemes, convention=sw.snr_convention)
         for name in sw.schemes:
             e = errs[name]
-            rec = {"scheme": name, "tau": int(tau),
+            rec = {"scheme": name, axis: value,
                    "nmse_mean": float(e.mean()), "nmse_std": float(e.std()),
-                   "trials": sw.trials, "wall_time_s": wall}
+                   "trials": sw.trials, "wall_time_s": secs[name]}
             records.append(rec)
-            rows.append([rec["scheme"], rec["tau"], rec["nmse_mean"],
-                         rec["nmse_std"], rec["trials"]])
-        meta["timing"][f"point_{label}_s"] = wall
+            rows.append([name, value, rec["nmse_mean"], rec["nmse_std"], sw.trials])
+            meta["timing"][f"{name}_{label}_s"] = secs[name]
+        meta["timing"][f"point_{label}_s"] = time.perf_counter() - tp
         if progress:
-            progress(f"tau={tau} done")
+            progress(f"{label} done")
     meta["timing"]["total_s"] = time.perf_counter() - t0
-    _write_outputs(outdir, "pilot_sweep",
-                   ["scheme", "tau", "nmse_mean", "nmse_std", "trials"],
+    _write_outputs(outdir, stem, ["scheme", axis, "nmse_mean", "nmse_std", "trials"],
                    rows, meta)
     return records
+
+
+def run_snr_sweep(cfg: ExperimentConfig, outdir, progress=None,
+                  stage1: DenoiserParams | None = None,
+                  stage2: ListaParams | None = None,
+                  stem: str = "snr_sweep") -> list[dict]:
+    """NMSE versus noise level on the configured phase schedule.
+
+    `polarce eval` is this sweep at one point: it passes loaded networks in
+    place of training and writes under the stem "eval".
+    """
+    E = phase_schedule(cfg)
+    points = [(float(s), snr_label(s), cfg.system, E, float(s))
+              for s in cfg.sweep.snr_db]
+    return _sweep(cfg, outdir, stem, "snr_db", points, progress, stage1, stage2)
+
+
+def run_pilot_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
+    """NMSE versus pilot length at the evaluation SNR; each tau has its own schedule."""
+    points = [(int(t), f"tau{int(t)}", dataclasses.replace(cfg.system, tau=int(t)),
+               phase_schedule(cfg, int(t)), cfg.sweep.eval_snr_db)
+              for t in cfg.sweep.tau]
+    return _sweep(cfg, outdir, "pilot_sweep", "tau", points, progress)
 
 
 # -------------------------------------------------------------- grid reports
@@ -468,12 +470,10 @@ def run_leakage_report(cfg: ExperimentConfig, outdir) -> dict:
     grid at the near range limit (curvature mismatch), and both combined.
     """
     sys_ = cfg.system
-    sw = cfg.sweep
     full = GridConfig(angle_count=sys_.n_bs, sin_lo=-1.0, sin_hi=1.0,
                       ring_limit=0, distance_min=sys_.bs_dist[0])
     bs_full = build_dictionary(sys_.n_bs, sys_.wavelength, sys_.spacing, full)
-    E = make_phase_matrix(sys_.n_ris, sys_.tau, substream(sw.seed, "phase"),
-                          kind=sw.phase_kind)
+    E = phase_schedule(cfg)
     sins = bs_full.grid.sin_angles
     far_r, near_r = sys_.bs_dist[1], sys_.bs_dist[0]
 
@@ -622,8 +622,7 @@ def run_loss_curves(cfg: ExperimentConfig, outdir) -> dict:
     t0 = time.perf_counter()
     bs = build_bs_dictionary(cfg)
     _, cas = build_ris_dictionaries(cfg)
-    E = make_phase_matrix(cfg.system.n_ris, cfg.system.tau,
-                          substream(sw.seed, "phase"), kind=sw.phase_kind)
+    E = phase_schedule(cfg)
     scenes1 = draw_scenes(cfg.system, sw.seed, "train1-scene", cfg.stage1.train_size)
     scenes2 = draw_scenes(cfg.system, sw.seed, "train2-scene", cfg.stage2.train_size)
     nvs1 = [noise_var_for_snr(sc, cfg.system, E, sw.loss_snr_db,

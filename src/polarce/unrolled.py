@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .channel import SceneRealization, SystemConfig, make_phase_matrix, ris_side_rows
+from .channel import SceneRealization, SystemConfig, ris_side_rows
 from .optim import adam_init, adam_step
 from .polar import CascadedDictionary
 from .rng import complex_normal, substream
@@ -177,19 +177,16 @@ def lista_forward(P: np.ndarray, lp: ListaParams, E: np.ndarray,
 
 def make_stage2_dataset(config: SystemConfig, scenes: list[SceneRealization],
                         E: np.ndarray, noise_vars: list[float],
-                        rng: np.random.Generator,
-                        fresh_E: str | None = None) -> Stage2Dataset:
+                        rng: np.random.Generator) -> Stage2Dataset:
     """Per-path pairs (p_l, x_l) with matched projected-noise variance sigma^2/p.
 
-    The measurement schedule E is fixed by default since the learned mixing
-    matrix V is tied to it. Passing a phase kind via fresh_E redraws a schedule
-    per scene instead, for robustness studies.
+    The measurement schedule E is fixed, since the learned mixing matrix V is
+    tied to it.
     """
     cols_P, cols_X = [], []
     for scene, nv in zip(scenes, noise_vars):
-        Es = make_phase_matrix(E.shape[0], E.shape[1], rng, fresh_E) if fresh_E else E
         rows = ris_side_rows(scene, config, user=0)      # [M, L]
-        clean = Es.conj().T @ rows                       # [tau, L]
+        clean = E.conj().T @ rows                        # [tau, L]
         noise = complex_normal(rng, clean.shape, nv / config.power) if nv > 0 else 0.0
         cols_P.append(clean + noise)
         cols_X.append(rows)

@@ -38,6 +38,42 @@ def omp_cfg_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def all_cfg_file(tmp_path_factory):
+    data = dict(MICRO)
+    data["sweep"] = dict(MICRO["sweep"], schemes=["omp", "dncnn-omp", "dncnn-istanet"])
+    path = tmp_path_factory.mktemp("cfg") / "all.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def tau4_cfg_file(tmp_path_factory):
+    data = dict(MICRO)
+    data["system"] = dict(MICRO["system"], tau=4)
+    path = tmp_path_factory.mktemp("cfg") / "tau4.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def stage2_ckpt(tmp_path_factory, cfg_file):
+    path = tmp_path_factory.mktemp("ck") / "s2.plce"
+    rc = main(["train", "stage2", "--config", cfg_file, "--snr", "20",
+               "--out", str(path)])
+    assert rc == 0
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def sweep_lines_at_20(tmp_path_factory, all_cfg_file):
+    """Header and 20 dB rows of `sweep snr` with all three schemes."""
+    out_dir = tmp_path_factory.mktemp("sweep")
+    assert main(["sweep", "snr", "--config", all_cfg_file, "--out", str(out_dir)]) == 0
+    lines = (out_dir / "snr_sweep.csv").read_text().splitlines()
+    return [lines[0]] + [line for line in lines[1:] if line.split(",")[1] == "20"]
+
+
+@pytest.fixture(scope="module")
 def stage1_ckpt(tmp_path_factory, cfg_file):
     path = tmp_path_factory.mktemp("ck") / "s1.plce"
     rc = main(["train", "stage1", "--config", cfg_file, "--out", str(path)])
@@ -202,6 +238,48 @@ class TestEval:
                                   "--out", str(tmp_path)])
         assert rc == 2
         assert "not found" in json.loads(err)["error"]
+
+    def test_matches_sweep_row(self, capsys, all_cfg_file, sweep_lines_at_20,
+                               tmp_path):
+        rc, out, _ = run(capsys, ["eval", "--config", all_cfg_file,
+                                  "--snr", "20", "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "eval.csv").read_text().splitlines() == sweep_lines_at_20
+        assert len(json.loads(out)) == 3
+        meta = json.loads((tmp_path / "eval.meta.json").read_text())
+        assert set(meta["stage2_traces"]) == {"20"}
+
+    def test_stage2_checkpoint_matches_sweep_row(self, capsys, all_cfg_file,
+                                                 stage2_ckpt, sweep_lines_at_20,
+                                                 tmp_path):
+        rc, _, _ = run(capsys, ["eval", "--config", all_cfg_file, "--snr", "20",
+                                "--stage2", stage2_ckpt, "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "eval.csv").read_text().splitlines() == sweep_lines_at_20
+
+    def test_stage2_checkpoint_other_pilot_length(self, capsys, tau4_cfg_file,
+                                                  stage2_ckpt, tmp_path):
+        rc, _, err = run(capsys, ["eval", "--config", tau4_cfg_file,
+                                  "--stage2", stage2_ckpt, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "pilot length 6" in json.loads(err)["error"]
+
+    def test_stage2_checkpoint_other_schedule(self, capsys, cfg_file,
+                                              stage2_ckpt, tmp_path):
+        rc, _, err = run(capsys, ["eval", "--config", cfg_file, "--seed", "1",
+                                  "--stage2", stage2_ckpt, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "phase hash" in json.loads(err)["error"]
+
+    def test_stage2_checkpoint_without_fingerprint(self, capsys, cfg_file, tmp_path):
+        bare = tmp_path / "bare.plce"
+        save_stage2(bare, ListaParams(lam=np.zeros(3), kappa=np.ones(3),
+                                      V=np.ones((8, 6), dtype=complex),
+                                      F=np.ones((8, 7), dtype=complex)))
+        rc, _, err = run(capsys, ["eval", "--config", cfg_file, "--stage2", str(bare),
+                                  "--out", str(tmp_path)])
+        assert rc == 2
+        assert "fingerprint" in json.loads(err)["error"]
 
     def test_wrong_kind_checkpoint(self, capsys, cfg_file, tmp_path, rng):
         bad = tmp_path / "s2.plce"

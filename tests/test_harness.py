@@ -13,8 +13,9 @@ from polarce.harness import (ExperimentConfig, SweepConfig, build_bs_dictionary,
                              config_to_dict, count_lattice_peaks, default_config,
                              draw_scenes, evaluate_point, load_config,
                              load_stage1, load_stage2, nmse, run_leakage_report,
-                             run_loss_curves, run_snr_sweep, save_config,
-                             save_stage1, save_stage2, top1_fraction, write_csv)
+                             run_loss_curves, run_pilot_sweep, run_snr_sweep,
+                             save_config, save_stage1, save_stage2, snr_label,
+                             top1_fraction, write_csv)
 from polarce.polar import GridConfig, build_cascaded_dictionary, build_dictionary
 from polarce.rng import substream
 from polarce.schemes import PipelineContext
@@ -215,16 +216,17 @@ def micro_ctx(micro_cfg):
 class TestEvaluatePoint:
     def test_shapes_and_range(self, micro_cfg, micro_ctx):
         scenes = draw_scenes(micro_cfg.system, 3, "ev", 3)
-        out = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
-        assert set(out) == {"omp"}
+        out, secs = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
+        assert set(out) == set(secs) == {"omp"}
         assert out["omp"].shape == (3,)
         assert np.all(np.isfinite(out["omp"]))
         assert np.all(out["omp"] >= 0)
+        assert secs["omp"] > 0
 
     def test_rerun_is_bitwise_identical(self, micro_cfg, micro_ctx):
         scenes = draw_scenes(micro_cfg.system, 3, "ev", 3)
-        a = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
-        b = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
+        a, _ = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
+        b, _ = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
         np.testing.assert_array_equal(a["omp"], b["omp"])
 
     def test_schemes_share_the_same_pilots(self, micro_cfg, micro_ctx, rng):
@@ -233,28 +235,47 @@ class TestEvaluatePoint:
         dp = init_denoiser(Stage1Config(layers=3, width=4),
                            substream(1, "init"))
         ctx2 = dataclasses.replace(micro_ctx, stage1=dp)
-        alone = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
-        both = evaluate_point(scenes, ctx2, 20.0, 9, "pt",
-                              ("omp", "dncnn-omp"))
+        alone, _ = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
+        both, _ = evaluate_point(scenes, ctx2, 20.0, 9, "pt",
+                                 ("omp", "dncnn-omp"))
         np.testing.assert_array_equal(alone["omp"], both["omp"])
 
     def test_trials_differ_from_each_other(self, micro_cfg, micro_ctx):
         scenes = draw_scenes(micro_cfg.system, 3, "ev", 3)
-        out = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
+        out, _ = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
         assert len(set(out["omp"].tolist())) == 3
 
 
 class TestSnrSweep:
-    def test_csv_bytes_are_stable(self, micro_cfg, tmp_path):
+    @pytest.mark.parametrize("schemes", [
+        ("omp",),
+        ("omp", "dncnn-omp", "dncnn-istanet"),
+    ], ids=["omp", "all"])
+    @pytest.mark.parametrize("run, stem, axis", [
+        (run_snr_sweep, "snr_sweep", "snr_db"),
+        (run_pilot_sweep, "pilot_sweep", "tau"),
+    ], ids=["snr", "tau"])
+    def test_csv_bytes_are_stable(self, tmp_path, run, stem, axis, schemes):
+        cfg = config_from_dict({**MICRO, "stage1": LOSS_MICRO["stage1"],
+                                "stage2": LOSS_MICRO["stage2"],
+                                "sweep": {**MICRO["sweep"], "schemes": list(schemes)}})
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        records = run_snr_sweep(micro_cfg, d1)
-        run_snr_sweep(micro_cfg, d2)
-        b1 = (d1 / "snr_sweep.csv").read_bytes()
-        assert b1 == (d2 / "snr_sweep.csv").read_bytes()
+        records = run(cfg, d1)
+        run(cfg, d2)
+        b1 = (d1 / f"{stem}.csv").read_bytes()
+        assert b1 == (d2 / f"{stem}.csv").read_bytes()
         lines = b1.decode().splitlines()
-        assert lines[0] == "scheme,snr_db,nmse_mean,nmse_std,trials"
+        assert lines[0] == f"scheme,{axis},nmse_mean,nmse_std,trials"
         assert len(lines) == 1 + len(records)
-        assert len(records) == 2            # two SNR points, one scheme
+        assert len(records) == 2 * len(schemes)     # two points per axis
+        assert all(np.isfinite(rec["nmse_mean"]) for rec in records)
+        meta = json.loads((d1 / f"{stem}.meta.json").read_text())
+        if "dncnn-istanet" in schemes:
+            assert set(meta["stage2_traces"]) == {f"{rec[axis]:g}" for rec in records}
+        for rec in records:
+            label = (snr_label(rec[axis]) if axis == "snr_db"
+                     else f"tau{rec[axis]}")
+            assert rec["wall_time_s"] == meta["timing"][f"{rec['scheme']}_{label}_s"]
 
     def test_records_match_csv(self, micro_cfg, tmp_path):
         records = run_snr_sweep(micro_cfg, tmp_path)

@@ -259,15 +259,6 @@ class TestStage2Dataset:
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(nv / cfg.power, rel=0.1)
 
-    def test_fresh_schedule_differs(self, small_system, small_E):
-        scenes = [draw_scene(small_system, substream(44, "f", t)) for t in range(2)]
-        fixed = make_stage2_dataset(small_system, scenes, small_E, [0.0] * 2,
-                                    substream(44, "fn"))
-        fresh = make_stage2_dataset(small_system, scenes, small_E, [0.0] * 2,
-                                    substream(44, "fn"), fresh_E="random")
-        assert not np.allclose(fixed.P, fresh.P)
-        np.testing.assert_array_equal(fixed.Xl, fresh.Xl)
-
     def test_deterministic(self, small_system, small_E):
         scenes = [draw_scene(small_system, substream(45, "d", t)) for t in range(2)]
         a = make_stage2_dataset(small_system, scenes, small_E, [0.02] * 2,
