@@ -13,7 +13,7 @@ from .channel import (PathParams, PilotBlock, SceneRealization, SystemConfig,
                       steering_vector)
 from .harness import (ExperimentConfig, SweepConfig, default_config,
                       load_config, nmse, run_leakage_report, run_loss_curves,
-                      run_pilot_sweep, run_snr_sweep, save_config)
+                      run_pilot_sweep, run_snr_sweep)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary, PolarGrid,
                     build_cascaded_dictionary, build_dictionary,
                     coherence_profile, encode_sparse_truth, nearest_grid_index,
@@ -29,7 +29,7 @@ __all__ = [
     "ris_side_rows", "simulate_pilots", "steering_vector",
     "ExperimentConfig", "SweepConfig", "default_config", "load_config",
     "nmse", "run_leakage_report", "run_loss_curves", "run_pilot_sweep",
-    "run_snr_sweep", "save_config",
+    "run_snr_sweep",
     "CascadedDictionary", "GridConfig", "PolarDictionary", "PolarGrid",
     "build_cascaded_dictionary", "build_dictionary", "coherence_profile",
     "encode_sparse_truth", "nearest_grid_index", "sample_polar_grid",

@@ -7,8 +7,7 @@ of real-dtype nodes are kept real. Losses must be real scalars.
 
 The tape records one op per node in execution order, so iterating the records
 in reverse is a reverse topological traversal that touches each node exactly
-once. Replaying the records re-runs the same numpy calls on the same operands
-and therefore reproduces every stored value bit-exactly.
+once. The ops are the ones the two trained networks use.
 """
 from __future__ import annotations
 
@@ -16,9 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "Tape", "Node", "add", "sub", "mul", "scale", "matmul", "conj",
-    "transpose", "hermitian", "relu", "soft_threshold", "conv2d",
-    "batch_norm", "sum_abs2", "sum_all", "finite_difference_grads",
+    "Tape", "Node", "add", "sub", "mul", "scale", "matmul", "hermitian",
+    "relu", "soft_threshold", "conv2d", "batch_norm", "sum_abs2",
 ]
 
 
@@ -84,13 +82,6 @@ class Tape:
         self.records.append(Record(op, out_id, in_ids, aux))
         return Node(self, out_id)
 
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every recorded op from the stored leaf values."""
-        values = list(self.values)
-        for rec in self.records:
-            values[rec.out] = _FORWARD[rec.op]([values[i] for i in rec.ins], rec.aux)
-        return values
-
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
         """Gradients of a real scalar loss w.r.t. every trainable leaf.
 
@@ -155,11 +146,8 @@ _FORWARD = {
     "mul": lambda ins, aux: ins[0] * ins[1],
     "scale": lambda ins, aux: aux["c"] * ins[0],
     "matmul": lambda ins, aux: ins[0] @ ins[1],
-    "conj": lambda ins, aux: np.conj(ins[0]),
-    "transpose": lambda ins, aux: ins[0].T.copy(),
     "hermitian": lambda ins, aux: np.conj(ins[0].T),
     "relu": lambda ins, aux: np.maximum(ins[0], 0.0),
-    "sum_all": lambda ins, aux: np.asarray(np.sum(ins[0])),
     "sum_abs2": lambda ins, aux: np.asarray(np.sum(ins[0].real ** 2 + ins[0].imag ** 2)
                                             if np.iscomplexobj(ins[0])
                                             else np.sum(ins[0] ** 2)),
@@ -253,14 +241,11 @@ _BACKWARD = {
     "mul": _bwd_mul,
     "scale": lambda g, ins, out, aux: [np.conj(aux["c"]) * g],
     "matmul": _bwd_matmul,
-    "conj": lambda g, ins, out, aux: [np.conj(g)],
-    "transpose": lambda g, ins, out, aux: [g.T],
     "hermitian": lambda g, ins, out, aux: [np.conj(g.T)],
     "relu": lambda g, ins, out, aux: [g * (ins[0] > 0)],
     "soft_threshold": _bwd_soft_threshold,
     "conv2d": _bwd_conv2d,
     "batch_norm": _bwd_batch_norm,
-    "sum_all": lambda g, ins, out, aux: [np.broadcast_to(g, ins[0].shape).copy()],
     "sum_abs2": lambda g, ins, out, aux: [2.0 * g * ins[0]],
 }
 
@@ -288,14 +273,6 @@ def matmul(a: Node, b) -> Node:
     return a.tape._emit("matmul", (a, b))
 
 
-def conj(a: Node) -> Node:
-    return a.tape._emit("conj", (a,))
-
-
-def transpose(a: Node) -> Node:
-    return a.tape._emit("transpose", (a,))
-
-
 def hermitian(a: Node) -> Node:
     return a.tape._emit("hermitian", (a,))
 
@@ -320,47 +297,7 @@ def sum_abs2(x: Node) -> Node:
     return x.tape._emit("sum_abs2", (x,))
 
 
-def sum_all(x: Node) -> Node:
-    return x.tape._emit("sum_all", (x,))
-
-
-def cmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain complex matrix product with an explicit shape check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def soft_threshold_array(x: np.ndarray, lam) -> np.ndarray:
     """Complex soft threshold on plain arrays (clamped at zero)."""
     return _soft_threshold_fwd([np.asarray(x), lam], None)
 
-
-def finite_difference_grads(f, arrays: dict[str, np.ndarray], h: float = 1e-6) -> dict[str, np.ndarray]:
-    """Central finite differences of a scalar function of named arrays.
-
-    Complex arrays are perturbed in their real and imaginary parts separately;
-    the numeric gradient uses the same dL/dRe + 1j*dL/dIm convention as
-    Tape.backward.
-    """
-    def eval_with(name, idx, delta):
-        probe = dict(arrays)
-        bumped = np.array(arrays[name], copy=True)
-        bumped.reshape(-1)[idx] += delta
-        probe[name] = bumped
-        return f(probe)
-
-    grads = {}
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        g = np.zeros(arr.shape, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
-        gflat = g.reshape(-1)
-        parts = (1.0, 1.0j) if np.iscomplexobj(arr) else (1.0,)
-        for i in range(arr.size):
-            for unit in parts:
-                d = (eval_with(name, i, unit * h) - eval_with(name, i, -unit * h)) / (2.0 * h)
-                gflat[i] = gflat[i] + unit * d
-        grads[name] = g
-    return grads

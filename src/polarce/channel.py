@@ -1,6 +1,6 @@
-"""Geometric near-field channel model for a BS / RIS / single-antenna users link.
+"""Geometric near-field channel model for a BS / RIS / single-antenna user link.
 
-Uplink observations after per-user pilot decorrelation:
+Uplink pilot observations of the one user:
 
     Y = sqrt(p) * G @ E + noise,   G = H @ diag(h)
 
@@ -33,7 +33,6 @@ class SystemConfig:
 
     n_bs: int = 32
     n_ris: int = 64
-    n_users: int = 1
     tau: int = 30
     carrier_hz: float = 30e9
     spacing_m: float | None = None      # element pitch; None = half wavelength
@@ -87,25 +86,24 @@ class SceneRealization:
     """One drawn propagation environment plus its assembled channels.
 
     Bridge path gains live on the BS-side entries; the RIS-side entries carry
-    the departure geometry of the same paths (gain field unused).
+    the departure geometry of the same paths (gain field unused). `users`, h
+    and G keep a leading axis for the one user, so callers read G[0].
     """
 
     bridge_bs: tuple[PathParams, ...]
     bridge_ris: tuple[PathParams, ...]
     users: tuple[tuple[PathParams, ...], ...]
     H: np.ndarray                      # [N, M]
-    h: np.ndarray                      # [K, M]
-    G: np.ndarray                      # [K, N, M]
+    h: np.ndarray                      # [1, M]
+    G: np.ndarray                      # [1, N, M]
 
 
 @dataclass
 class PilotBlock:
-    """Decorrelated pilot observation for one user."""
+    """Pilot observation of the user over one phase schedule."""
 
     Y: np.ndarray                      # [N, tau]
-    E: np.ndarray                      # [M, tau]
     noise_var: float
-    user: int = 0
 
 
 def element_offsets(size: int) -> np.ndarray:
@@ -170,13 +168,10 @@ def draw_scene(config: SystemConfig, rng: np.random.Generator) -> SceneRealizati
     s = dists(config.bs_dist, config.paths_bs)
     bridge_bs = tuple(PathParams(a, d, g) for a, d, g in zip(th, r, rho))
     bridge_ris = tuple(PathParams(a, d) for a, d in zip(phi, s))
-    users = []
-    for _ in range(config.n_users):
-        va = rng.uniform(-b, b, config.paths_ris)
-        vd = dists(config.ris_dist, config.paths_ris)
-        vb = gains(config.paths_ris)
-        users.append(tuple(PathParams(a, d, g) for a, d, g in zip(va, vd, vb)))
-    users = tuple(users)
+    va = rng.uniform(-b, b, config.paths_ris)
+    vd = dists(config.ris_dist, config.paths_ris)
+    vb = gains(config.paths_ris)
+    users = (tuple(PathParams(a, d, g) for a, d, g in zip(va, vd, vb)),)
     H, h, G = build_channels(config, bridge_bs, bridge_ris, users)
     return SceneRealization(bridge_bs, bridge_ris, users, H, h, G)
 
@@ -196,20 +191,20 @@ def make_phase_matrix(n_ris: int, tau: int, rng: np.random.Generator | None = No
 
 
 def simulate_pilots(scene: SceneRealization, config: SystemConfig, E: np.ndarray,
-                    noise_var: float, rng: np.random.Generator, user: int = 0) -> PilotBlock:
-    """Y = sqrt(p) G_k E + noise with i.i.d. circular complex Gaussian noise."""
+                    noise_var: float, rng: np.random.Generator) -> PilotBlock:
+    """Y = sqrt(p) G E + noise with i.i.d. circular complex Gaussian noise."""
     if E.shape != (config.n_ris, config.tau):
         raise ValueError("phase matrix shape mismatch")
-    if noise_var < 0:
-        raise ValueError("noise variance must be nonnegative")
-    Y = math.sqrt(config.power) * (scene.G[user] @ E)
+    if not noise_var >= 0:
+        raise ValueError(f"noise variance must be nonnegative, got {noise_var}")
+    Y = math.sqrt(config.power) * (scene.G[0] @ E)
     if noise_var > 0:
         Y = Y + complex_normal(rng, Y.shape, noise_var)
-    return PilotBlock(Y=Y, E=E, noise_var=noise_var, user=user)
+    return PilotBlock(Y=Y, noise_var=noise_var)
 
 
 def noise_var_for_snr(scene: SceneRealization, config: SystemConfig, E: np.ndarray,
-                      snr_db: float, user: int = 0, convention: str = "receive") -> float:
+                      snr_db: float, convention: str = "receive") -> float:
     """Noise variance hitting the target SNR for this scene.
 
     receive: snr = p ||G E||_F^2 / (N tau sigma^2); transmit: snr = p / sigma^2.
@@ -219,19 +214,19 @@ def noise_var_for_snr(scene: SceneRealization, config: SystemConfig, E: np.ndarr
         return config.power / snr
     if convention != "receive":
         raise ValueError(f"unknown SNR convention {convention!r}")
-    sig = config.power * np.linalg.norm(scene.G[user] @ E) ** 2
+    sig = config.power * np.linalg.norm(scene.G[0] @ E) ** 2
     return float(sig / (config.n_bs * config.tau * snr))
 
 
-def ris_side_rows(scene: SceneRealization, config: SystemConfig, user: int = 0) -> np.ndarray:
+def ris_side_rows(scene: SceneRealization, config: SystemConfig) -> np.ndarray:
     """Conjugated rows of the RIS-side composite channel, one column per bridge path.
 
-    Column l is diag(h_k^*) a(phi_l, s_l) rho_l^*, i.e. the vector the stage-2
+    Column l is diag(h^*) a(phi_l, s_l) rho_l^*, i.e. the vector the stage-2
     solver recovers from the l-th projected observation.
     """
     lam, delta = config.wavelength, config.spacing
     cols = np.zeros((config.n_ris, len(scene.bridge_ris)), dtype=np.complex128)
     for l, (pb, pr) in enumerate(zip(scene.bridge_bs, scene.bridge_ris)):
         a = steering_vector(config.n_ris, pr.angle, pr.distance, lam, delta)
-        cols[:, l] = np.conj(scene.h[user]) * a * np.conj(pb.gain)
+        cols[:, l] = np.conj(scene.h[0]) * a * np.conj(pb.gain)
     return cols

@@ -5,14 +5,16 @@ training both networks, single-point evaluation, the three sweep reports, and
 the grid leakage report. `eval --snr s` is one point of `sweep snr`: with no
 checkpoints it writes the sweep's row at s, and `simulate --snr s` writes
 that point's pilot blocks. Config files are JSON (see
-harness.config_from_dict); a missing or invalid config, or a checkpoint that
-does not fit it, exits with code 2 and a JSON error on stderr.
+harness.config_from_dict); a missing or invalid config or option value, or a
+checkpoint that does not fit the config, exits with code 2 and a JSON error
+on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,9 +40,15 @@ def _resolve_config(args) -> harness.ExperimentConfig:
             cfg = harness.load_config(path)
         except (json.JSONDecodeError, ValueError, TypeError) as e:
             raise ConfigError(f"bad config file {path}: {e}") from e
+    snr = getattr(args, "snr", None)
+    if snr is not None and math.isnan(snr):
+        raise ConfigError("--snr must be a number of dB, not nan")
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, sweep=dataclasses.replace(cfg.sweep, seed=args.seed))
+        try:
+            cfg = dataclasses.replace(
+                cfg, sweep=dataclasses.replace(cfg.sweep, seed=args.seed))
+        except ValueError as e:
+            raise ConfigError(f"bad --seed: {e}") from e
     return cfg
 
 
@@ -48,12 +56,12 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_checkpoint(path, loader, what: str):
+def _load_checkpoint(path, what: str, loader, *bound):
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{what} checkpoint not found: {p}")
     try:
-        return loader(p)
+        return loader(p, *bound)
     except (ValueError, KeyError, OSError) as e:
         raise ConfigError(f"bad {what} checkpoint {p}: {e}") from e
 
@@ -96,6 +104,8 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     sw = cfg.sweep
     trials = args.trials if args.trials is not None else sw.trials
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
     label = harness.snr_label(args.snr)
     E = harness.phase_schedule(cfg)
     scenes = harness.draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", trials)
@@ -146,13 +156,13 @@ def cmd_train(args) -> int:
         bs = harness.build_bs_dictionary(cfg)
         _progress(f"training stage 1 on {cfg.stage1.train_size} scenes")
         dp, trace = harness.train_stage1_model(cfg, bs, E)
-        digest = harness.save_stage1(out, dp)
+        digest = harness.save_stage1(out, dp, bs.F, E)
     else:
         _, cas = harness.build_ris_dictionaries(cfg)
         snr = args.snr if args.snr is not None else cfg.sweep.eval_snr_db
         _progress(f"training stage 2 at {snr:g} dB on {cfg.stage2.train_size} scenes")
         lp, trace = harness.train_stage2_model(cfg, cas, E, snr, harness.snr_label(snr))
-        digest = harness.save_stage2(out, lp, harness.schedule_fingerprint(E))
+        digest = harness.save_stage2(out, lp, E, cas.F)
     _emit({"written": str(out), "sha256": digest,
            "final_loss": trace[-1]["loss"], "episodes": len(trace)})
     return 0
@@ -162,16 +172,18 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     sw = cfg.sweep
     snr = args.snr if args.snr is not None else sw.eval_snr_db
+    E = harness.phase_schedule(cfg)
     dp = lp = None
     if args.stage1:
-        dp = _load_checkpoint(args.stage1, harness.load_stage1, "stage-1")
+        bs = harness.build_bs_dictionary(cfg)
+        dp = _load_checkpoint(args.stage1, "stage-1", harness.load_stage1, bs.F, E)
     elif args.no_train and any(s.startswith("dncnn") for s in sw.schemes):
         raise ConfigError(
             "schemes need a stage-1 network but no --stage1 checkpoint "
             "was given and --no-train forbids training one")
     if args.stage2:
-        E = harness.phase_schedule(cfg)
-        lp = _load_checkpoint(args.stage2, lambda p: harness.load_stage2(p, E), "stage-2")
+        _, cas = harness.build_ris_dictionaries(cfg)
+        lp = _load_checkpoint(args.stage2, "stage-2", harness.load_stage2, E, cas.F)
     elif args.no_train and "dncnn-istanet" in sw.schemes:
         raise ConfigError(
             "schemes need a stage-2 network but no --stage2 checkpoint "

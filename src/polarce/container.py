@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["save_container", "load_container", "content_hash", "file_hash",
-           "bytes_hash"]
+__all__ = ["save_container", "load_container", "content_hash", "bytes_hash"]
 
 MAGIC = b"PLCE0001"
 FORMAT_VERSION = 1
@@ -101,7 +100,3 @@ def content_hash(arrays: dict[str, np.ndarray]) -> str:
 
 def bytes_hash(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
-
-
-def file_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -24,7 +24,7 @@ __all__ = [
     "Stage1Config", "DenoiserParams", "Stage1Dataset", "SupportEstimate",
     "row_energy", "init_denoiser", "denoiser_forward", "denoise",
     "make_stage1_dataset", "train_stage1", "stage1_loss",
-    "select_support", "peak_pick_baseline",
+    "select_support",
 ]
 
 
@@ -150,7 +150,7 @@ def denoise(C: np.ndarray, dp: DenoiserParams):
 def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray,
                         scenes: list[SceneRealization], noise_vars: list[float],
                         rng: np.random.Generator) -> Stage1Dataset:
-    """Draw user-0 pilot observations and grid-coded clean targets for given scenes.
+    """Draw pilot observations and grid-coded clean targets for given scenes.
 
     Target column l carries the complex amplitude the l-th path contributes to
     the clean row-compressed vector, at that path's nearest grid row. Columns
@@ -166,7 +166,7 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
     for i, scene in enumerate(scenes):
         blk = simulate_pilots(scene, config, E, noise_vars[i], rng)
         cr = row_energy(blk.Y, bs)
-        rows = ris_side_rows(scene, config, user=0)
+        rows = ris_side_rows(scene, config)
         gi = np.array([nearest_grid_index(bs.grid, p.angle, p.distance)
                        for p in scene.bridge_bs])
         amp = math.sqrt(config.power) * (rows.conj().T @ e_bar)
@@ -247,13 +247,5 @@ def select_support(C_hat: np.ndarray, count: int, bs: PolarDictionary,
                    guard: int = 0) -> SupportEstimate:
     """Top rows of a cleaned [N_G, L] image by aggregate magnitude."""
     scores = np.abs(C_hat).sum(axis=1)
-    idx = _greedy_rows(scores, count, guard)
-    return SupportEstimate(indices=idx, A_hat=bs.F[:, idx], scores=scores)
-
-
-def peak_pick_baseline(c_r: np.ndarray, count: int, bs: PolarDictionary,
-                       guard: int = 1) -> SupportEstimate:
-    """Greedy largest-|c_r| pick with a guard band, no denoising."""
-    scores = np.abs(c_r)
     idx = _greedy_rows(scores, count, guard)
     return SupportEstimate(indices=idx, A_hat=bs.F[:, idx], scores=scores)

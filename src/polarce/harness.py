@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,11 +38,11 @@ from .unrolled import (ListaParams, Stage2Config, lista_init,
 
 __all__ = [
     "SweepConfig", "ExperimentConfig", "default_config", "config_to_dict",
-    "config_from_dict", "load_config", "save_config", "nmse",
+    "config_from_dict", "load_config", "nmse",
     "build_bs_dictionary", "build_ris_dictionaries", "phase_schedule",
     "snr_label", "draw_scenes", "draw_pilots", "evaluate_point",
     "run_snr_sweep", "run_pilot_sweep", "run_leakage_report", "run_loss_curves",
-    "schedule_fingerprint", "save_stage1", "load_stage1", "save_stage2", "load_stage2", "write_csv",
+    "save_stage1", "load_stage1", "save_stage2", "load_stage2", "write_csv",
     "count_lattice_peaks",
 ]
 
@@ -68,6 +69,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        snrs = (*self.snr_db, *self.train_snr_db, self.eval_snr_db, self.loss_snr_db)
+        if any(math.isnan(s) for s in snrs):
+            raise ValueError("SNR values must be numbers of dB, not NaN")
         unknown = set(self.schemes) - set(SCHEME_FUNCS)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}")
@@ -159,10 +165,6 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(json.load(f))
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-
-
 def nmse(G_hat: np.ndarray, G: np.ndarray) -> float:
     denom = np.linalg.norm(G)
     if denom == 0:
@@ -201,54 +203,61 @@ def _config_hash(cfg: ExperimentConfig) -> str:
     return container.bytes_hash(blob)
 
 
-def save_stage1(path, dp: DenoiserParams, extra_meta: dict | None = None) -> str:
+def _fingerprint(**arrays: np.ndarray) -> dict:
+    """Shape and content hash of each named array, for checkpoint meta."""
+    return {name: {"shape": list(a.shape), "sha256": container.content_hash({name: a})}
+            for name, a in arrays.items()}
+
+
+def _read_checkpoint(path, stage: int, want: dict):
+    """Arrays and meta of a stage checkpoint bound to the arrays fingerprinted in want.
+
+    A network only fits the dictionaries and phase schedule it was trained
+    against, so a checkpoint without a fingerprint, or with another one, is
+    rejected.
+    """
+    arrays, meta = container.load_container(path)
+    if meta.get("kind") != f"stage{stage}":
+        raise ValueError(f"not a stage-{stage} checkpoint: {path}")
+    got = meta.get("fingerprint")
+    if got is None:
+        raise ValueError(f"no fingerprint; retrain it with `polarce train stage{stage}`")
+    for name, w in want.items():
+        g = got.get(name) or {}
+        if g != w:
+            raise ValueError(
+                f"trained against {name} of shape {g.get('shape')} and sha256 "
+                f"{str(g.get('sha256'))[:12]}, but this run has {name} of shape "
+                f"{w['shape']} and sha256 {w['sha256'][:12]}")
+    return arrays, meta
+
+
+def save_stage1(path, dp: DenoiserParams, F_bs: np.ndarray, E: np.ndarray) -> str:
+    """Write a stage-1 network bound to the BS dictionary and phase schedule."""
     arrays = {f"p.{k}": v for k, v in dp.params.items()}
     arrays.update({f"b.{k}": v for k, v in dp.buffers.items()})
-    meta = {"kind": "stage1", "config": dataclasses.asdict(dp.config)}
-    meta.update(extra_meta or {})
+    meta = {"kind": "stage1", "config": dataclasses.asdict(dp.config),
+            "fingerprint": _fingerprint(F_bs=F_bs, E=E)}
     return container.save_container(path, arrays, meta=meta)
 
 
-def load_stage1(path) -> DenoiserParams:
-    arrays, meta = container.load_container(path)
-    if meta.get("kind") != "stage1":
-        raise ValueError(f"not a stage-1 checkpoint: {path}")
+def load_stage1(path, F_bs: np.ndarray, E: np.ndarray) -> DenoiserParams:
+    arrays, meta = _read_checkpoint(path, 1, _fingerprint(F_bs=F_bs, E=E))
     cfg = Stage1Config(**meta["config"])
     params = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
     buffers = {k[2:]: v for k, v in arrays.items() if k.startswith("b.")}
     return DenoiserParams(config=cfg, params=params, buffers=buffers)
 
 
-def save_stage2(path, lp: ListaParams, extra_meta: dict | None = None) -> str:
+def save_stage2(path, lp: ListaParams, E: np.ndarray, F_cas: np.ndarray) -> str:
+    """Write a stage-2 network bound to the phase schedule and cascaded dictionary."""
     arrays = {"lam": lp.lam, "kappa": lp.kappa, "V": lp.V, "F": lp.F}
-    meta = {"kind": "stage2"}
-    meta.update(extra_meta or {})
+    meta = {"kind": "stage2", "fingerprint": _fingerprint(E=E, F_cas=F_cas)}
     return container.save_container(path, arrays, meta=meta)
 
 
-def schedule_fingerprint(E: np.ndarray) -> dict:
-    """Checkpoint meta that binds a stage-2 network to its phase schedule.
-
-    The learned mixing matrix V only fits the schedule it was trained on.
-    """
-    return {"tau": int(E.shape[1]), "phase_hash": container.content_hash({"E": E})}
-
-
-def load_stage2(path, E: np.ndarray | None = None) -> ListaParams:
-    """Stage-2 parameters; given E, the checkpoint must carry E's fingerprint."""
-    arrays, meta = container.load_container(path)
-    if meta.get("kind") != "stage2":
-        raise ValueError(f"not a stage-2 checkpoint: {path}")
-    if E is not None:
-        want = schedule_fingerprint(E)
-        got = {k: meta.get(k) for k in want}
-        if None in got.values():
-            raise ValueError("no phase-schedule fingerprint; retrain it with "
-                             "`polarce train stage2`")
-        if got != want:
-            raise ValueError(f"trained for pilot length {got['tau']} and phase "
-                             f"hash {got['phase_hash'][:12]}, but this run uses "
-                             f"{want['tau']} and {want['phase_hash'][:12]}")
+def load_stage2(path, E: np.ndarray, F_cas: np.ndarray) -> ListaParams:
+    arrays, _ = _read_checkpoint(path, 2, _fingerprint(E=E, F_cas=F_cas))
     return ListaParams(lam=arrays["lam"], kappa=arrays["kappa"],
                        V=arrays["V"], F=arrays["F"])
 
@@ -437,12 +446,6 @@ def run_pilot_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
 
 
 # -------------------------------------------------------------- grid reports
-
-def top1_fraction(F: np.ndarray, v: np.ndarray) -> float:
-    """Share of correlation energy captured by the strongest dictionary column."""
-    p = np.abs(F.conj().T @ v) ** 2
-    return float(p.max() / p.sum())
-
 
 def _single_path_profile(sys_: SystemConfig, bs: PolarDictionary, E: np.ndarray,
                          theta: float, r: float) -> np.ndarray:

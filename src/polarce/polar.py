@@ -235,8 +235,7 @@ def synthesize_cascaded(bs: PolarDictionary, cas: CascadedDictionary,
 
 
 def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
-                        bs: PolarDictionary, cas: CascadedDictionary,
-                        user: int = 0) -> SparseTruth:
+                        bs: PolarDictionary, cas: CascadedDictionary) -> SparseTruth:
     """Code a scene on the grids; gains are the true cascaded products.
 
     The reported projection floor re-fits the selected atoms by least squares,
@@ -248,7 +247,7 @@ def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
     dep_idx = np.array([nearest_grid_index(ris_grid, p.angle, p.distance)
                         for p in scene.bridge_ris], dtype=np.int64)
     arr_idx = np.array([nearest_grid_index(ris_grid, p.angle, p.distance)
-                        for p in scene.users[user]], dtype=np.int64)
+                        for p in scene.users[0]], dtype=np.int64)
 
     L = len(scene.bridge_bs)
     X = np.zeros((bs.F.shape[1], L), dtype=np.complex128)
@@ -259,7 +258,7 @@ def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
     B = np.zeros((cas.F.shape[1], L), dtype=np.complex128)
     atoms = []                                   # (bs grid idx, cascaded col) pairs
     for l, (pb, gi) in enumerate(zip(scene.bridge_bs, bs_idx)):
-        for p, pu in enumerate(scene.users[user]):
+        for p, pu in enumerate(scene.users[0]):
             col = cas.pair_to_col[dep_idx[l], arr_idx[p]]
             Lam[gi, col] += pb.gain * pu.gain
             B[col, l] += np.conj(pu.gain) * np.conj(pb.gain)
@@ -270,7 +269,7 @@ def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
                        for p in scene.bridge_bs], axis=1)
     an_residual = float(np.linalg.norm(A_true - bs.F @ X) / np.linalg.norm(A_true))
 
-    G = scene.G[user]
+    G = scene.G[0]
     coding = float(np.linalg.norm(G - synthesize_cascaded(bs, cas, Lam)) / np.linalg.norm(G))
 
     atoms = sorted(set(atoms))

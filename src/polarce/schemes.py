@@ -30,13 +30,6 @@ class PipelineContext:
     stage1: DenoiserParams | None = None
     stage2: ListaParams | None = None
     support_guard: int = 0
-    omp_sparsity: int | None = None
-
-    @property
-    def joint_sparsity(self) -> int:
-        if self.omp_sparsity is not None:
-            return self.omp_sparsity
-        return self.config.paths_bs * self.config.paths_ris
 
     def problem(self) -> VectorizedProblem:
         return VectorizedProblem.build(self.bs.F, self.cas.F, self.E)
@@ -45,9 +38,10 @@ class PipelineContext:
 def estimate_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Joint pursuit over the implicit Kronecker design."""
     prob = ctx.problem()
+    sparsity = ctx.config.paths_bs * ctx.config.paths_ris
     out = np.zeros((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
     for i, blk in enumerate(pilots):
-        res = omp(blk.Y, prob, ctx.joint_sparsity)
+        res = omp(blk.Y, prob, sparsity)
         out[i] = cascaded_estimate(res, prob, ctx.cas.F, ctx.config.power)
     return out
 

@@ -4,14 +4,14 @@ After stage 1 supplies the BS-side atoms, each projected observation obeys
 
     p_l = E^H x_l + noise,    x_l sparse in the cascaded dictionary.
 
-`ista_classic` solves the l1 problem on the fixed dictionary. The unrolled
-solver runs a fixed number of layers of
+The unrolled solver runs a fixed number of layers of
 
     x <- Ftil @ soft(Ftil^H (x - kappa_t V (E^H x - p)), lambda_t)
 
 with per-layer thresholds/steps and shared V, Ftil trained end to end; Ftil is
 initialized from the cascaded dictionary and V from E, so layer one of an
-untrained net is a plain proximal gradient step.
+untrained net is a plain proximal gradient step; with an orthonormal
+dictionary every layer is one, which the tests check against `ista_core`.
 """
 from __future__ import annotations
 
@@ -23,14 +23,12 @@ import numpy as np
 from . import autodiff as ad
 from .channel import SceneRealization, SystemConfig, ris_side_rows
 from .optim import adam_init, adam_step
-from .polar import CascadedDictionary
 from .rng import complex_normal, substream
 
 __all__ = [
     "Stage2Config", "ListaParams", "Stage2Dataset", "IstaResult",
-    "project_to_bs_subspace", "ista_core", "ista_classic", "lista_init",
-    "lista_forward", "make_stage2_dataset", "polar_power_profile",
-    "train_stage2", "stage2_loss", "reconstruct",
+    "project_to_bs_subspace", "ista_core", "lista_init", "lista_forward",
+    "make_stage2_dataset", "train_stage2", "stage2_loss", "reconstruct",
 ]
 
 
@@ -91,15 +89,6 @@ def ista_core(p: np.ndarray, Psi: np.ndarray, lam: float, kappa: float,
             objective = objective[:t + 1]
             break
     return IstaResult(coeffs=b, objective=objective, diverged=diverged)
-
-
-def ista_classic(p: np.ndarray, E: np.ndarray, F_cas: np.ndarray, lam: float,
-                 kappa: float | None = None, iters: int = 200) -> IstaResult:
-    """Classic ISTA on the cascaded-dictionary problem p = E^H F_cas b + n."""
-    Psi = E.conj().T @ F_cas
-    if kappa is None:
-        kappa = 1.0 / spectral_norm_sq(Psi)
-    return ista_core(p, Psi, lam, kappa, iters)
 
 
 def spectral_norm_sq(Psi: np.ndarray) -> float:
@@ -185,18 +174,13 @@ def make_stage2_dataset(config: SystemConfig, scenes: list[SceneRealization],
     """
     cols_P, cols_X = [], []
     for scene, nv in zip(scenes, noise_vars):
-        rows = ris_side_rows(scene, config, user=0)      # [M, L]
+        rows = ris_side_rows(scene, config)              # [M, L]
         clean = E.conj().T @ rows                        # [tau, L]
         noise = complex_normal(rng, clean.shape, nv / config.power) if nv > 0 else 0.0
         cols_P.append(clean + noise)
         cols_X.append(rows)
     return Stage2Dataset(P=np.concatenate(cols_P, axis=1),
                          Xl=np.concatenate(cols_X, axis=1))
-
-
-def polar_power_profile(v: np.ndarray, cas: CascadedDictionary) -> np.ndarray:
-    """|F_cas^H v| per cascaded atom; shows leakage spread and drifted peaks."""
-    return np.abs(cas.F.conj().T @ np.asarray(v))
 
 
 def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,

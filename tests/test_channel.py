@@ -89,15 +89,13 @@ class TestBuildChannels:
                                 complex(*rng.standard_normal(2)))
         bridge_bs = tuple(mk() for _ in range(config.paths_bs))
         bridge_ris = tuple(PathParams(p.angle + 0.01, p.distance) for p in bridge_bs)
-        users = tuple(tuple(mk() for _ in range(config.paths_ris))
-                      for _ in range(config.n_users))
+        users = (tuple(mk() for _ in range(config.paths_ris)),)
         return bridge_bs, bridge_ris, users
 
     def test_cascade_identity(self, small_system, rng):
         paths = self._scene_paths(rng, small_system)
         H, h, G = build_channels(small_system, *paths)
-        for k in range(small_system.n_users):
-            np.testing.assert_allclose(G[k], H @ np.diag(h[k]), rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(G[0], H @ np.diag(h[0]), rtol=1e-13, atol=1e-16)
 
     def test_zero_gains_give_zero_channel(self, small_system):
         zero = tuple(PathParams(0.1 * i, 5.0, 0.0) for i in range(2))
@@ -134,8 +132,9 @@ class TestDrawScene:
     def test_shapes_and_rank(self, small_system):
         s = draw_scene(small_system, substream(5, "scene"))
         assert s.H.shape == (small_system.n_bs, small_system.n_ris)
-        assert s.h.shape == (small_system.n_users, small_system.n_ris)
-        assert s.G.shape == (small_system.n_users, small_system.n_bs, small_system.n_ris)
+        assert len(s.users) == 1       # one user, on a leading axis of size 1
+        assert s.h.shape == (1, small_system.n_ris)
+        assert s.G.shape == (1, small_system.n_bs, small_system.n_ris)
         assert np.linalg.matrix_rank(s.H) <= small_system.paths_bs
 
     def test_angles_and_distances_respect_priors(self, small_system):
@@ -215,8 +214,9 @@ class TestSimulatePilots:
         with pytest.raises(ValueError):
             simulate_pilots(s, small_system, bad_E, 0.0, rng)
         E = np.ones((small_system.n_ris, small_system.tau))
-        with pytest.raises(ValueError):
-            simulate_pilots(s, small_system, E, -1e-9, rng)
+        for bad in (-1e-9, math.nan):
+            with pytest.raises(ValueError):
+                simulate_pilots(s, small_system, E, bad, rng)
 
 
 class TestNoiseVarForSnr:

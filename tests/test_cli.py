@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from polarce import harness
 from polarce.cli import main
-from polarce.container import load_container
+from polarce.container import load_container, save_container
 from polarce.harness import load_config, load_stage1, load_stage2, save_stage2
 from polarce.unrolled import ListaParams
 
@@ -51,6 +52,25 @@ def tau4_cfg_file(tmp_path_factory):
     data = dict(MICRO)
     data["system"] = dict(MICRO["system"], tau=4)
     path = tmp_path_factory.mktemp("cfg") / "tau4.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def bs20_cfg_file(tmp_path_factory):
+    """The micro config with a 20-atom BS grid and another seed."""
+    data = dict(MICRO, bs_grid={"angle_count": 20})
+    data["sweep"] = dict(MICRO["sweep"], seed=5)
+    path = tmp_path_factory.mktemp("cfg") / "bs20.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def ris6_cfg_file(tmp_path_factory):
+    """The micro config with another RIS grid, hence another cascaded dictionary."""
+    data = dict(MICRO, ris_grid={"angle_count": 6})
+    path = tmp_path_factory.mktemp("cfg") / "ris6.json"
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -118,6 +138,26 @@ class TestConfigErrors:
             main([])
         assert exc.value.code == 2
 
+    def test_negative_seed_option(self, capsys, omp_cfg_file, tmp_path):
+        rc, _, err = run(capsys, ["eval", "--config", omp_cfg_file, "--seed", "-3",
+                                  "--out", str(tmp_path)])
+        assert rc == 2
+        assert "seed must be nonnegative" in json.loads(err)["error"]
+
+    def test_negative_seed_in_config(self, capsys, tmp_path):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(dict(MICRO, sweep=dict(MICRO["sweep"], seed=-1))))
+        rc, _, err = run(capsys, ["eval", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "seed must be nonnegative" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command", [["eval"], ["simulate"], ["train", "stage2"]])
+    def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):
+        rc, _, err = run(capsys, [*command, "--config", omp_cfg_file, "--snr", "nan",
+                                  "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "not nan" in json.loads(err)["error"]
+
 
 class TestInfo:
     def test_derived_sizes(self, capsys, cfg_file):
@@ -172,6 +212,21 @@ class TestSimulate:
         assert arrays["E"].shape == (8, 6)
         assert np.all(arrays["noise_var"] > 0)
 
+    def test_infinite_snr_is_noiseless(self, capsys, cfg_file, tmp_path):
+        out_file = tmp_path / "clean.plce"
+        rc, _, _ = run(capsys, ["simulate", "--config", cfg_file, "--trials", "2",
+                                "--snr", "inf", "--out", str(out_file)])
+        assert rc == 0
+        arrays, _ = load_container(out_file)
+        assert np.all(arrays["noise_var"] == 0)
+        np.testing.assert_allclose(arrays["Y"], arrays["G"] @ arrays["E"], atol=1e-12)
+
+    def test_zero_trials(self, capsys, cfg_file, tmp_path):
+        rc, _, err = run(capsys, ["simulate", "--config", cfg_file, "--trials", "0",
+                                  "--out", str(tmp_path / "p.plce")])
+        assert rc == 2
+        assert "--trials" in json.loads(err)["error"]
+
     def test_repeat_runs_are_identical(self, capsys, cfg_file, tmp_path):
         digests = []
         for name in ("a.plce", "b.plce"):
@@ -196,7 +251,9 @@ class TestSimulate:
 
 class TestTrain:
     def test_stage1_checkpoint_loads(self, stage1_ckpt, cfg_file):
-        dp = load_stage1(stage1_ckpt)
+        cfg = load_config(cfg_file)
+        dp = load_stage1(stage1_ckpt, harness.build_bs_dictionary(cfg).F,
+                         harness.phase_schedule(cfg))
         assert dp.config.layers == 3
         assert dp.config.width == 4
 
@@ -208,7 +265,9 @@ class TestTrain:
         info = json.loads(out)
         assert info["episodes"] == 2
         assert np.isfinite(info["final_loss"])
-        lp = load_stage2(out_file)
+        cfg = load_config(cfg_file)
+        _, cas = harness.build_ris_dictionaries(cfg)
+        lp = load_stage2(out_file, harness.phase_schedule(cfg), cas.F)
         assert lp.lam.shape == (3,)
         assert lp.F.shape[1] == 7
 
@@ -262,22 +321,57 @@ class TestEval:
         rc, _, err = run(capsys, ["eval", "--config", tau4_cfg_file,
                                   "--stage2", stage2_ckpt, "--out", str(tmp_path)])
         assert rc == 2
-        assert "pilot length 6" in json.loads(err)["error"]
+        assert "this run has E of shape [8, 4]" in json.loads(err)["error"]
 
     def test_stage2_checkpoint_other_schedule(self, capsys, cfg_file,
                                               stage2_ckpt, tmp_path):
         rc, _, err = run(capsys, ["eval", "--config", cfg_file, "--seed", "1",
                                   "--stage2", stage2_ckpt, "--out", str(tmp_path)])
         assert rc == 2
-        assert "phase hash" in json.loads(err)["error"]
+        assert "trained against E of shape [8, 6]" in json.loads(err)["error"]
+
+    def test_stage2_checkpoint_other_cascaded_dictionary(self, capsys, ris6_cfg_file,
+                                                         stage2_ckpt, tmp_path):
+        rc, _, err = run(capsys, ["eval", "--config", ris6_cfg_file,
+                                  "--stage2", stage2_ckpt, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "trained against F_cas of shape [8, 7]" in json.loads(err)["error"]
 
     def test_stage2_checkpoint_without_fingerprint(self, capsys, cfg_file, tmp_path):
         bare = tmp_path / "bare.plce"
-        save_stage2(bare, ListaParams(lam=np.zeros(3), kappa=np.ones(3),
-                                      V=np.ones((8, 6), dtype=complex),
-                                      F=np.ones((8, 7), dtype=complex)))
+        save_container(bare, {"lam": np.zeros(3), "kappa": np.ones(3),
+                              "V": np.ones((8, 6), dtype=complex),
+                              "F": np.ones((8, 7), dtype=complex)},
+                       meta={"kind": "stage2"})
         rc, _, err = run(capsys, ["eval", "--config", cfg_file, "--stage2", str(bare),
                                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "fingerprint" in json.loads(err)["error"]
+
+    def test_stage1_checkpoint_other_bs_grid(self, capsys, bs20_cfg_file,
+                                             stage1_ckpt, tmp_path):
+        rc, out, err = run(capsys, ["eval", "--config", bs20_cfg_file,
+                                    "--stage1", stage1_ckpt, "--no-train",
+                                    "--out", str(tmp_path)])
+        assert (rc, out) == (2, "")
+        assert "trained against F_bs of shape [4, 12]" in json.loads(err)["error"]
+
+    def test_stage1_checkpoint_other_schedule(self, capsys, cfg_file, stage1_ckpt,
+                                              tmp_path):
+        rc, _, err = run(capsys, ["eval", "--config", cfg_file, "--seed", "1",
+                                  "--stage1", stage1_ckpt, "--no-train",
+                                  "--out", str(tmp_path)])
+        assert rc == 2
+        assert "trained against E of shape [8, 6]" in json.loads(err)["error"]
+
+    def test_stage1_checkpoint_without_fingerprint(self, capsys, cfg_file,
+                                                   stage1_ckpt, tmp_path):
+        arrays, meta = load_container(stage1_ckpt)
+        del meta["fingerprint"]
+        bare = tmp_path / "bare1.plce"
+        save_container(bare, arrays, meta=meta)
+        rc, _, err = run(capsys, ["eval", "--config", cfg_file, "--stage1", str(bare),
+                                  "--no-train", "--out", str(tmp_path)])
         assert rc == 2
         assert "fingerprint" in json.loads(err)["error"]
 
@@ -285,7 +379,7 @@ class TestEval:
         bad = tmp_path / "s2.plce"
         lp = ListaParams(lam=np.zeros(2), kappa=np.ones(2),
                          V=np.eye(4, dtype=complex), F=np.eye(4, dtype=complex))
-        save_stage2(bad, lp)
+        save_stage2(bad, lp, np.eye(4), np.eye(4))
         rc, _, err = run(capsys, ["eval", "--config", cfg_file,
                                   "--stage1", str(bad), "--out", str(tmp_path)])
         assert rc == 2

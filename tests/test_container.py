@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from polarce.container import (bytes_hash, content_hash, file_hash,
-                               load_container, save_container)
+from polarce.container import (bytes_hash, content_hash, load_container,
+                               save_container)
 
 from helpers import crandn
 
@@ -143,11 +143,6 @@ class TestHashing:
         empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         assert bytes_hash(b"") == empty
         assert bytes_hash(b"abc") == hashlib.sha256(b"abc").hexdigest()
-
-    def test_file_hash_matches_bytes(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(b"\x00\x01\x02payload")
-        assert file_hash(path) == bytes_hash(b"\x00\x01\x02payload")
 
 
 class TestFailureModes:

@@ -6,8 +6,8 @@ import pytest
 
 from polarce.channel import draw_scene, simulate_pilots
 from polarce.denoiser import (
-    Stage1Config, denoise, init_denoiser, make_stage1_dataset,
-    peak_pick_baseline, row_energy, select_support, stage1_loss, train_stage1,
+    Stage1Config, denoise, init_denoiser, make_stage1_dataset, row_energy,
+    select_support, stage1_loss, train_stage1,
 )
 from polarce.rng import substream
 
@@ -136,12 +136,12 @@ class TestSupportSelection:
     def test_peak_pick_on_grid(self, small_bs_dict):
         j = 11
         Y = np.outer(small_bs_dict.F[:, j], np.ones(12))
-        est = peak_pick_baseline(row_energy(Y, small_bs_dict), 1, small_bs_dict)
+        est = select_support(row_energy(Y, small_bs_dict)[:, None], 1, small_bs_dict)
         np.testing.assert_array_equal(est.indices, [j])
 
     def test_peak_pick_noise_only(self, small_bs_dict, rng):
         c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        est = peak_pick_baseline(c, 3, small_bs_dict)
+        est = select_support(c[:, None], 3, small_bs_dict, guard=1)
         assert est.indices.size == 3
         assert np.all(np.diff(est.indices) > 0)
 

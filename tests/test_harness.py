@@ -8,14 +8,14 @@ import pytest
 from polarce import container
 from polarce.channel import make_phase_matrix
 from polarce.denoiser import Stage1Config, init_denoiser
-from polarce.harness import (ExperimentConfig, SweepConfig, build_bs_dictionary,
-                             build_ris_dictionaries, config_from_dict,
-                             config_to_dict, count_lattice_peaks, default_config,
+from polarce.harness import (ExperimentConfig, SweepConfig, _top1_power,
+                             build_bs_dictionary, build_ris_dictionaries,
+                             config_from_dict, config_to_dict,
+                             count_lattice_peaks, default_config,
                              draw_scenes, evaluate_point, load_config,
                              load_stage1, load_stage2, nmse, run_leakage_report,
                              run_loss_curves, run_pilot_sweep, run_snr_sweep,
-                             save_config, save_stage1, save_stage2, snr_label,
-                             top1_fraction, write_csv)
+                             save_stage1, save_stage2, snr_label, write_csv)
 from polarce.polar import GridConfig, build_cascaded_dictionary, build_dictionary
 from polarce.rng import substream
 from polarce.schemes import PipelineContext
@@ -87,6 +87,20 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepConfig(snr_db=bad)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SweepConfig(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("snr_db", (0.0, float("nan"))), ("train_snr_db", (float("nan"),)),
+        ("eval_snr_db", float("nan")), ("loss_snr_db", float("nan"))])
+    def test_nan_snr(self, field, value):
+        with pytest.raises(ValueError, match="NaN"):
+            SweepConfig(**{field: value})
+
+    def test_infinite_snr_allowed(self):
+        assert SweepConfig(snr_db=(0.0, float("inf"))).snr_db[-1] == float("inf")
+
     def test_stage1_snr_fallback(self):
         sw = SweepConfig(snr_db=(0.0, 10.0))
         assert sw.stage1_snr_db == (0.0, 10.0)
@@ -103,7 +117,7 @@ class TestConfigSerialization:
     def test_file_round_trip(self, tmp_path):
         cfg = config_from_dict(MICRO)
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         assert load_config(path) == cfg
 
     def test_version_recorded(self):
@@ -145,8 +159,9 @@ class TestCheckpoints:
         cfg = Stage1Config(layers=3, width=4, train_size=8, val_size=0)
         dp = init_denoiser(cfg, rng)
         path = tmp_path / "s1.plce"
-        digest = save_stage1(path, dp, extra_meta={"note": "desk"})
-        back = load_stage1(path)
+        F_bs, E = crandn(rng, 4, 12), crandn(rng, 8, 6)
+        digest = save_stage1(path, dp, F_bs, E)
+        back = load_stage1(path, F_bs, E)
         assert back.config == cfg
         assert set(back.params) == set(dp.params)
         for k in dp.params:
@@ -155,7 +170,8 @@ class TestCheckpoints:
             np.testing.assert_array_equal(back.buffers[k], dp.buffers[k])
         _, meta = container.load_container(path)
         assert meta["kind"] == "stage1"
-        assert meta["note"] == "desk"
+        assert meta["fingerprint"]["F_bs"]["shape"] == [4, 12]
+        assert meta["fingerprint"]["E"]["sha256"] == container.content_hash({"E": E})
         assert digest == container.content_hash(
             {f"p.{k}": v for k, v in dp.params.items()}
             | {f"b.{k}": v for k, v in dp.buffers.items()})
@@ -164,8 +180,9 @@ class TestCheckpoints:
         lp = ListaParams(lam=np.array([0.1, 0.2]), kappa=np.array([0.5, 0.4]),
                          V=crandn(rng, 8, 6), F=crandn(rng, 8, 11))
         path = tmp_path / "s2.plce"
-        save_stage2(path, lp)
-        back = load_stage2(path)
+        E, F_cas = crandn(rng, 8, 6), crandn(rng, 8, 11)
+        save_stage2(path, lp, E, F_cas)
+        back = load_stage2(path, E, F_cas)
         np.testing.assert_array_equal(back.lam, lp.lam)
         np.testing.assert_array_equal(back.kappa, lp.kappa)
         np.testing.assert_array_equal(back.V, lp.V)
@@ -176,12 +193,13 @@ class TestCheckpoints:
         lp = ListaParams(lam=np.zeros(2), kappa=np.ones(2),
                          V=crandn(rng, 4, 3), F=crandn(rng, 4, 5))
         p1, p2 = tmp_path / "s1.plce", tmp_path / "s2.plce"
-        save_stage1(p1, dp)
-        save_stage2(p2, lp)
+        F, E = crandn(rng, 4, 5), crandn(rng, 4, 3)
+        save_stage1(p1, dp, F, E)
+        save_stage2(p2, lp, E, F)
         with pytest.raises(ValueError, match="stage-2"):
-            load_stage2(p1)
+            load_stage2(p1, E, F)
         with pytest.raises(ValueError, match="stage-1"):
-            load_stage1(p2)
+            load_stage1(p2, F, E)
 
 
 class TestCsvWriting:
@@ -341,13 +359,13 @@ class TestLatticePeaks:
 
 
 class TestTop1Fraction:
+    """Share of row power in the strongest row, the leakage report's metric."""
+
     def test_even_split(self):
-        F = np.eye(2, dtype=complex)
-        assert top1_fraction(F, np.array([1.0, 1.0]) / np.sqrt(2)) == pytest.approx(0.5)
+        assert _top1_power(np.abs(np.array([1.0, 1.0]) / np.sqrt(2))) == pytest.approx(0.5)
 
     def test_aligned(self):
-        F = np.eye(3, dtype=complex)
-        assert top1_fraction(F, np.array([0.0, 2.0, 0.0])) == 1.0
+        assert _top1_power(np.array([0.0, 2.0, 0.0])) == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -11,9 +11,9 @@ from polarce.channel import (
 )
 from polarce.rng import complex_normal, substream
 from polarce.unrolled import (
-    ListaParams, Stage2Config, ista_classic, ista_core, lista_forward,
-    lista_init, make_stage2_dataset, polar_power_profile, project_to_bs_subspace,
-    reconstruct, spectral_norm_sq, stage2_loss, train_stage2,
+    ListaParams, Stage2Config, ista_core, lista_forward, lista_init,
+    make_stage2_dataset, project_to_bs_subspace, reconstruct, spectral_norm_sq,
+    stage2_loss, train_stage2,
 )
 
 from helpers import assert_grads_close, crandn, numeric_grads
@@ -96,13 +96,6 @@ class TestIsta:
         assert abs(res.coeffs[2] - amp) < 1e-6
         off = np.delete(np.abs(res.coeffs), 2)
         assert np.max(off) < 1e-6
-
-    def test_classic_wrapper_matches_core(self, small_E, small_cas_dict, rng):
-        p = crandn(rng, small_E.shape[1])
-        Psi = small_E.conj().T @ small_cas_dict.F
-        want = ista_core(p, Psi, 0.05, 1.0 / spectral_norm_sq(Psi), 40)
-        got = ista_classic(p, small_E, small_cas_dict.F, 0.05, iters=40)
-        np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_spectral_norm_both_orientations(self, rng):
         wide = crandn(rng, 5, 9)
@@ -266,15 +259,6 @@ class TestStage2Dataset:
         b = make_stage2_dataset(small_system, scenes, small_E, [0.02] * 2,
                                 substream(45, "dn"))
         np.testing.assert_array_equal(a.P, b.P)
-
-
-class TestPolarPowerProfile:
-    def test_matches_definition(self, small_cas_dict, rng):
-        v = crandn(rng, 16)
-        got = polar_power_profile(v, small_cas_dict)
-        np.testing.assert_allclose(got,
-                                   np.abs(small_cas_dict.F.conj().T @ v),
-                                   atol=1e-14)
 
 
 class TestReconstruct:
