@@ -8,15 +8,23 @@ of real-dtype nodes are kept real. Losses must be real scalars.
 The tape records one op per node in execution order, so iterating the records
 in reverse is a reverse topological traversal that touches each node exactly
 once. The ops are the ones the two trained networks use.
+
+Every op also runs eagerly: when no operand is a `Node` it computes on the
+plain arrays and returns an array, recording nothing. A network is therefore
+written once; its forward pass is differentiable when its parameters are
+leaves of a tape and plain numpy otherwise. Plain operands of a recorded op
+become constants of the operand node's tape.
 """
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "Tape", "Node", "add", "sub", "mul", "scale", "matmul", "hermitian",
-    "relu", "soft_threshold", "conv2d", "batch_norm", "sum_abs2",
+    "Tape", "Node", "value", "add", "sub", "mul", "scale", "matmul",
+    "hermitian", "relu", "soft_threshold", "conv2d", "batch_norm", "sum_abs2",
 ]
 
 
@@ -33,19 +41,8 @@ class Node:
     def value(self) -> np.ndarray:
         return self.tape.values[self.id]
 
-    @property
-    def shape(self):
-        return self.value.shape
 
-
-class Record:
-    __slots__ = ("op", "out", "ins", "aux")
-
-    def __init__(self, op: str, out: int, ins: tuple, aux: dict | None):
-        self.op = op
-        self.out = out
-        self.ins = ins
-        self.aux = aux
+Record = namedtuple("Record", "op out ins aux")     # ins and out are node ids
 
 
 class Tape:
@@ -64,20 +61,17 @@ class Tape:
             self.trainable[node_id] = name
         return Node(self, node_id)
 
-    def constant(self, value) -> Node:
-        return self.leaf(value, trainable=False)
-
     def _wrap(self, x) -> Node:
         if isinstance(x, Node):
             if x.tape is not self:
                 raise ValueError("node belongs to a different tape")
             return x
-        return self.constant(x)
+        return self.leaf(x)
 
-    def _emit(self, op: str, ins: tuple[Node, ...], aux: dict | None = None) -> Node:
-        in_ids = tuple(n.id for n in ins)
-        out_val = _FORWARD[op]([self.values[i] for i in in_ids], aux)
-        self.values.append(out_val)
+    def _emit(self, op: str, ins: tuple, out: np.ndarray, aux: dict | None) -> Node:
+        """Record op's output out, computed from the operands ins."""
+        in_ids = tuple(self._wrap(x).id for x in ins)
+        self.values.append(out)
         out_id = len(self.values) - 1
         self.records.append(Record(op, out_id, in_ids, aux))
         return Node(self, out_id)
@@ -98,8 +92,6 @@ class Tape:
             in_vals = [self.values[i] for i in rec.ins]
             contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], rec.aux)
             for node_id, contrib in zip(rec.ins, contribs):
-                if contrib is None:
-                    continue
                 if not np.iscomplexobj(self.values[node_id]) and np.iscomplexobj(contrib):
                     contrib = contrib.real
                 if node_id in grads:
@@ -140,22 +132,7 @@ def _conv2d_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("bhwcij,ijco->bhwo", win, w, optimize=True)
 
 
-_FORWARD = {
-    "add": lambda ins, aux: ins[0] + ins[1],
-    "sub": lambda ins, aux: ins[0] - ins[1],
-    "mul": lambda ins, aux: ins[0] * ins[1],
-    "scale": lambda ins, aux: aux["c"] * ins[0],
-    "matmul": lambda ins, aux: ins[0] @ ins[1],
-    "hermitian": lambda ins, aux: np.conj(ins[0].T),
-    "relu": lambda ins, aux: np.maximum(ins[0], 0.0),
-    "sum_abs2": lambda ins, aux: np.asarray(np.sum(ins[0].real ** 2 + ins[0].imag ** 2)
-                                            if np.iscomplexobj(ins[0])
-                                            else np.sum(ins[0] ** 2)),
-}
-
-
-def _soft_threshold_fwd(ins, aux):
-    x, lam = ins
+def _soft_threshold_fwd(x, lam):
     if np.any(np.asarray(lam) < 0):
         raise ValueError("threshold must be nonnegative")
     mag = np.abs(x)
@@ -163,18 +140,17 @@ def _soft_threshold_fwd(ins, aux):
     return x * np.divide(keep, mag, out=np.zeros_like(mag), where=mag > 0)
 
 
-def _batch_norm_fwd(ins, aux):
-    x, gamma, beta = ins
+def _sum_abs2_fwd(x):
+    sq = x.real ** 2 + x.imag ** 2 if np.iscomplexobj(x) else x ** 2
+    return np.asarray(np.sum(sq))
+
+
+def _batch_norm_fwd(x, gamma, beta, eps):
     axes = _bn_axes(x)
     mu = x.mean(axis=axes)
     var = x.var(axis=axes)
-    inv = 1.0 / np.sqrt(var + aux["eps"])
+    inv = 1.0 / np.sqrt(var + eps)
     return gamma * ((x - mu) * inv) + beta
-
-
-_FORWARD["soft_threshold"] = _soft_threshold_fwd
-_FORWARD["batch_norm"] = _batch_norm_fwd
-_FORWARD["conv2d"] = lambda ins, aux: _conv2d_fwd(ins[0], ins[1])
 
 
 def _bwd_add(g, ins, out, aux):
@@ -250,54 +226,59 @@ _BACKWARD = {
 }
 
 
-def add(a: Node, b) -> Node:
-    return a.tape._emit("add", (a, a.tape._wrap(b)))
+def _op(op: str, forward, ins: tuple, aux: dict | None = None):
+    """forward(*arrays) of the operands, recorded when an operand is a node."""
+    out = forward(*(value(x) for x in ins))
+    tape = next((x.tape for x in ins if isinstance(x, Node)), None)
+    return out if tape is None else tape._emit(op, ins, out, aux)
 
 
-def sub(a: Node, b) -> Node:
-    return a.tape._emit("sub", (a, a.tape._wrap(b)))
+def value(x) -> np.ndarray:
+    """The array behind a node, or x itself as an array."""
+    return x.value if isinstance(x, Node) else np.asarray(x)
 
 
-def mul(a: Node, b) -> Node:
-    return a.tape._emit("mul", (a, a.tape._wrap(b)))
+def add(a, b):
+    return _op("add", np.add, (a, b))
 
 
-def scale(a: Node, c) -> Node:
-    return a.tape._emit("scale", (a,), {"c": c})
+def sub(a, b):
+    return _op("sub", np.subtract, (a, b))
 
 
-def matmul(a: Node, b) -> Node:
-    b = a.tape._wrap(b)
-    if a.value.shape[-1] != b.value.shape[0]:
-        raise ValueError(f"matmul shape mismatch {a.value.shape} @ {b.value.shape}")
-    return a.tape._emit("matmul", (a, b))
+def mul(a, b):
+    return _op("mul", np.multiply, (a, b))
 
 
-def hermitian(a: Node) -> Node:
-    return a.tape._emit("hermitian", (a,))
+def scale(a, c):
+    return _op("scale", lambda x: c * x, (a,), {"c": c})
 
 
-def relu(a: Node) -> Node:
-    return a.tape._emit("relu", (a,))
+def matmul(a, b):
+    return _op("matmul", np.matmul, (a, b))
 
 
-def soft_threshold(x: Node, lam) -> Node:
-    return x.tape._emit("soft_threshold", (x, x.tape._wrap(lam)))
+def hermitian(a):
+    return _op("hermitian", lambda x: np.conj(x.T), (a,))
 
 
-def conv2d(x: Node, w: Node) -> Node:
-    return x.tape._emit("conv2d", (x, w))
+def relu(a):
+    return _op("relu", lambda x: np.maximum(x, 0.0), (a,))
 
 
-def batch_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-    return x.tape._emit("batch_norm", (x, gamma, beta), {"eps": eps})
+def soft_threshold(x, lam):
+    """Complex soft threshold max(|x| - lam, 0) e^{j arg x}; lam must be >= 0."""
+    return _op("soft_threshold", _soft_threshold_fwd, (x, lam))
 
 
-def sum_abs2(x: Node) -> Node:
-    return x.tape._emit("sum_abs2", (x,))
+def conv2d(x, w):
+    return _op("conv2d", _conv2d_fwd, (x, w))
 
 
-def soft_threshold_array(x: np.ndarray, lam) -> np.ndarray:
-    """Complex soft threshold on plain arrays (clamped at zero)."""
-    return _soft_threshold_fwd([np.asarray(x), lam], None)
+def batch_norm(x, gamma, beta, eps: float = 1e-5):
+    return _op("batch_norm", lambda *v: _batch_norm_fwd(*v, eps), (x, gamma, beta),
+               {"eps": eps})
 
+
+def sum_abs2(x):
+    return _op("sum_abs2", _sum_abs2_fwd, (x,))

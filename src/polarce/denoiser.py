@@ -60,7 +60,6 @@ class Stage1Dataset:
 class SupportEstimate:
     indices: np.ndarray      # sorted ascending, distinct
     A_hat: np.ndarray        # matching unit-norm BS dictionary columns [N, L]
-    scores: np.ndarray       # aggregate row magnitudes used for the pick
 
 
 def row_energy(Y: np.ndarray, bs: PolarDictionary) -> np.ndarray:
@@ -94,29 +93,34 @@ def init_denoiser(cfg: Stage1Config, rng: np.random.Generator,
     return DenoiserParams(config=cfg, params=params, buffers=buffers)
 
 
-def denoiser_forward(tape: ad.Tape, x: ad.Node, dp: DenoiserParams,
-                     nodes: dict[str, ad.Node], training: bool):
-    """Residual prediction for a [B, H, W, 2] input node.
+def denoiser_forward(x: np.ndarray, dp: DenoiserParams, training: bool,
+                     tape: ad.Tape | None = None):
+    """Residual prediction for a [B, H, W, 2] input.
 
-    Returns (output node, {bn layer: (batch mean, batch var)}) — the stats the
-    train loop folds into the running buffers.
+    Given a tape, the parameters become its trainable leaves and the output is
+    a differentiable node; without one it is a plain array. Returns (output,
+    {bn layer: (batch mean, batch var)}) — the stats the train loop folds into
+    the running buffers.
     """
     cfg = dp.config
-    h = ad.relu(ad.add(ad.conv2d(x, nodes["conv0_w"]), nodes["conv0_b"]))
+    w = dp.params
+    if tape is not None:
+        w = {k: tape.leaf(v, trainable=True, name=k) for k, v in w.items()}
+    h = ad.relu(ad.add(ad.conv2d(x, w["conv0_w"]), w["conv0_b"]))
     stats = {}
     for i in range(1, cfg.layers - 1):
-        z = ad.conv2d(h, nodes[f"conv{i}_w"])
+        z = ad.conv2d(h, w[f"conv{i}_w"])
         if training:
-            zv = z.value
+            zv = ad.value(z)
             axes = tuple(range(zv.ndim - 1))
             stats[i] = (zv.mean(axis=axes), zv.var(axis=axes))
-            z = ad.batch_norm(z, nodes[f"bn{i}_gamma"], nodes[f"bn{i}_beta"], eps=cfg.bn_eps)
+            z = ad.batch_norm(z, w[f"bn{i}_gamma"], w[f"bn{i}_beta"], eps=cfg.bn_eps)
         else:
             inv = 1.0 / np.sqrt(dp.buffers[f"bn{i}_var"] + cfg.bn_eps)
             g = dp.params[f"bn{i}_gamma"] * inv
             z = ad.add(ad.mul(z, g), dp.params[f"bn{i}_beta"] - dp.buffers[f"bn{i}_mean"] * g)
         h = ad.relu(z)
-    out = ad.conv2d(h, nodes[f"conv{cfg.layers - 1}_w"])
+    out = ad.conv2d(h, w[f"conv{cfg.layers - 1}_w"])
     return out, stats
 
 
@@ -124,27 +128,36 @@ def _to_channels(C: np.ndarray) -> np.ndarray:
     return np.stack([C.real, C.imag], axis=-1)
 
 
+def _unit_scale(C: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each [N_G, L] image of a batch, 1 where it is zero.
+
+    The network sees every image at unit norm; its output is scaled back.
+    """
+    alpha = np.linalg.norm(C, axis=(1, 2), keepdims=True)
+    return np.where(alpha > 0, alpha, 1.0)
+
+
 def denoise(C: np.ndarray, dp: DenoiserParams):
-    """Cleaned copy of one or a batch of [N_G, L] inputs.
+    """Cleaned copy of a batch of [N_G, L] inputs.
 
     Returns (residual, cleaned) with cleaned computed as input - residual.
-    Inputs are normalized to unit Frobenius norm before the network and the
-    prediction is scaled back.
     """
-    single = C.ndim == 2
-    Cb = C[None] if single else C
-    alpha = np.linalg.norm(Cb, axis=(1, 2), keepdims=True)
-    alpha = np.where(alpha > 0, alpha, 1.0)
-    tape = ad.Tape()
-    x = tape.leaf(_to_channels(Cb / alpha))
-    nodes = {k: tape.leaf(v) for k, v in dp.params.items()}
-    out, _ = denoiser_forward(tape, x, dp, nodes, training=False)
-    r4 = out.value
-    R = (r4[..., 0] + 1j * r4[..., 1]) * alpha
-    C_hat = Cb - R
-    if single:
-        return R[0], C_hat[0]
-    return R, C_hat
+    alpha = _unit_scale(C)
+    out, _ = denoiser_forward(_to_channels(C / alpha), dp, training=False)
+    R = (out[..., 0] + 1j * out[..., 1]) * alpha
+    return R, C - R
+
+
+def _residual_pairs(dataset: Stage1Dataset):
+    """Network inputs and residual targets, both on the unit-norm scale."""
+    alpha = _unit_scale(dataset.C)
+    return (_to_channels(dataset.C / alpha),
+            _to_channels((dataset.C - dataset.X) / alpha))
+
+
+def _residual_loss(out, target: np.ndarray):
+    """Half the summed squared residual error per sample."""
+    return ad.scale(ad.sum_abs2(ad.sub(out, target)), 1.0 / (2.0 * target.shape[0]))
 
 
 def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray,
@@ -184,12 +197,7 @@ def train_stage1(dataset: Stage1Dataset, cfg: Stage1Config, seed: int,
     rng = substream(seed, "stage1-init")
     dp = init_denoiser(cfg, rng)
     state = adam_init(dp.params, lr=cfg.lr)
-
-    alpha = np.linalg.norm(dataset.C, axis=(1, 2), keepdims=True)
-    alpha = np.where(alpha > 0, alpha, 1.0)
-    xin = _to_channels(dataset.C / alpha)
-    target = _to_channels((dataset.C - dataset.X) / alpha)
-
+    xin, target = _residual_pairs(dataset)
     n = xin.shape[0]
     order_rng = substream(seed, "stage1-order")
     trace = []
@@ -199,11 +207,8 @@ def train_stage1(dataset: Stage1Dataset, cfg: Stage1Config, seed: int,
         for lo in range(0, n, cfg.batch):
             sel = order[lo:lo + cfg.batch]
             tape = ad.Tape()
-            x = tape.leaf(xin[sel])
-            nodes = {k: tape.leaf(v, trainable=True, name=k) for k, v in dp.params.items()}
-            out, stats = denoiser_forward(tape, x, dp, nodes, training=True)
-            diff = ad.sub(out, tape.constant(target[sel]))
-            loss = ad.scale(ad.sum_abs2(diff), 1.0 / (2.0 * len(sel)))
+            out, stats = denoiser_forward(xin[sel], dp, training=True, tape=tape)
+            loss = _residual_loss(out, target[sel])
             lval = float(loss.value)
             if not np.isfinite(lval):
                 raise RuntimeError(f"stage-1 training diverged at episode {ep}: loss={lval}")
@@ -222,12 +227,10 @@ def train_stage1(dataset: Stage1Dataset, cfg: Stage1Config, seed: int,
 
 
 def stage1_loss(dataset: Stage1Dataset, dp: DenoiserParams) -> float:
-    """Mean residual loss in inference mode, on the normalized scale."""
-    R, _ = denoise(dataset.C, dp)
-    alpha = np.linalg.norm(dataset.C, axis=(1, 2), keepdims=True)
-    alpha = np.where(alpha > 0, alpha, 1.0)
-    err = (R - (dataset.C - dataset.X)) / alpha
-    return float(np.sum(np.abs(err) ** 2) / (2.0 * dataset.C.shape[0]))
+    """The training loss over the whole dataset, in inference mode."""
+    xin, target = _residual_pairs(dataset)
+    out, _ = denoiser_forward(xin, dp, training=False)
+    return float(_residual_loss(out, target))
 
 
 def _greedy_rows(scores: np.ndarray, count: int, guard: int) -> np.ndarray:
@@ -246,6 +249,5 @@ def _greedy_rows(scores: np.ndarray, count: int, guard: int) -> np.ndarray:
 def select_support(C_hat: np.ndarray, count: int, bs: PolarDictionary,
                    guard: int = 0) -> SupportEstimate:
     """Top rows of a cleaned [N_G, L] image by aggregate magnitude."""
-    scores = np.abs(C_hat).sum(axis=1)
-    idx = _greedy_rows(scores, count, guard)
-    return SupportEstimate(indices=idx, A_hat=bs.F[:, idx], scores=scores)
+    idx = _greedy_rows(np.abs(C_hat).sum(axis=1), count, guard)
+    return SupportEstimate(indices=idx, A_hat=bs.F[:, idx])

@@ -25,7 +25,7 @@ from . import container
 from .channel import (PathParams, PilotBlock, SceneRealization, SystemConfig,
                       build_channels, draw_scene, make_phase_matrix,
                       noise_var_for_snr, simulate_pilots, steering_vector)
-from .denoiser import (DenoiserParams, Stage1Config, init_denoiser,
+from .denoiser import (DenoiserParams, Stage1Config,
                        make_stage1_dataset, row_energy, stage1_loss,
                        train_stage1)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
@@ -33,8 +33,8 @@ from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
                     coherence_profile)
 from .rng import substream
 from .schemes import SCHEME_FUNCS, PipelineContext
-from .unrolled import (ListaParams, Stage2Config, lista_init,
-                       make_stage2_dataset, stage2_loss, train_stage2)
+from .unrolled import (ListaParams, Stage2Config, make_stage2_dataset,
+                       stage2_loss, train_stage2)
 
 __all__ = [
     "SweepConfig", "ExperimentConfig", "default_config", "config_to_dict",
@@ -99,18 +99,26 @@ class ExperimentConfig:
     sweep: SweepConfig
 
 
+def _default_grids(system: SystemConfig) -> tuple[GridConfig, GridConfig]:
+    """BS and RIS grids that track the system sizes unless a config pins them.
+
+    BS scene distances sit far beyond the BS Fresnel ring, so the BS grid keeps
+    angle only; 3x angle oversampling keeps the shared on-grid projection floor
+    well under the per-path recovery errors being compared.
+    """
+    return (GridConfig(angle_count=3 * system.n_bs, ring_limit=0,
+                       distance_min=system.bs_dist[0]),
+            GridConfig(angle_count=system.n_ris, distance_min=system.ris_dist[0]))
+
+
 def default_config() -> ExperimentConfig:
     """Desk-scale profile: small enough to train and sweep on one core."""
     system = SystemConfig()
+    bs_grid, ris_grid = _default_grids(system)
     return ExperimentConfig(
         system=system,
-        # BS scene distances sit far beyond the BS Fresnel ring, keep angle
-        # only; 3x angle oversampling keeps the shared on-grid projection
-        # floor well under the per-path recovery errors being compared
-        bs_grid=GridConfig(angle_count=3 * system.n_bs, ring_limit=0,
-                           distance_min=system.bs_dist[0]),
-        ris_grid=GridConfig(angle_count=system.n_ris,
-                            distance_min=system.ris_dist[0]),
+        bs_grid=bs_grid,
+        ris_grid=ris_grid,
         stage1=Stage1Config(),
         stage2=Stage2Config(),
         sweep=SweepConfig(),
@@ -136,11 +144,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError(f"config version {version} not supported (expected {CONFIG_VERSION})")
     base = default_config()
     system = _merge_section(base.system, SystemConfig, data.get("system", {}), "system")
-    # grid defaults track the system sizes unless the file pins them
-    bs_default = GridConfig(angle_count=3 * system.n_bs, ring_limit=0,
-                            distance_min=system.bs_dist[0])
-    ris_default = GridConfig(angle_count=system.n_ris,
-                             distance_min=system.ris_dist[0])
+    bs_default, ris_default = _default_grids(system)
     return ExperimentConfig(
         system=system,
         bs_grid=_merge_section(bs_default, GridConfig, data.get("bs_grid", {}), "bs_grid"),
@@ -268,24 +272,41 @@ def draw_scenes(system: SystemConfig, seed: int, label: str, count: int):
     return [draw_scene(system, substream(seed, label, str(i))) for i in range(count)]
 
 
+def _stage1_dataset(cfg: ExperimentConfig, bs: PolarDictionary, E: np.ndarray,
+                    system: SystemConfig, label: str, count: int,
+                    snrs: tuple[float, ...]):
+    """Stage-1 pairs on the `<label>-scene` scenes; scene i is at SNR snrs[i % len]."""
+    seed = cfg.sweep.seed
+    scenes = draw_scenes(system, seed, f"{label}-scene", count)
+    nvs = [noise_var_for_snr(sc, system, E, snrs[i % len(snrs)],
+                             convention=cfg.sweep.snr_convention)
+           for i, sc in enumerate(scenes)]
+    return make_stage1_dataset(system, bs, E, scenes, nvs,
+                               substream(seed, f"{label}-noise"))
+
+
+def _stage2_dataset(cfg: ExperimentConfig, E: np.ndarray, snr_db: float, label: str,
+                    system: SystemConfig, scenes: list[SceneRealization] | None = None):
+    """Stage-2 pairs on the training scenes at one SNR, noise from substream label."""
+    seed = cfg.sweep.seed
+    if scenes is None:
+        scenes = draw_scenes(system, seed, "train2-scene", cfg.stage2.train_size)
+    nvs = [noise_var_for_snr(sc, system, E, snr_db,
+                             convention=cfg.sweep.snr_convention)
+           for sc in scenes]
+    return make_stage2_dataset(system, scenes, E, nvs,
+                               substream(seed, "train2-noise", label))
+
+
 def train_stage1_model(cfg: ExperimentConfig, bs: PolarDictionary, E: np.ndarray,
                        system: SystemConfig | None = None):
     """Stage-1 network on mixed-noise scenes; returns (params, trace)."""
     system = system or cfg.system
-    seed = cfg.sweep.seed
     snrs = cfg.sweep.stage1_snr_db
-
-    def build(label: str, count: int):
-        scenes = draw_scenes(system, seed, f"{label}-scene", count)
-        nvs = [noise_var_for_snr(sc, system, E, snrs[i % len(snrs)],
-                                 convention=cfg.sweep.snr_convention)
-               for i, sc in enumerate(scenes)]
-        return make_stage1_dataset(system, bs, E, scenes, nvs,
-                                   substream(seed, f"{label}-noise"))
-
-    ds = build("train1", cfg.stage1.train_size)
-    val = build("val1", cfg.stage1.val_size) if cfg.stage1.val_size else None
-    return train_stage1(ds, cfg.stage1, seed, val=val)
+    ds = _stage1_dataset(cfg, bs, E, system, "train1", cfg.stage1.train_size, snrs)
+    val = (_stage1_dataset(cfg, bs, E, system, "val1", cfg.stage1.val_size, snrs)
+           if cfg.stage1.val_size else None)
+    return train_stage1(ds, cfg.stage1, cfg.sweep.seed, val=val)
 
 
 def train_stage2_model(cfg: ExperimentConfig, cas: CascadedDictionary,
@@ -293,16 +314,8 @@ def train_stage2_model(cfg: ExperimentConfig, cas: CascadedDictionary,
                        system: SystemConfig | None = None,
                        scenes: list[SceneRealization] | None = None):
     """Stage-2 network at one noise operating point; returns (params, trace)."""
-    system = system or cfg.system
-    seed = cfg.sweep.seed
-    if scenes is None:
-        scenes = draw_scenes(system, seed, "train2-scene", cfg.stage2.train_size)
-    nvs = [noise_var_for_snr(sc, system, E, snr_db,
-                             convention=cfg.sweep.snr_convention)
-           for sc in scenes]
-    ds = make_stage2_dataset(system, scenes, E,
-                             nvs, substream(seed, "train2-noise", label))
-    return train_stage2(ds, E, cas.F, cfg.stage2, seed)
+    ds = _stage2_dataset(cfg, E, snr_db, label, system or cfg.system, scenes)
+    return train_stage2(ds, E, cas.F, cfg.stage2, cfg.sweep.seed)
 
 
 # ----------------------------------------------------------------- evaluation
@@ -626,54 +639,33 @@ def run_loss_curves(cfg: ExperimentConfig, outdir) -> dict:
     bs = build_bs_dictionary(cfg)
     _, cas = build_ris_dictionaries(cfg)
     E = phase_schedule(cfg)
-    scenes1 = draw_scenes(cfg.system, sw.seed, "train1-scene", cfg.stage1.train_size)
-    scenes2 = draw_scenes(cfg.system, sw.seed, "train2-scene", cfg.stage2.train_size)
-    nvs1 = [noise_var_for_snr(sc, cfg.system, E, sw.loss_snr_db,
-                              convention=sw.snr_convention) for sc in scenes1]
-    nvs2 = [noise_var_for_snr(sc, cfg.system, E, sw.loss_snr_db,
-                              convention=sw.snr_convention) for sc in scenes2]
-    ds1 = make_stage1_dataset(cfg.system, bs, E, scenes1, nvs1,
-                              substream(sw.seed, "train1-noise"))
-    ds2 = make_stage2_dataset(cfg.system, scenes2, E, nvs2,
-                              substream(sw.seed, "train2-noise", "loss"))
+    ds1 = _stage1_dataset(cfg, bs, E, cfg.system, "train1", cfg.stage1.train_size,
+                          (sw.loss_snr_db,))
+    ds2 = _stage2_dataset(cfg, E, sw.loss_snr_db, "loss", cfg.system)
 
+    # (network, config, train, full-dataset loss, arrays compared across reruns)
+    stages = (("stage1", cfg.stage1, lambda c: train_stage1(ds1, c, sw.seed),
+               lambda dp: stage1_loss(ds1, dp), lambda dp: {**dp.params, **dp.buffers}),
+              ("stage2", cfg.stage2, lambda c: train_stage2(ds2, E, cas.F, c, sw.seed),
+               lambda lp: stage2_loss(ds2, lp, E), vars))
     rows, report = [], {"stage1": {}, "stage2": {}}
     for depth in sw.depths:
-        c1 = dataclasses.replace(cfg.stage1, layers=int(depth))
-        dp0 = init_denoiser(c1, substream(sw.seed, "stage1-init"))
-        init1 = stage1_loss(ds1, dp0)
-        dp_a, tr_a = train_stage1(ds1, c1, sw.seed)
-        dp_b, tr_b = train_stage1(ds1, c1, sw.seed)
-        same1 = (tr_a == tr_b and
-                 all(np.array_equal(dp_a.params[k], dp_b.params[k]) for k in dp_a.params) and
-                 all(np.array_equal(dp_a.buffers[k], dp_b.buffers[k]) for k in dp_a.buffers))
-        final1 = stage1_loss(ds1, dp_a)
-        report["stage1"][int(depth)] = {
-            "init_loss": init1, "final_loss": final1,
-            "drop_factor": init1 / final1 if final1 > 0 else float("inf"),
-            "rerun_identical": bool(same1), "trace": tr_a,
-        }
-        rows.append(["stage1", int(depth), 0, init1])
-        rows.extend(["stage1", int(depth), r["episode"] + 1, r["loss"]] for r in tr_a)
-
-        c2 = dataclasses.replace(cfg.stage2, layers=int(depth))
-        lp0 = lista_init(E, cas.F, c2, probe_P=ds2.P[:, :c2.probe])
-        init2 = stage2_loss(ds2, lp0, E)
-        lp_a, tr2_a = train_stage2(ds2, E, cas.F, c2, sw.seed)
-        lp_b, tr2_b = train_stage2(ds2, E, cas.F, c2, sw.seed)
-        same2 = (tr2_a == tr2_b and
-                 np.array_equal(lp_a.lam, lp_b.lam) and
-                 np.array_equal(lp_a.kappa, lp_b.kappa) and
-                 np.array_equal(lp_a.V, lp_b.V) and
-                 np.array_equal(lp_a.F, lp_b.F))
-        final2 = stage2_loss(ds2, lp_a, E)
-        report["stage2"][int(depth)] = {
-            "init_loss": init2, "final_loss": final2,
-            "drop_factor": init2 / final2 if final2 > 0 else float("inf"),
-            "rerun_identical": bool(same2), "trace": tr2_a,
-        }
-        rows.append(["stage2", int(depth), 0, init2])
-        rows.extend(["stage2", int(depth), r["episode"] + 1, r["loss"]] for r in tr2_a)
+        for name, base, train, loss, arrays in stages:
+            c = dataclasses.replace(base, layers=int(depth))
+            # zero episodes return the network at its initialization
+            init = loss(train(dataclasses.replace(c, episodes=0))[0])
+            (net_a, tr_a), (net_b, tr_b) = train(c), train(c)
+            other = arrays(net_b)
+            same = tr_a == tr_b and all(np.array_equal(v, other[k])
+                                        for k, v in arrays(net_a).items())
+            final = loss(net_a)
+            report[name][int(depth)] = {
+                "init_loss": init, "final_loss": final,
+                "drop_factor": init / final if final > 0 else float("inf"),
+                "rerun_identical": bool(same), "trace": tr_a,
+            }
+            rows.append([name, int(depth), 0, init])
+            rows.extend([name, int(depth), r["episode"] + 1, r["loss"]] for r in tr_a)
 
     meta = {"config": config_to_dict(cfg), "report": report,
             "timing": {"total_s": time.perf_counter() - t0}}

@@ -29,12 +29,6 @@ class VectorizedProblem:
         Psi = E.conj().T @ F_cas
         return cls(F_bs=F_bs, Psi=Psi, col_norms=np.linalg.norm(Psi, axis=0))
 
-    @property
-    def shape(self):
-        n, ng = self.F_bs.shape
-        tau, gc = self.Psi.shape
-        return (n * tau, ng * gc)
-
     def column(self, i: int, j: int) -> np.ndarray:
         """Explicit atom for pair (i, j), column-major vec."""
         w = np.conj(self.Psi[:, j])
@@ -53,44 +47,59 @@ class OmpResult:
     ridge_fallback: bool
 
 
-def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int,
-        resid_rtol: float = 1e-8, ridge: float = 1e-10) -> OmpResult:
-    """Orthogonal matching pursuit on the implicit design.
+_RESID_RTOL = 1e-8        # pursuit stops once ||r|| <= _RESID_RTOL * ||y||
+_RIDGE = 1e-10            # Tikhonov weight of the rank-deficient refit
 
-    Refits all picked atoms by least squares each iteration; falls back to a
-    ridge solve when the subdesign is rank deficient. Stops early once the
-    residual drops below resid_rtol times ||Y||.
+
+def _pursuit(y: np.ndarray, scores, atom, sparsity: int):
+    """Greedy pursuit shared by both OMPs; returns (atoms, coeffs, ||r||, ridge used).
+
+    scores(r) is |correlation| / atom norm of every atom with the residual r,
+    its row-major flat index the atom index; atom(k) is the column of atom k.
+    Each step picks the best unpicked atom (ties to the lowest index) and
+    refits all picked atoms by least squares, by ridge when rank deficient.
+    Stops early on a small residual or once every atom is picked.
     """
-    y = Y.reshape(-1, order="F")
-    ynorm = np.linalg.norm(y)
-    R = Y.copy()
-    support: list[tuple[int, int]] = []
+    ynorm = float(np.linalg.norm(y))
+    r, rnorm = y, ynorm
+    support: list[int] = []
     cols: list[np.ndarray] = []
     coeffs = np.zeros(0, dtype=np.complex128)
     ridge_used = False
-    rnorm = ynorm
     for _ in range(sparsity):
-        if rnorm <= resid_rtol * ynorm:
+        if rnorm <= _RESID_RTOL * ynorm:
             break
-        corr = np.abs(problem.correlate(R)) / problem.col_norms[None, :]
-        flat = int(np.argmax(corr))   # ties resolve to the lowest (i, j) pair
-        i, j = np.unravel_index(flat, corr.shape)
-        pick = (int(i), int(j))
-        if pick in support:
-            break                     # stagnation guard; residual cannot improve
-        support.append(pick)
-        cols.append(problem.column(*pick))
+        corr = scores(r).reshape(-1)
+        if len(support) == corr.size:
+            break
+        corr[support] = -1.0
+        k = int(np.argmax(corr))
+        support.append(k)
+        cols.append(atom(k))
         A = np.stack(cols, axis=1)
         coeffs, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
         if rank < len(cols):
             ridge_used = True
-            gram = A.conj().T @ A + ridge * np.eye(len(cols))
+            gram = A.conj().T @ A + _RIDGE * np.eye(len(cols))
             coeffs = np.linalg.solve(gram, A.conj().T @ y)
-        resid = y - A @ coeffs
-        R = resid.reshape(Y.shape, order="F")
-        rnorm = float(np.linalg.norm(resid))
-    return OmpResult(support=support, coeffs=coeffs, residual_norm=rnorm,
-                     ridge_fallback=ridge_used)
+        r = y - A @ coeffs
+        rnorm = float(np.linalg.norm(r))
+    return support, coeffs, rnorm, ridge_used
+
+
+def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int) -> OmpResult:
+    """Orthogonal matching pursuit on the implicit design."""
+    gc = problem.Psi.shape[1]
+
+    def scores(r):
+        R = r.reshape(Y.shape, order="F")
+        return np.abs(problem.correlate(R)) / problem.col_norms
+
+    support, coeffs, rnorm, ridge_used = _pursuit(
+        Y.reshape(-1, order="F"), scores,
+        lambda k: problem.column(*divmod(k, gc)), sparsity)
+    return OmpResult(support=[divmod(k, gc) for k in support], coeffs=coeffs,
+                     residual_norm=rnorm, ridge_fallback=ridge_used)
 
 
 def cascaded_estimate(result: OmpResult, problem: VectorizedProblem,
@@ -110,28 +119,13 @@ def cascaded_estimate(result: OmpResult, problem: VectorizedProblem,
     return G / math.sqrt(power)
 
 
-def omp_dense(y: np.ndarray, A: np.ndarray, sparsity: int,
-              resid_rtol: float = 1e-8, ridge: float = 1e-10):
+def omp_dense(y: np.ndarray, A: np.ndarray, sparsity: int):
     """Dense-matrix OMP; returns (coeffs over all atoms, support list)."""
     norms = np.linalg.norm(A, axis=0)
     norms = np.where(norms > 0, norms, 1.0)
-    r = y.copy()
-    ynorm = np.linalg.norm(y)
-    support: list[int] = []
+    AH = A.conj().T
+    support, coeffs, _, _ = _pursuit(y, lambda r: np.abs(AH @ r) / norms,
+                                     lambda k: A[:, k], sparsity)
     x = np.zeros(A.shape[1], dtype=np.complex128)
-    for _ in range(sparsity):
-        if np.linalg.norm(r) <= resid_rtol * ynorm:
-            break
-        corr = np.abs(A.conj().T @ r) / norms
-        corr[support] = -1.0
-        j = int(np.argmax(corr))
-        support.append(j)
-        sub = A[:, support]
-        c, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        if rank < len(support):
-            gram = sub.conj().T @ sub + ridge * np.eye(len(support))
-            c = np.linalg.solve(gram, sub.conj().T @ y)
-        r = y - sub @ c
-    if support:
-        x[support] = c
+    x[support] = coeffs
     return x, support

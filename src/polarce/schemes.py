@@ -31,13 +31,10 @@ class PipelineContext:
     stage2: ListaParams | None = None
     support_guard: int = 0
 
-    def problem(self) -> VectorizedProblem:
-        return VectorizedProblem.build(self.bs.F, self.cas.F, self.E)
-
 
 def estimate_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Joint pursuit over the implicit Kronecker design."""
-    prob = ctx.problem()
+    prob = VectorizedProblem.build(ctx.bs.F, ctx.cas.F, ctx.E)
     sparsity = ctx.config.paths_bs * ctx.config.paths_ris
     out = np.zeros((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
     for i, blk in enumerate(pilots):
@@ -65,34 +62,27 @@ def _stage1_project(pilots: list[PilotBlock], ctx: PipelineContext):
     return supports, proj
 
 
+def _two_stage(pilots: list[PilotBlock], ctx: PipelineContext, solve) -> np.ndarray:
+    """Stage-1 front end, then solve(P) -> X on the projected paths of all trials."""
+    supports, proj = _stage1_project(pilots, ctx)
+    X_all = solve(np.concatenate(proj, axis=1))
+    splits = np.cumsum([P.shape[1] for P in proj])[:-1]
+    return np.stack([reconstruct(sup.A_hat, X) for sup, X in
+                     zip(supports, np.split(X_all, splits, axis=1))])
+
+
 def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Learned support + per-path greedy pursuit on the cascaded dictionary."""
-    supports, proj = _stage1_project(pilots, ctx)
     Psi = ctx.E.conj().T @ ctx.cas.F
-    out = np.zeros((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
-    for i, (sup, P) in enumerate(zip(supports, proj)):
-        X_hat = np.zeros((ctx.config.n_ris, P.shape[1]), dtype=np.complex128)
-        for l in range(P.shape[1]):
-            b, _ = omp_dense(P[:, l], Psi, ctx.config.paths_ris)
-            X_hat[:, l] = ctx.cas.F @ b
-        out[i] = reconstruct(sup.A_hat, X_hat)
-    return out
+    return _two_stage(pilots, ctx, lambda P: np.stack(
+        [ctx.cas.F @ omp_dense(p, Psi, ctx.config.paths_ris)[0] for p in P.T], axis=1))
 
 
 def estimate_dncnn_istanet(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Learned support + unrolled learned solver, batched across trials."""
     if ctx.stage2 is None:
         raise ValueError("dncnn-istanet needs trained stage-2 parameters")
-    supports, proj = _stage1_project(pilots, ctx)
-    P_all = np.concatenate(proj, axis=1)
-    X_all = lista_forward(P_all, ctx.stage2, ctx.E)
-    out = np.zeros((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
-    col = 0
-    for i, sup in enumerate(supports):
-        L = proj[i].shape[1]
-        out[i] = reconstruct(sup.A_hat, X_all[:, col:col + L])
-        col += L
-    return out
+    return _two_stage(pilots, ctx, lambda P: lista_forward(P, ctx.stage2, ctx.E))
 
 
 SCHEME_FUNCS = {

@@ -12,6 +12,12 @@ with per-layer thresholds/steps and shared V, Ftil trained end to end; Ftil is
 initialized from the cascaded dictionary and V from E, so layer one of an
 untrained net is a plain proximal gradient step; with an orthonormal
 dictionary every layer is one, which the tests check against `ista_core`.
+
+With the overcomplete cascaded dictionary the layers after the first are not
+ISTA steps: Ftil Ftil^H is no projection (spectral norm 16.2 on the desk
+profile, where Gc/M = 12.3), so every layer amplifies the estimate and the
+untrained net diverges with depth. On 12 clean desk training paths its
+relative error is 0.87, 3.0, 728 and 1.65e5 at 1, 2, 4 and 6 layers.
 """
 from __future__ import annotations
 
@@ -79,7 +85,7 @@ def ista_core(p: np.ndarray, Psi: np.ndarray, lam: float, kappa: float,
     prev = np.inf
     for t in range(iters):
         r = Psi @ b - p
-        b = ad.soft_threshold_array(b - kappa * (Psi.conj().T @ r), lam)
+        b = ad.soft_threshold(b - kappa * (Psi.conj().T @ r), lam)
         obj = 0.5 * np.linalg.norm(Psi @ b - p) ** 2 + lam * np.abs(b).sum()
         objective[t] = obj
         if obj > prev * (1.0 + 1e-9) + 1e-12:
@@ -136,32 +142,31 @@ def _lista_from_dict(d: dict[str, np.ndarray], layers: int) -> ListaParams:
 
 
 def lista_forward(P: np.ndarray, lp: ListaParams, E: np.ndarray,
-                  tape: ad.Tape | None = None, nodes: dict[str, ad.Node] | None = None):
-    """Run the unrolled layers on a [tau, B] batch (or a single [tau] vector).
+                  tape: ad.Tape | None = None):
+    """Run the unrolled layers on a [tau, B] batch.
 
-    Without a tape this is a plain numpy evaluation; with one, `nodes` must
-    hold the trainable leaves and the returned node is differentiable.
+    Given a tape, the parameters become its trainable leaves (named as in the
+    checkpoint dict) and the returned node is differentiable; without one the
+    result is a plain array.
     """
-    single = P.ndim == 1
-    Pb = P[:, None] if single else P
-    layers = lp.lam.size
-    if tape is None:
-        EH = E.conj().T
-        X = np.zeros((E.shape[0], Pb.shape[1]), dtype=np.complex128)
-        for t in range(layers):
-            step = X - lp.kappa[t] * (lp.V @ (EH @ X - Pb))
-            X = lp.F @ ad.soft_threshold_array(lp.F.conj().T @ step, lp.lam[t])
-        return X[:, 0] if single else X
-    eh = tape.constant(E.conj().T)
-    p = tape.constant(Pb)
-    fh = ad.hermitian(nodes["F"])
-    x = tape.constant(np.zeros((E.shape[0], Pb.shape[1]), dtype=np.complex128))
-    for t in range(layers):
-        r = ad.sub(ad.matmul(eh, x), p)
-        step = ad.sub(x, ad.mul(ad.matmul(nodes["V"], r), nodes[f"kappa{t}"]))
-        coeff = ad.soft_threshold(ad.matmul(fh, step), nodes[f"lam{t}"])
-        x = ad.matmul(nodes["F"], coeff)
+    w = _lista_param_dict(lp)
+    if tape is not None:
+        w = {k: tape.leaf(v, trainable=True, name=k) for k, v in w.items()}
+    eh = E.conj().T
+    fh = ad.hermitian(w["F"])
+    x = np.zeros((E.shape[0], P.shape[1]), dtype=np.complex128)
+    for t in range(lp.lam.size):
+        r = ad.sub(ad.matmul(eh, x), P)
+        step = ad.sub(x, ad.mul(ad.matmul(w["V"], r), w[f"kappa{t}"]))
+        x = ad.matmul(w["F"], ad.soft_threshold(ad.matmul(fh, step), w[f"lam{t}"]))
     return x
+
+
+def _path_loss(out, Xl: np.ndarray):
+    """Normalized reconstruction loss sum_l ||out_l - x_l||^2 / ||x_l||^2 / (2B)."""
+    w = 1.0 / np.maximum(np.linalg.norm(Xl, axis=0), 1e-300)
+    weighted = ad.mul(ad.sub(out, Xl), w[None, :])
+    return ad.scale(ad.sum_abs2(weighted), 1.0 / (2.0 * Xl.shape[1]))
 
 
 def make_stage2_dataset(config: SystemConfig, scenes: list[SceneRealization],
@@ -190,7 +195,6 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
     params = _lista_param_dict(lp)
     state = adam_init(params, lr=cfg.lr)
     n = dataset.P.shape[1]
-    wts = 1.0 / np.maximum(np.linalg.norm(dataset.Xl, axis=0), 1e-300)
     order_rng = substream(seed, "stage2-order")
     trace = []
     for ep in range(cfg.episodes):
@@ -199,12 +203,9 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
         for lo in range(0, n, cfg.batch):
             sel = order[lo:lo + cfg.batch]
             tape = ad.Tape()
-            nodes = {k: tape.leaf(v, trainable=True, name=k) for k, v in params.items()}
-            lp_now = _lista_from_dict({k: v for k, v in params.items()}, cfg.layers)
-            out = lista_forward(dataset.P[:, sel], lp_now, E, tape=tape, nodes=nodes)
-            diff = ad.sub(out, tape.constant(dataset.Xl[:, sel]))
-            weighted = ad.mul(diff, tape.constant(wts[sel][None, :]))
-            loss = ad.scale(ad.sum_abs2(weighted), 1.0 / (2.0 * sel.size))
+            out = lista_forward(dataset.P[:, sel], _lista_from_dict(params, cfg.layers),
+                                E, tape=tape)
+            loss = _path_loss(out, dataset.Xl[:, sel])
             lval = float(loss.value)
             if not np.isfinite(lval):
                 raise RuntimeError(f"stage-2 training diverged at episode {ep}: loss={lval}")
@@ -218,9 +219,9 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
 
 
 def stage2_loss(dataset: Stage2Dataset, lp: ListaParams, E: np.ndarray) -> float:
+    """The training loss over the whole dataset."""
     out = lista_forward(dataset.P, lp, E)
-    w = 1.0 / np.maximum(np.linalg.norm(dataset.Xl, axis=0), 1e-300)
-    return float(np.sum(np.abs((out - dataset.Xl) * w[None, :]) ** 2) / (2.0 * dataset.P.shape[1]))
+    return float(_path_loss(out, dataset.Xl))
 
 
 def reconstruct(A_hat: np.ndarray, X_hat: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ class TestFiniteDifference:
     def test_hermitian(self, rng):
         w = crandn(rng, 3, 2)
         arrays = {"a": crandn(rng, 3, 4)}
-        check_op(lambda t, n: ad.sum_abs2(ad.matmul(ad.hermitian(n["a"]), t.constant(w))),
+        check_op(lambda t, n: ad.sum_abs2(ad.matmul(ad.hermitian(n["a"]), w)),
                  lambda v: float(np.sum(np.abs(v["a"].conj().T @ w) ** 2)),
                  arrays)
 
@@ -96,7 +96,7 @@ class TestFiniteDifference:
         x = crandn(rng, 6) * 2.0
         x = x[np.abs(np.abs(x) - 0.5) > 0.1]
         arrays = {"lam": np.array(0.5)}
-        check_op(lambda t, n: ad.sum_abs2(ad.soft_threshold(t.constant(x), n["lam"])),
+        check_op(lambda t, n: ad.sum_abs2(ad.soft_threshold(x, n["lam"])),
                  lambda v: float(np.sum(np.abs(self._soft_np(x, v["lam"])) ** 2)),
                  arrays)
 
@@ -134,36 +134,33 @@ class TestFiniteDifference:
 
 class TestOpValues:
     def test_soft_threshold_literals(self):
-        out = ad.soft_threshold_array(np.array([2.0, 0.3]), np.array([0.5, 1.0]))
+        out = ad.soft_threshold(np.array([2.0, 0.3]), np.array([0.5, 1.0]))
         np.testing.assert_allclose(out, [1.5, 0.0], atol=1e-15)
         z = 2.0 * np.exp(1j * np.pi / 4)
-        out = ad.soft_threshold_array(np.array([z]), 1.0)
+        out = ad.soft_threshold(np.array([z]), 1.0)
         np.testing.assert_allclose(out, [np.exp(1j * np.pi / 4)], atol=1e-15)
 
     def test_soft_threshold_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            ad.soft_threshold_array(np.ones(3), -0.1)
+            ad.soft_threshold(np.ones(3), -0.1)
 
     def test_conv2d_delta_kernel_is_identity(self, rng):
         x = rng.standard_normal((1, 5, 5, 1))
         w = np.zeros((3, 3, 1, 1))
         w[1, 1, 0, 0] = 1.0
-        tape = ad.Tape()
-        out = ad.conv2d(tape.constant(x), tape.constant(w))
-        np.testing.assert_allclose(out.value, x, atol=1e-15)
+        out = ad.conv2d(x, w)
+        np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_conv2d_zero_kernel(self, rng):
         x = rng.standard_normal((1, 4, 4, 2))
         w = np.zeros((3, 3, 2, 1))
-        tape = ad.Tape()
-        out = ad.conv2d(tape.constant(x), tape.constant(w))
-        assert np.all(out.value == 0.0)
+        out = ad.conv2d(x, w)
+        assert np.all(out == 0.0)
 
     def test_conv2d_ones_counts_padded_window(self):
         x = np.ones((1, 3, 3, 1))
         w = np.ones((3, 3, 1, 1))
-        tape = ad.Tape()
-        out = ad.conv2d(tape.constant(x), tape.constant(w)).value[0, :, :, 0]
+        out = ad.conv2d(x, w)[0, :, :, 0]
         assert out[1, 1] == pytest.approx(9.0)
         assert out[0, 0] == pytest.approx(4.0)
         assert out[0, 1] == pytest.approx(6.0)
@@ -172,40 +169,31 @@ class TestOpValues:
         scipy_signal = pytest.importorskip("scipy.signal")
         x = rng.standard_normal((1, 6, 5, 1))
         w = rng.standard_normal((3, 3, 1, 1))
-        tape = ad.Tape()
-        out = ad.conv2d(tape.constant(x), tape.constant(w)).value[0, :, :, 0]
+        out = ad.conv2d(x, w)[0, :, :, 0]
         want = scipy_signal.correlate2d(x[0, :, :, 0], w[:, :, 0, 0],
                                         mode="same", boundary="fill")
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_conv2d_even_kernel_rejected(self, rng):
-        tape = ad.Tape()
         with pytest.raises(ValueError):
-            ad.conv2d(tape.constant(np.zeros((1, 4, 4, 1))),
-                      tape.constant(np.zeros((2, 2, 1, 1))))
+            ad.conv2d(np.zeros((1, 4, 4, 1)), np.zeros((2, 2, 1, 1)))
 
     def test_batch_norm_two_point_literal(self):
         x = np.array([[1.0], [3.0]])
-        tape = ad.Tape()
-        out = ad.batch_norm(tape.constant(x), tape.constant(np.ones(1)),
-                            tape.constant(np.zeros(1)), eps=1e-12)
-        np.testing.assert_allclose(out.value, [[-1.0], [1.0]], atol=1e-6)
+        out = ad.batch_norm(x, np.ones(1), np.zeros(1), eps=1e-12)
+        np.testing.assert_allclose(out, [[-1.0], [1.0]], atol=1e-6)
 
     def test_batch_norm_zero_gamma_gives_beta(self, rng):
         x = rng.standard_normal((5, 3))
         beta = np.array([0.7, -0.2, 1.1])
-        tape = ad.Tape()
-        out = ad.batch_norm(tape.constant(x), tape.constant(np.zeros(3)),
-                            tape.constant(beta), eps=1e-5)
-        np.testing.assert_allclose(out.value, np.broadcast_to(beta, (5, 3)), atol=1e-12)
+        out = ad.batch_norm(x, np.zeros(3), beta, eps=1e-5)
+        np.testing.assert_allclose(out, np.broadcast_to(beta, (5, 3)), atol=1e-12)
 
     def test_batch_norm_standardized_passthrough(self, rng):
         x = rng.standard_normal((50, 2))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        tape = ad.Tape()
-        out = ad.batch_norm(tape.constant(x), tape.constant(np.ones(2)),
-                            tape.constant(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(out.value, x, atol=1e-5)
+        out = ad.batch_norm(x, np.ones(2), np.zeros(2), eps=1e-12)
+        np.testing.assert_allclose(out, x, atol=1e-5)
 
     def test_adjoint_identity(self, rng):
         A = crandn(rng, 5, 3)
@@ -214,9 +202,8 @@ class TestOpValues:
         lhs = np.vdot(y, A @ x)
         rhs = np.vdot(A.conj().T @ y, x)
         assert abs(lhs - rhs) < 1e-10
-        tape = ad.Tape()
-        out = ad.matmul(ad.hermitian(tape.constant(A)), tape.constant(y))
-        np.testing.assert_allclose(out.value, A.conj().T @ y, atol=1e-12)
+        out = ad.matmul(ad.hermitian(A), y)
+        np.testing.assert_allclose(out, A.conj().T @ y, atol=1e-12)
 
 
 class TestTapeMechanics:
@@ -243,10 +230,22 @@ class TestTapeMechanics:
 
     def test_cross_tape_mixing_rejected(self, rng):
         t1, t2 = ad.Tape(), ad.Tape()
-        a = t1.constant(np.ones(2))
-        b = t2.constant(np.ones(2))
+        a = t1.leaf(np.ones(2))
+        b = t2.leaf(np.ones(2))
         with pytest.raises(ValueError):
             ad.add(a, b)
+
+    def test_plain_operands_compute_eagerly(self, rng):
+        A, B = crandn(rng, 3, 4), crandn(rng, 4, 2)
+        out = ad.matmul(A, B)
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_array_equal(out, A @ B)
+        tape = ad.Tape()
+        a = tape.leaf(A, trainable=True, name="a")
+        node = ad.matmul(a, B)                 # B becomes a constant of a's tape
+        assert isinstance(node, ad.Node) and len(tape.records) == 1
+        np.testing.assert_array_equal(node.value, out)
+        np.testing.assert_array_equal(ad.value(node), ad.value(out))
 
     def test_grad_accumulates_over_reuse(self, rng):
         x = crandn(rng, 3)
@@ -267,7 +266,7 @@ class TestProxProperties:
     @settings(max_examples=60, deadline=None)
     def test_shrinks_magnitude_by_lambda(self, entries, lam):
         x = np.array([re + 1j * im for re, im in entries])
-        out = ad.soft_threshold_array(x, lam)
+        out = ad.soft_threshold(x, lam)
         want = np.maximum(np.abs(x) - lam, 0.0)
         np.testing.assert_allclose(np.abs(out), want, rtol=1e-9, atol=1e-9)
 
@@ -275,14 +274,14 @@ class TestProxProperties:
     @settings(max_examples=60, deadline=None)
     def test_zero_threshold_is_identity(self, entries):
         x = np.array([re + 1j * im for re, im in entries])
-        np.testing.assert_array_equal(ad.soft_threshold_array(x, 0.0), x)
+        np.testing.assert_array_equal(ad.soft_threshold(x, 0.0), x)
 
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=8),
            st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_phase_preserved_on_active_set(self, entries, lam):
         x = np.array([re + 1j * im for re, im in entries])
-        out = ad.soft_threshold_array(x, lam)
+        out = ad.soft_threshold(x, lam)
         active = np.abs(x) > max(lam, 1e-12)
         if np.any(active):
             np.testing.assert_allclose(np.angle(out[active]), np.angle(x[active]),

@@ -52,7 +52,7 @@ class TestRowEnergy:
 class TestDenoise:
     def test_fresh_network_is_identity(self, rng):
         dp = init_denoiser(TINY, substream(0, "init"))
-        C = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        C = rng.standard_normal((2, 16, 2)) + 1j * rng.standard_normal((2, 16, 2))
         R, C_hat = denoise(C, dp)
         np.testing.assert_array_equal(R, np.zeros_like(C))
         np.testing.assert_array_equal(C_hat, C)
@@ -62,7 +62,7 @@ class TestDenoise:
         # force a nonzero residual head
         dp.params[f"conv{TINY.layers - 1}_w"] = 0.05 * substream(
             1, "head").standard_normal(dp.params[f"conv{TINY.layers - 1}_w"].shape)
-        C = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        C = rng.standard_normal((2, 16, 2)) + 1j * rng.standard_normal((2, 16, 2))
         R, C_hat = denoise(C, dp)
         assert np.any(R != 0)
         np.testing.assert_array_equal(C_hat, C - R)
@@ -74,9 +74,9 @@ class TestDenoise:
         Cb = rng.standard_normal((3, 16, 2)) + 1j * rng.standard_normal((3, 16, 2))
         Rb, Cb_hat = denoise(Cb, dp)
         for i in range(3):
-            R, C_hat = denoise(Cb[i], dp)
-            np.testing.assert_array_equal(Rb[i], R)
-            np.testing.assert_array_equal(Cb_hat[i], C_hat)
+            R, C_hat = denoise(Cb[i:i + 1], dp)
+            np.testing.assert_array_equal(Rb[i], R[0])
+            np.testing.assert_array_equal(Cb_hat[i], C_hat[0])
 
     def test_identical_samples_get_identical_outputs(self, rng):
         dp = init_denoiser(TINY, substream(0, "init"))
@@ -88,14 +88,14 @@ class TestDenoise:
 
     def test_inference_is_deterministic(self, rng):
         dp = init_denoiser(TINY, substream(0, "init"))
-        C = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        C = rng.standard_normal((2, 16, 2)) + 1j * rng.standard_normal((2, 16, 2))
         R1, _ = denoise(C, dp)
         R2, _ = denoise(C, dp)
         np.testing.assert_array_equal(R1, R2)
 
     def test_zero_input_survives_normalization(self):
         dp = init_denoiser(TINY, substream(0, "init"))
-        R, C_hat = denoise(np.zeros((16, 2), dtype=complex), dp)
+        R, C_hat = denoise(np.zeros((2, 16, 2), dtype=complex), dp)
         assert np.all(np.isfinite(R)) and np.all(C_hat == 0)
 
     def test_too_few_layers_rejected(self):

@@ -1,4 +1,5 @@
 """Greedy pursuit on the implicit Kronecker design and its dense twin."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,33 @@ import numpy as np
 from helpers import crandn
 import pytest
 
+from polarce.channel import (draw_scene, make_phase_matrix, noise_var_for_snr,
+                             simulate_pilots)
 from polarce.omp import VectorizedProblem, cascaded_estimate, omp, omp_dense
+from polarce.rng import substream
 
 
 @pytest.fixture(scope="module")
 def problem(small_bs_dict, small_cas_dict, small_E):
     return VectorizedProblem.build(small_bs_dict.F, small_cas_dict.F, small_E)
+
+
+@pytest.fixture(scope="module")
+def random_case(problem):
+    """Gaussian observation on the small problem, sparsity 3."""
+    return crandn(np.random.default_rng(1234), 8, 12), problem, 3
+
+
+@pytest.fixture(scope="module")
+def scene_case(small_system, small_bs_dict, small_cas_dict):
+    """Noisy pilots (20 dB) of a drawn 3x3-path scene with tau 8, sparsity 9."""
+    system = dataclasses.replace(small_system, tau=8, paths_bs=3, paths_ris=3)
+    E = make_phase_matrix(system.n_ris, system.tau, substream(21, "phase"))
+    scene = draw_scene(system, substream(21, "scene"))
+    nv = noise_var_for_snr(scene, system, E, 20.0)
+    Y = simulate_pilots(scene, system, E, nv, substream(21, "noise")).Y
+    prob = VectorizedProblem.build(small_bs_dict.F, small_cas_dict.F, E)
+    return Y, prob, system.paths_bs * system.paths_ris
 
 
 def densify(problem: VectorizedProblem) -> np.ndarray:
@@ -28,11 +50,6 @@ class TestVectorizedProblem:
         np.testing.assert_allclose(problem.Psi, want, atol=1e-13)
         np.testing.assert_allclose(problem.col_norms,
                                    np.linalg.norm(want, axis=0), atol=1e-12)
-
-    def test_shape(self, problem):
-        n, ng = problem.F_bs.shape
-        tau, gc = problem.Psi.shape
-        assert problem.shape == (n * tau, ng * gc)
 
     def test_column_matches_kronecker(self, problem):
         for i, j in [(0, 0), (3, 7), (15, 30)]:
@@ -102,8 +119,8 @@ class TestOmp:
         assert len(res.support) == 1      # residual threshold halts the loop
 
     def test_stagnation_guard_stops_repeat_picks(self, rng):
-        # a one-atom design cannot explain the orthogonal leftover, so the
-        # greedy loop re-selects the same atom and must halt early
+        # a one-atom design cannot explain the orthogonal leftover; once its
+        # only atom is picked the loop must halt instead of picking it again
         F_bs = np.array([[1.0], [0.0]], dtype=complex)
         F_cas = np.array([[1.0], [0.0]], dtype=complex)
         E = np.exp(2j * np.pi * rng.uniform(size=(2, 3)))
@@ -112,7 +129,7 @@ class TestOmp:
         z = crandn(rng, col.size)
         z -= col * (np.vdot(col, z) / np.vdot(col, col))
         Y = (col + z).reshape(2, 3, order="F")
-        res = omp(Y, prob, 3, resid_rtol=0.0)
+        res = omp(Y, prob, 3)
         assert len(res.support) == 1
         assert not res.ridge_fallback
 
@@ -136,13 +153,16 @@ class TestOmp:
 
 
 class TestOmpDense:
-    def test_matches_implicit_variant(self, problem, rng):
-        Y = crandn(rng, 8, 12)
+    @pytest.mark.parametrize("case", ["random_case", "scene_case"],
+                             ids=["random", "scene"])
+    def test_matches_implicit_variant(self, case, request):
+        Y, problem, sparsity = request.getfixturevalue(case)
         A = densify(problem)
-        res = omp(Y, problem, 3)
-        x, support = omp_dense(Y.reshape(-1, order="F"), A, 3)
+        res = omp(Y, problem, sparsity)
+        x, support = omp_dense(Y.reshape(-1, order="F"), A, sparsity)
         gc = problem.Psi.shape[1]
         flat = [i * gc + j for i, j in res.support]
+        assert len(flat) == sparsity
         assert support == flat
         np.testing.assert_allclose(x[flat], res.coeffs, rtol=1e-8)
 
@@ -176,7 +196,7 @@ class TestOmpDense:
         e = np.array([0.0, 0.0, 1.0], dtype=complex)
         A = np.stack([a, a, d], axis=1)
         y = a + 0.5 * d + 0.3 * e      # e keeps the residual alive
-        x, support = omp_dense(y, A, 3, resid_rtol=0.0)
+        x, support = omp_dense(y, A, 3)
         assert sorted(support) == [0, 1, 2]
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose(A @ x, a + 0.5 * d, atol=1e-4)

@@ -11,7 +11,7 @@ from polarce.channel import (
 )
 from polarce.rng import complex_normal, substream
 from polarce.unrolled import (
-    ListaParams, Stage2Config, ista_core, lista_forward, lista_init,
+    ListaParams, Stage2Config, _path_loss, ista_core, lista_forward, lista_init,
     make_stage2_dataset, project_to_bs_subspace, reconstruct, spectral_norm_sq,
     stage2_loss, train_stage2,
 )
@@ -152,10 +152,10 @@ class TestListaForward:
 
     def test_single_layer_hand_expansion(self, rng):
         E, lp = _random_lista(rng, 8, 5, 9, 1)
-        p = crandn(rng, 5)
+        p = crandn(rng, 5, 2)
         got = lista_forward(p, lp, E)
         step = lp.kappa[0] * (lp.V @ p)
-        coeff = ad.soft_threshold_array(lp.F.conj().T @ step, lp.lam[0])
+        coeff = ad.soft_threshold(lp.F.conj().T @ step, lp.lam[0])
         np.testing.assert_allclose(got, lp.F @ coeff, atol=1e-13)
 
     def test_orthonormal_synthesis_reduces_to_ista(self, rng):
@@ -169,7 +169,7 @@ class TestListaForward:
         lp = ListaParams(lam=np.full(layers, lam), kappa=np.full(layers, kappa),
                          V=E.copy(), F=F.copy())
         p = crandn(rng, tau)
-        got = lista_forward(p, lp, E)
+        got = lista_forward(p[:, None], lp, E)[:, 0]
         res = ista_core(p, Psi_b, lam, kappa, layers, tol=0.0)
         np.testing.assert_allclose(got, F @ res.coeffs, atol=1e-12)
 
@@ -178,22 +178,17 @@ class TestListaForward:
         P = crandn(rng, 6, 4)
         plain = lista_forward(P, lp, E)
         tape = ad.Tape()
-        nodes = {"V": tape.leaf(lp.V, trainable=True, name="V"),
-                 "F": tape.leaf(lp.F, trainable=True, name="F")}
-        for t in range(3):
-            nodes[f"lam{t}"] = tape.leaf(np.asarray(lp.lam[t]), trainable=True,
-                                         name=f"lam{t}")
-            nodes[f"kappa{t}"] = tape.leaf(np.asarray(lp.kappa[t]), trainable=True,
-                                           name=f"kappa{t}")
-        taped = lista_forward(P, lp, E, tape=tape, nodes=nodes)
-        np.testing.assert_allclose(taped.value, plain, atol=1e-13)
+        taped = lista_forward(P, lp, E, tape=tape)
+        np.testing.assert_array_equal(taped.value, plain)
+        assert sorted(tape.trainable.values()) == sorted(
+            ["V", "F", "lam0", "lam1", "lam2", "kappa0", "kappa1", "kappa2"])
 
     def test_taped_gradients_match_finite_differences(self, rng):
         m, tau, gc, layers, batch = 6, 5, 7, 2, 3
         E = np.exp(2j * np.pi * rng.uniform(size=(m, tau)))
         P = crandn(rng, tau, batch) * 0.7
         X = crandn(rng, m, batch)
-        w = rng.uniform(0.5, 1.5, batch)
+        w = 1.0 / np.linalg.norm(X, axis=0)         # the per-path loss weights
         F0 = crandn(rng, m, gc)
         F0 /= np.linalg.norm(F0, axis=0)
         arrays = {"V": E * 0.9, "F": F0,
@@ -206,19 +201,14 @@ class TestListaForward:
                 step = x - v[f"kappa{t}"] * (v["V"] @ (E.conj().T @ x - P))
                 mags = np.abs(v["F"].conj().T @ step)
                 assert np.min(np.abs(mags - v[f"lam{t}"])) > 1e-4
-                x = v["F"] @ ad.soft_threshold_array(v["F"].conj().T @ step,
-                                                     float(v[f"lam{t}"]))
+                x = v["F"] @ ad.soft_threshold(v["F"].conj().T @ step,
+                                               float(v[f"lam{t}"]))
             return float(np.sum(np.abs((x - X) * w[None, :]) ** 2) / (2 * batch))
 
         tape = ad.Tape()
-        nodes = {k: tape.leaf(np.array(val, copy=True), trainable=True, name=k)
-                 for k, val in arrays.items()}
         lp = ListaParams(lam=np.array([0.01, 0.015]), kappa=np.array([0.3, 0.25]),
-                         V=arrays["V"], F=arrays["F"])
-        out = lista_forward(P, lp, E, tape=tape, nodes=nodes)
-        diff = ad.sub(out, tape.constant(X))
-        weighted = ad.mul(diff, tape.constant(w[None, :]))
-        loss = ad.scale(ad.sum_abs2(weighted), 1.0 / (2.0 * batch))
+                         V=arrays["V"].copy(), F=arrays["F"].copy())
+        loss = _path_loss(lista_forward(P, lp, E, tape=tape), X)
         assert float(loss.value) == pytest.approx(mirror(arrays), rel=1e-12)
         grads = tape.backward(loss)
         want = numeric_grads(mirror, arrays)
