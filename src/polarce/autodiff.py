@@ -14,13 +14,35 @@ plain arrays and returns an array, recording nothing. A network is therefore
 written once; its forward pass is differentiable when its parameters are
 leaves of a tape and plain numpy otherwise. Plain operands of a recorded op
 become constants of the operand node's tape.
+
+Pruning. Each node is marked, when it is made, with whether it depends on a
+trainable leaf. `backward` asks each op only for the gradients of its marked
+operands, so nothing is computed toward constants: the data input of a
+network's first convolution, `E^H` and `P` in the unrolled net, loss targets.
+
+Accumulation. A node's first gradient contribution is stored as given; it may
+alias another node's gradient (`add` hands the same array to both operands).
+The second contribution allocates a buffer that the tape owns, and every
+later one is added into that buffer in place. The weight gradient of a matmul
+is the outer product g b^H, kept as its two factors until it is added into the
+weight's buffer, so a rank-32 update of a 128x6419 dictionary makes one
+product and no copy of the dictionary. `hermitian` records nothing: its
+output's gradient contributions are routed, conjugate-transposed, straight to
+its operand, which for an outer product only swaps the factors.
+
+Convolution layout. Images are [B, H, W, C] with same zero padding. The padded
+image is read as rows [B*(H+k-1), (W+k-1)*Ci], and the kernel is laid out as a
+block-Toeplitz matrix [(W+k-1)*Ci, k*W*Co] whose block di maps a padded row
+to its contribution through kernel row di. The convolution is one GEMM of the
+two plus k shifted row sums; its backward is two GEMMs against the same
+Toeplitz matrix. The matrix grows with W^2, which suits the narrow images the
+denoiser sees (W = paths_bs).
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tape", "Node", "value", "add", "sub", "mul", "scale", "matmul",
@@ -45,19 +67,39 @@ class Node:
 Record = namedtuple("Record", "op out ins aux")     # ins and out are node ids
 
 
+class _Outer:
+    """The outer product u @ v^H, held as its factors."""
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        self.u, self.v = u, v
+
+    def adjoint(self) -> "_Outer":
+        return _Outer(self.v, self.u)
+
+    def dense(self) -> np.ndarray:
+        return self.u @ np.conj(self.v).T
+
+
 class Tape:
     def __init__(self):
         self.values: list[np.ndarray] = []
         self.records: list[Record] = []
         self.trainable: dict[int, str] = {}
+        self.needs_grad: list[bool] = []            # per node: depends on a trainable leaf
+        self.adjoint_of: dict[int, int] = {}        # hermitian output -> its operand
+
+    def _append(self, value: np.ndarray, needs_grad: bool) -> int:
+        self.values.append(value)
+        self.needs_grad.append(needs_grad)
+        return len(self.values) - 1
 
     def leaf(self, value, trainable: bool = False, name: str | None = None) -> Node:
-        value = np.asarray(value)
-        self.values.append(value)
-        node_id = len(self.values) - 1
+        if trainable and name is None:
+            raise ValueError("trainable leaves need a name")
+        node_id = self._append(np.asarray(value), trainable)
         if trainable:
-            if name is None:
-                raise ValueError("trainable leaves need a name")
             self.trainable[node_id] = name
         return Node(self, node_id)
 
@@ -71,9 +113,11 @@ class Tape:
     def _emit(self, op: str, ins: tuple, out: np.ndarray, aux: dict | None) -> Node:
         """Record op's output out, computed from the operands ins."""
         in_ids = tuple(self._wrap(x).id for x in ins)
-        self.values.append(out)
-        out_id = len(self.values) - 1
-        self.records.append(Record(op, out_id, in_ids, aux))
+        out_id = self._append(out, any(self.needs_grad[i] for i in in_ids))
+        if op == "hermitian":
+            self.adjoint_of[out_id] = in_ids[0]
+        else:
+            self.records.append(Record(op, out_id, in_ids, aux))
         return Node(self, out_id)
 
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
@@ -85,19 +129,17 @@ class Tape:
         if np.asarray(lval).size != 1 or np.iscomplexobj(lval):
             raise ValueError("loss must be a real scalar")
         grads: dict[int, np.ndarray] = {loss.id: np.ones_like(np.asarray(lval, dtype=np.float64))}
+        owned: set[int] = set()
         for rec in reversed(self.records):
             g_out = grads.pop(rec.out, None)
             if g_out is None:
                 continue
             in_vals = [self.values[i] for i in rec.ins]
-            contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], rec.aux)
+            need = [self.needs_grad[i] for i in rec.ins]
+            contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], rec.aux, need)
             for node_id, contrib in zip(rec.ins, contribs):
-                if not np.iscomplexobj(self.values[node_id]) and np.iscomplexobj(contrib):
-                    contrib = contrib.real
-                if node_id in grads:
-                    grads[node_id] = grads[node_id] + contrib
-                else:
-                    grads[node_id] = contrib
+                if contrib is not None:
+                    self._accumulate(grads, owned, node_id, contrib)
         out = {}
         for node_id, name in self.trainable.items():
             g = grads.get(node_id)
@@ -105,6 +147,30 @@ class Tape:
                 g = np.zeros_like(self.values[node_id])
             out[name] = np.asarray(g)
         return out
+
+    def _accumulate(self, grads: dict, owned: set, node_id: int, contrib) -> None:
+        """Add one gradient contribution to node_id (see the module docstring)."""
+        fresh = False                   # contrib is a new array nothing else holds
+        while node_id in self.adjoint_of:
+            node_id = self.adjoint_of[node_id]
+            if isinstance(contrib, _Outer):
+                contrib = contrib.adjoint()
+            else:
+                contrib, fresh = _hermitian_copy(contrib), True
+        if isinstance(contrib, _Outer):
+            contrib, fresh = contrib.dense(), True
+        if np.iscomplexobj(contrib) and not np.iscomplexobj(self.values[node_id]):
+            contrib = contrib.real
+        cur = grads.get(node_id)
+        if cur is None:
+            grads[node_id] = contrib
+            if fresh:
+                owned.add(node_id)
+        elif node_id in owned:
+            np.add(cur, contrib, out=cur)
+        else:
+            grads[node_id] = cur + contrib
+            owned.add(node_id)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -122,14 +188,44 @@ def _bn_axes(x: np.ndarray) -> tuple:
     return tuple(range(x.ndim - 1))
 
 
+def _hermitian_copy(a: np.ndarray) -> np.ndarray:
+    """a^H as a new C-contiguous array."""
+    return np.conjugate(a.T, out=np.empty(a.T.shape, dtype=a.dtype))
+
+
+def _conv_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """x zero-padded by k//2 on both image axes, as rows [B*Hp, Wp*Ci]."""
+    b, h, w, c = x.shape
+    pad = k // 2
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    return xp.reshape(b * (h + 2 * pad), (w + 2 * pad) * c)
+
+
+def _conv_toeplitz(w: np.ndarray, width: int) -> np.ndarray:
+    """Kernel [k, k, Ci, Co] as the block-Toeplitz matrix [Wp*Ci, k*W*Co].
+
+    Entry [(j+dj)*Ci + c, (di*W + j)*Co + o] is w[di, dj, c, o].
+    """
+    k, _, ci, co = w.shape
+    t = np.zeros((width + k - 1, ci, k, width, co), dtype=w.dtype)
+    taps = w.transpose(1, 2, 0, 3)                      # [dj, c, di, o]
+    for j in range(width):
+        t[j:j + k, :, :, j] = taps
+    return t.reshape((width + k - 1) * ci, k * width * co)
+
+
 def _conv2d_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     k = w.shape[0]
     if w.shape[1] != k or k % 2 != 1:
         raise ValueError("conv kernels must be square with odd side")
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # [B,H,W,Ci,k,k]
-    return np.einsum("bhwcij,ijco->bhwo", win, w, optimize=True)
+    b, h, width, _ = x.shape
+    co = w.shape[3]
+    y = (_conv_rows(x, k) @ _conv_toeplitz(w, width)).reshape(b, h + k - 1, k, width * co)
+    out = y[:, :h, 0].copy()
+    for di in range(1, k):
+        out += y[:, di:di + h, di]
+    return out.reshape(b, h, width, co)
 
 
 def _soft_threshold_fwd(x, lam):
@@ -145,84 +241,111 @@ def _sum_abs2_fwd(x):
     return np.asarray(np.sum(sq))
 
 
-def _batch_norm_fwd(x, gamma, beta, eps):
+def _batch_norm_fwd(x, gamma, beta, aux):
+    """Batch-normalized x; leaves the per-channel mean and 1/std in aux."""
     axes = _bn_axes(x)
-    mu = x.mean(axis=axes)
-    var = x.var(axis=axes)
-    inv = 1.0 / np.sqrt(var + eps)
-    return gamma * ((x - mu) * inv) + beta
-
-
-def _bwd_add(g, ins, out, aux):
-    return [_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)]
-
-
-def _bwd_sub(g, ins, out, aux):
-    return [_unbroadcast(g, ins[0].shape), _unbroadcast(-g, ins[1].shape)]
-
-
-def _bwd_mul(g, ins, out, aux):
-    a, b = ins
-    return [_unbroadcast(g * np.conj(b), a.shape), _unbroadcast(g * np.conj(a), b.shape)]
-
-
-def _bwd_matmul(g, ins, out, aux):
-    a, b = ins
-    return [g @ np.conj(b).T, np.conj(a).T @ g]
-
-
-def _bwd_soft_threshold(g, ins, out, aux):
-    x, lam = ins
-    mag = np.abs(x)
-    active = mag > lam
-    safe = np.where(active, mag, 1.0)
-    if np.iscomplexobj(x):
-        gx = g * (1.0 - lam / (2.0 * safe)) + np.conj(g) * lam * x * x / (2.0 * safe ** 3)
-    else:
-        gx = g
-    gx = np.where(active, gx, 0.0)
-    glam = np.where(active, -np.real(np.conj(g) * x) / safe, 0.0)
-    return [gx, _unbroadcast(glam, np.asarray(lam).shape)]
-
-
-def _bwd_conv2d(g, ins, out, aux):
-    x, w = ins
-    k = w.shape[0]
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))
-    gw = np.einsum("bhwcij,bhwo->ijco", win, g, optimize=True)
-    w_rot = w[::-1, ::-1].transpose(0, 1, 3, 2)  # flip taps, swap in/out channels
-    gx = _conv2d_fwd(g, w_rot)
-    return [gx, gw]
-
-
-def _bwd_batch_norm(g, ins, out, aux):
-    x, gamma, beta = ins
-    axes = _bn_axes(x)
-    n = x.size // x.shape[-1]
     mu = x.mean(axis=axes)
     var = x.var(axis=axes)
     inv = 1.0 / np.sqrt(var + aux["eps"])
-    xh = (x - mu) * inv
+    aux["mu"], aux["inv"] = mu, inv
+    out = x - mu
+    out *= inv
+    out *= gamma
+    out += beta
+    return out
+
+
+# Each backward takes (g, operand values, output value, aux, need) and returns
+# one gradient per operand, None where need is false.
+
+def _bwd_add(g, ins, out, aux, need):
+    return [_unbroadcast(g, v.shape) if n else None for v, n in zip(ins, need)]
+
+
+def _bwd_sub(g, ins, out, aux, need):
+    return [_unbroadcast(g, ins[0].shape) if need[0] else None,
+            _unbroadcast(-g, ins[1].shape) if need[1] else None]
+
+
+def _bwd_mul(g, ins, out, aux, need):
+    a, b = ins
+    return [_unbroadcast(g * np.conj(b), a.shape) if need[0] else None,
+            _unbroadcast(g * np.conj(a), b.shape) if need[1] else None]
+
+
+def _bwd_matmul(g, ins, out, aux, need):
+    """dA = g b^H as factors; dB = a^H g, formed as (g^H a)^H so a is never copied."""
+    a, b = ins
+    return [_Outer(g, b) if need[0] else None,
+            _hermitian_copy(np.conj(g).T @ a) if need[1] else None]
+
+
+def _bwd_soft_threshold(g, ins, out, aux, need):
+    """With u = x/|x| and z = conj(u) g on the active set |x| > lam:
+    dx = u (Re z + j (1 - lam/|x|) Im z) and dlam = -Re z; both are 0 elsewhere."""
+    x, lam = ins
+    mag = np.abs(x)
+    inv = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > lam)
+    z = np.conj(x) * g
+    z *= inv
+    glam = _unbroadcast(-z.real, np.shape(lam)) if need[1] else None
+    if not need[0]:
+        return [None, glam]
+    if np.iscomplexobj(z):
+        z.imag *= 1.0 - lam * inv
+    z *= x
+    z *= inv
+    return [z, glam]
+
+
+def _bwd_conv2d(g, ins, out, aux, need):
+    x, w = ins
+    k = w.shape[0]
+    pad = k // 2
+    b, h, width, ci = x.shape
+    co = w.shape[3]
+    # gs[b, h', di] is the gradient padded row h' receives through kernel row di
+    gs = np.zeros((b, h + 2 * pad, k, width * co), dtype=g.dtype)
+    g_rows = g.reshape(b, h, width * co)
+    for di in range(k):
+        gs[:, di:di + h, di] = g_rows
+    gs = gs.reshape(b * (h + 2 * pad), k * width * co)
+    gx = gw = None
+    if need[0]:
+        gxp = (gs @ _conv_toeplitz(w, width).T).reshape(b, h + 2 * pad, width + 2 * pad, ci)
+        gx = np.ascontiguousarray(gxp[:, pad:pad + h, pad:pad + width])
+    if need[1]:
+        gt = (_conv_rows(x, k).T @ gs).reshape(width + 2 * pad, ci, k, width, co)
+        gw = gt[0:k, :, :, 0].copy()                    # [dj, c, di, o]
+        for j in range(1, width):
+            gw += gt[j:j + k, :, :, j]
+        gw = np.ascontiguousarray(gw.transpose(2, 0, 1, 3))
+    return [gx, gw]
+
+
+def _bwd_batch_norm(g, ins, out, aux, need):
+    x, gamma, beta = ins
+    axes = _bn_axes(x)
+    n = x.size // x.shape[-1]
+    inv = aux["inv"]
+    xh = (x - aux["mu"]) * inv
     gbeta = g.sum(axis=axes)
     ggamma = (g * xh).sum(axis=axes)
-    gx = gamma * inv * (g - gbeta / n - xh * (ggamma / n))
-    return [gx, ggamma, gbeta]
+    gx = gamma * inv * (g - gbeta / n - xh * (ggamma / n)) if need[0] else None
+    return [gx, ggamma if need[1] else None, gbeta if need[2] else None]
 
 
 _BACKWARD = {
     "add": _bwd_add,
     "sub": _bwd_sub,
     "mul": _bwd_mul,
-    "scale": lambda g, ins, out, aux: [np.conj(aux["c"]) * g],
+    "scale": lambda g, ins, out, aux, need: [np.conj(aux["c"]) * g],
     "matmul": _bwd_matmul,
-    "hermitian": lambda g, ins, out, aux: [np.conj(g.T)],
-    "relu": lambda g, ins, out, aux: [g * (ins[0] > 0)],
+    "relu": lambda g, ins, out, aux, need: [g * (ins[0] > 0)],
     "soft_threshold": _bwd_soft_threshold,
     "conv2d": _bwd_conv2d,
     "batch_norm": _bwd_batch_norm,
-    "sum_abs2": lambda g, ins, out, aux: [2.0 * g * ins[0]],
+    "sum_abs2": lambda g, ins, out, aux, need: [2.0 * g * ins[0]],
 }
 
 
@@ -276,8 +399,8 @@ def conv2d(x, w):
 
 
 def batch_norm(x, gamma, beta, eps: float = 1e-5):
-    return _op("batch_norm", lambda *v: _batch_norm_fwd(*v, eps), (x, gamma, beta),
-               {"eps": eps})
+    aux = {"eps": eps}
+    return _op("batch_norm", lambda *v: _batch_norm_fwd(*v, aux), (x, gamma, beta), aux)
 
 
 def sum_abs2(x):

@@ -19,9 +19,8 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, np.ndarray], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
+    state = AdamState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p)
         state.v[name] = np.zeros(p.shape, dtype=np.float64)
@@ -30,10 +29,12 @@ def adam_init(params: dict[str, np.ndarray], lr: float,
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> dict[str, np.ndarray]:
-    """One Adam update; returns new params, mutates moments/step in state.
+    """One Adam update; returns new params, updates moments/step in state in place.
 
     Complex parameters keep a complex first moment; the second moment tracks
-    |grad|^2 so the step is phase-equivariant.
+    |grad|^2 so the step is phase-equivariant. The in-place updates do the
+    operations of p - lr (m/bc1) / (sqrt(v/bc2) + eps) in the same order, so
+    the result is bit-identical to evaluating that expression.
     """
     state.step += 1
     t = state.step
@@ -42,8 +43,23 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     new_params = {}
     for name, p in params.items():
         g = grads[name]
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        g2 = (g.real ** 2 + g.imag ** 2) if np.iscomplexobj(g) else g ** 2
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g2
-        new_params[name] = p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m = state.m[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        if np.iscomplexobj(g):
+            g2 = g.real ** 2
+            g2 += g.imag ** 2
+        else:
+            g2 = g ** 2
+        v = state.v[name]
+        v *= state.beta2
+        g2 *= 1.0 - state.beta2
+        v += g2
+        step = np.divide(m, bc1, out=np.empty_like(m))      # arrays, also when 0-d
+        step *= state.lr
+        den = np.divide(v, bc2, out=np.empty_like(v))
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        new_params[name] = p - step
     return new_params

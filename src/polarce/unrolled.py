@@ -107,12 +107,13 @@ def spectral_norm_sq(Psi: np.ndarray) -> float:
 
 
 def lista_init(E: np.ndarray, F_cas: np.ndarray, cfg: Stage2Config,
-               probe_P: np.ndarray | None = None) -> ListaParams:
+               probe_P: np.ndarray) -> ListaParams:
     """Classic-ISTA initialization: V = E, Ftil = dictionary, safe step,
-    thresholds calibrated on the layer-1 coefficient scale."""
+    thresholds calibrated on the layer-1 coefficient scale of the [tau, n]
+    probe observations (zero thresholds for an empty probe)."""
     Psi = E.conj().T @ F_cas
     kappa0 = 1.0 / spectral_norm_sq(Psi)
-    if probe_P is not None and probe_P.size:
+    if probe_P.size:
         peaks = np.max(np.abs(Psi.conj().T @ probe_P), axis=0)
         lam0 = cfg.lam_scale * kappa0 * float(np.mean(peaks))
     else:

@@ -60,22 +60,14 @@ def rel_err(a, b) -> float:
 
 
 def conv2d_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same-padded cross-correlation, written as explicit loops."""
+    """Same-padded cross-correlation, summed tap by tap over shifted images."""
     b, hh, ww, ci = x.shape
     k = w.shape[0]
-    co = w.shape[3]
     pad = k // 2
     xp = np.zeros((b, hh + 2 * pad, ww + 2 * pad, ci), dtype=x.dtype)
     xp[:, pad:pad + hh, pad:pad + ww, :] = x
-    out = np.zeros((b, hh, ww, co), dtype=np.result_type(x, w))
-    for bi in range(b):
-        for i in range(hh):
-            for j in range(ww):
-                for o in range(co):
-                    acc = 0.0
-                    for di in range(k):
-                        for dj in range(k):
-                            for c in range(ci):
-                                acc = acc + xp[bi, i + di, j + dj, c] * w[di, dj, c, o]
-                    out[bi, i, j, o] = acc
+    out = np.zeros((b, hh, ww, w.shape[3]), dtype=np.result_type(x, w))
+    for di in range(k):
+        for dj in range(k):
+            out += xp[:, di:di + hh, dj:dj + ww, :] @ w[di, dj]
     return out

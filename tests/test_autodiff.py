@@ -100,11 +100,22 @@ class TestFiniteDifference:
                  lambda v: float(np.sum(np.abs(self._soft_np(x, v["lam"])) ** 2)),
                  arrays)
 
-    def test_conv2d(self, rng):
-        arrays = {"x": rng.standard_normal((2, 4, 4, 2)),
-                  "w": rng.standard_normal((3, 3, 2, 3)) * 0.5}
-        check_op(lambda t, n: ad.sum_abs2(ad.conv2d(n["x"], n["w"])),
-                 lambda v: float(np.sum(conv2d_reference(v["x"], v["w"]) ** 2)),
+    @pytest.mark.parametrize("x_shape, w_shape, x_trainable", [
+        ((2, 4, 4, 2), (3, 3, 2, 3), True),
+        ((2, 7, 3, 2), (3, 3, 2, 3), True),
+        ((2, 5, 1, 2), (3, 3, 2, 2), True),
+        ((1, 5, 3, 2), (3, 3, 2, 4), True),
+        ((1, 6, 4, 1), (5, 5, 1, 2), True),
+        ((2, 7, 3, 2), (3, 3, 2, 3), False),
+    ], ids=["square", "tall-narrow", "width-1", "2-to-4-channels", "kernel-5",
+            "plain-input"])
+    def test_conv2d(self, rng, x_shape, w_shape, x_trainable):
+        x = rng.standard_normal(x_shape)
+        arrays = {"w": rng.standard_normal(w_shape) * 0.5}
+        if x_trainable:
+            arrays["x"] = x
+        check_op(lambda t, n: ad.sum_abs2(ad.conv2d(n.get("x", x), n["w"])),
+                 lambda v: float(np.sum(conv2d_reference(v.get("x", x), v["w"]) ** 2)),
                  arrays, rtol=3e-5)
 
     def test_batch_norm(self, rng):
@@ -246,6 +257,29 @@ class TestTapeMechanics:
         assert isinstance(node, ad.Node) and len(tape.records) == 1
         np.testing.assert_array_equal(node.value, out)
         np.testing.assert_array_equal(ad.value(node), ad.value(out))
+
+    def test_constants_get_no_gradient(self, rng, monkeypatch):
+        received = []
+        accumulate = ad.Tape._accumulate
+
+        def spy(self, grads, owned, node_id, contrib):
+            received.append(node_id)
+            accumulate(self, grads, owned, node_id, contrib)
+
+        monkeypatch.setattr(ad.Tape, "_accumulate", spy)
+        tape = ad.Tape()
+        w = tape.leaf(rng.standard_normal((3, 3, 2, 2)), trainable=True, name="w")
+        a = tape.leaf(crandn(rng, 4, 3), trainable=True, name="a")
+        loss = ad.add(ad.sum_abs2(ad.sub(ad.conv2d(rng.standard_normal((1, 4, 3, 2)), w),
+                                         rng.standard_normal((1, 4, 3, 2)))),
+                      ad.sum_abs2(ad.matmul(ad.hermitian(crandn(rng, 4, 5)),
+                                            ad.matmul(a, crandn(rng, 3, 2)))))
+        tape.backward(loss)
+        constants = [i for i, v in enumerate(tape.values)
+                     if not tape.needs_grad[i]]
+        assert len(constants) == 4               # the four plain operands
+        assert received and not set(received) & set(constants)
+        assert {w.id, a.id} <= set(received)
 
     def test_grad_accumulates_over_reuse(self, rng):
         x = crandn(rng, 3)

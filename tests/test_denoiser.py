@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import polarce.autodiff as ad
 from polarce.channel import draw_scene, simulate_pilots
 from polarce.denoiser import (
-    Stage1Config, denoise, init_denoiser, make_stage1_dataset, row_energy,
-    select_support, stage1_loss, train_stage1,
+    Stage1Config, _residual_loss, denoise, denoiser_forward, init_denoiser,
+    make_stage1_dataset, row_energy, select_support, stage1_loss, train_stage1,
 )
 from polarce.rng import substream
+
+from helpers import assert_grads_close, conv2d_reference, numeric_grads
 
 TINY = Stage1Config(layers=3, width=4, kernel=3, lr=1e-3, batch=8, episodes=4,
                     train_size=32, val_size=8)
@@ -101,6 +104,37 @@ class TestDenoise:
     def test_too_few_layers_rejected(self):
         with pytest.raises(ValueError):
             init_denoiser(Stage1Config(layers=1), substream(0, "x"))
+
+
+class TestDenoiserGradients:
+    def test_training_loss_matches_finite_differences(self, rng):
+        cfg = Stage1Config(layers=4, width=4, kernel=3, bn_eps=1e-3)
+        dp = init_denoiser(cfg, substream(2, "init"))
+        params = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in dp.params.items()}
+        x = rng.standard_normal((2, 6, 3, 2))
+        target = rng.standard_normal((2, 6, 3, 2))
+
+        def mirror(v):
+            # conv, batch-stat BN and ReLU written out, independent of the tape
+            h = np.maximum(conv2d_reference(x, v["conv0_w"]) + v["conv0_b"], 0.0)
+            for i in range(1, cfg.layers - 1):
+                z = conv2d_reference(h, v[f"conv{i}_w"])
+                mu, var = z.mean(axis=(0, 1, 2)), z.var(axis=(0, 1, 2))
+                z = v[f"bn{i}_gamma"] * (z - mu) / np.sqrt(var + cfg.bn_eps) + v[f"bn{i}_beta"]
+                h = np.maximum(z, 0.0)
+            out = conv2d_reference(h, v[f"conv{cfg.layers - 1}_w"])
+            return float(np.sum((out - target) ** 2) / (2.0 * x.shape[0]))
+
+        dp.params = {k: v.copy() for k, v in params.items()}
+        tape = ad.Tape()
+        out, _ = denoiser_forward(x, dp, training=True, tape=tape)
+        loss = _residual_loss(out, target)
+        assert float(loss.value) == pytest.approx(mirror(params), rel=1e-12)
+        grads = tape.backward(loss)
+        assert_grads_close(grads, numeric_grads(mirror, params), rtol=3e-5)
+        # the data input is a constant of the tape; nothing flows back to it
+        x_leaf = tape.records[0].ins[0]
+        assert not tape.needs_grad[x_leaf] and x_leaf not in tape.trainable
 
 
 class TestSupportSelection:

@@ -1,5 +1,6 @@
 """Subspace projection, ISTA, the unrolled network, and stage-2 training."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,7 +122,8 @@ class TestListaInit:
         np.testing.assert_array_equal(lp.F, small_cas_dict.F)
 
     def test_no_probe_gives_zero_threshold(self, small_E, small_cas_dict):
-        lp = lista_init(small_E, small_cas_dict.F, Stage2Config(layers=2))
+        empty = np.zeros((small_E.shape[1], 0), dtype=complex)
+        lp = lista_init(small_E, small_cas_dict.F, Stage2Config(layers=2), probe_P=empty)
         assert np.all(lp.lam == 0.0)
 
 
@@ -213,6 +215,26 @@ class TestListaForward:
         grads = tape.backward(loss)
         want = numeric_grads(mirror, arrays)
         assert_grads_close(grads, want, rtol=2e-5)
+
+
+    def test_backward_peak_memory(self):
+        # Measured: 3.03 F-sized buffers (the F gradient, one rank-32 product
+        # being added into it, and half-size [Gc, B] temporaries); 5.43 when
+        # every contribution was a new array and hermitian copied F. Stacking
+        # the 12 rank-32 factor pairs of the F gradient alone takes 6.
+        rng = np.random.default_rng(3)
+        E, lp = _random_lista(rng, 64, 16, 2000, 6, lam=0.01)
+        P, X = crandn(rng, 16, 32), crandn(rng, 64, 32)
+        tape = ad.Tape()
+        loss = _path_loss(lista_forward(P, lp, E, tape=tape), X)
+        tracemalloc.start()
+        try:
+            grads = tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads["F"].shape == lp.F.shape
+        assert peak <= 3.5 * lp.F.nbytes, f"peak {peak / lp.F.nbytes:.2f} F-sized buffers"
 
 
 class TestStage2Dataset:
