@@ -131,16 +131,14 @@ def cmd_build_dict(args) -> int:
         "bs_grid_size": len(bs.grid),
         "ris_grid_size": len(single.grid),
         "cascaded_size": cas.F.shape[1],
-        "pair_count": int(cas.pair_to_col.size),
+        "pair_count": len(single.grid) ** 2,
     }
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         digest = container.save_container(
             out,
-            {"F_bs": bs.F, "F_cas": cas.F, "col_scale": cas.col_scale,
-             "delta_sin": cas.delta_sin, "delta_curv": cas.delta_curv,
-             "pair_to_col": cas.pair_to_col.astype(np.float64)},
+            {"F_bs": bs.F, "F_cas": cas.F, "delta_sin": cas.delta_sin, "delta_curv": cas.delta_curv},
             meta={"kind": "dictionaries", "config": harness.config_to_dict(cfg)})
         info.update({"written": str(out), "sha256": digest})
     _emit(info)

@@ -27,6 +27,8 @@ __all__ = [
     "select_support",
 ]
 
+_CHANNELS = 2            # real and imaginary parts of the row image
+
 
 @dataclass(frozen=True)
 class Stage1Config:
@@ -67,8 +69,7 @@ def row_energy(Y: np.ndarray, bs: PolarDictionary) -> np.ndarray:
     return bs.F.conj().T @ Y.mean(axis=1)
 
 
-def init_denoiser(cfg: Stage1Config, rng: np.random.Generator,
-                  in_channels: int = 2) -> DenoiserParams:
+def init_denoiser(cfg: Stage1Config, rng: np.random.Generator) -> DenoiserParams:
     """Fan-in scaled Gaussian init; the final layer starts at zero so an
     untrained denoiser is the identity."""
     if cfg.layers < 2:
@@ -81,7 +82,7 @@ def init_denoiser(cfg: Stage1Config, rng: np.random.Generator,
         std = math.sqrt(2.0 / (k * k * cin))
         return rng.standard_normal((k, k, cin, cout)) * std
 
-    params["conv0_w"] = conv_init(in_channels, w)
+    params["conv0_w"] = conv_init(_CHANNELS, w)
     params["conv0_b"] = np.zeros(w)
     for i in range(1, cfg.layers - 1):
         params[f"conv{i}_w"] = conv_init(w, w)
@@ -89,7 +90,7 @@ def init_denoiser(cfg: Stage1Config, rng: np.random.Generator,
         params[f"bn{i}_beta"] = np.zeros(w)
         buffers[f"bn{i}_mean"] = np.zeros(w)
         buffers[f"bn{i}_var"] = np.ones(w)
-    params[f"conv{cfg.layers - 1}_w"] = np.zeros((k, k, w, in_channels))
+    params[f"conv{cfg.layers - 1}_w"] = np.zeros((k, k, w, _CHANNELS))
     return DenoiserParams(config=cfg, params=params, buffers=buffers)
 
 

@@ -23,11 +23,13 @@ class VectorizedProblem:
     F_bs: np.ndarray                  # [N, N_G] unit columns
     Psi: np.ndarray                   # [tau, Gc] = E^H F_cas
     col_norms: np.ndarray             # [Gc] atom norms, = ||Psi[:, j]||
+    corr: np.ndarray                  # [N_G, Gc] correlate's output, reused by every scan
 
     @classmethod
     def build(cls, F_bs: np.ndarray, F_cas: np.ndarray, E: np.ndarray):
         Psi = E.conj().T @ F_cas
-        return cls(F_bs=F_bs, Psi=Psi, col_norms=np.linalg.norm(Psi, axis=0))
+        return cls(F_bs=F_bs, Psi=Psi, col_norms=np.linalg.norm(Psi, axis=0),
+                   corr=np.empty((F_bs.shape[1], Psi.shape[1]), dtype=np.complex128))
 
     def column(self, i: int, j: int) -> np.ndarray:
         """Explicit atom for pair (i, j), column-major vec."""
@@ -35,8 +37,8 @@ class VectorizedProblem:
         return np.outer(self.F_bs[:, i], w).reshape(-1, order="F")
 
     def correlate(self, R: np.ndarray) -> np.ndarray:
-        """A^H vec(R) for all atoms at once, shaped [N_G, Gc]."""
-        return self.F_bs.conj().T @ R @ self.Psi
+        """A^H vec(R) for all atoms at once, shaped [N_G, Gc]; overwrites self.corr."""
+        return np.matmul(self.F_bs.conj().T @ R, self.Psi, out=self.corr)
 
 
 @dataclass
@@ -90,10 +92,12 @@ def _pursuit(y: np.ndarray, scores, atom, sparsity: int):
 def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int) -> OmpResult:
     """Orthogonal matching pursuit on the implicit design."""
     gc = problem.Psi.shape[1]
+    score = np.empty(problem.corr.shape)
 
     def scores(r):
         R = r.reshape(Y.shape, order="F")
-        return np.abs(problem.correlate(R)) / problem.col_norms
+        np.abs(problem.correlate(R), out=score)
+        return np.divide(score, problem.col_norms, out=score)
 
     support, coeffs, rnorm, ridge_used = _pursuit(
         Y.reshape(-1, order="F"), scores,

@@ -8,8 +8,9 @@ column is indexed by the pair (sin, curvature) on a separable lattice.
 
 A cascaded column is the elementwise product of a departure column and a
 conjugated arrival column; its phase profile depends only on the parameter
-differences (d_sin, d_curv). Deduplicating those canonical tuples yields the
-reduced product dictionary without materializing all pairs.
+differences (d_sin, d_curv), i.e. on the pair's angle-index difference and
+ring difference. The cascaded dictionary enumerates those difference classes
+directly, one column per class, and never forms the G x G table of pairs.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SceneRealization, SystemConfig, steering_vector
+from .channel import SceneRealization, SystemConfig, element_offsets, steering_vector
 
 __all__ = [
     "GridConfig", "PolarGrid", "PolarDictionary", "CascadedDictionary",
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 SIN60 = math.sqrt(3.0) / 2.0
+_KEY_TOL = 1e-6                       # rounding step of the (d_sin, d_curv) class keys
+_GRAM_BLOCK = 512                     # gram columns per block; the full paper gram is 660 MB
 
 
 @dataclass(frozen=True)
@@ -64,13 +67,6 @@ class PolarGrid:
     def __len__(self):
         return self.sin_angles.size
 
-    @property
-    def curvatures(self) -> np.ndarray:
-        """(1 - sin^2)/(2 r); exactly rings/(2 z_delta) on this grid."""
-        with np.errstate(divide="ignore"):
-            c = (1.0 - self.sin_angles ** 2) / (2.0 * self.distances)
-        return np.where(np.isinf(self.distances), 0.0, c)
-
 
 @dataclass
 class PolarDictionary:
@@ -87,26 +83,30 @@ class PolarDictionary:
 class CascadedDictionary:
     """Deduplicated elementwise products of departure x conjugate(arrival) columns.
 
-    Columns are unit norm; col_scale restores the raw product
-    (F_dep[:, l] * conj(F_arr[:, p]) == col_scale[j] * F[:, j]). pair_to_col
-    maps every (l, p) grid pair to its canonical column.
+    Column j is the unit-norm phase profile of the class (delta_sin[j],
+    delta_curv[j]). Every steering entry has modulus 1/sqrt(size), so one
+    scalar restores every raw product:
+    F_dep[:, l] * conj(F_arr[:, p]) == col_scale * F[:, column(l, p)].
     """
 
     F: np.ndarray                     # [size, Gc]
-    col_scale: np.ndarray             # [Gc]
+    col_scale: float                  # 1/sqrt(size)
     delta_sin: np.ndarray             # [Gc] canonical tuple, wrapped
     delta_curv: np.ndarray            # [Gc]
-    pair_to_col: np.ndarray           # [G, G] int
     source: PolarDictionary
+
+    def column(self, l: int, p: int) -> int:
+        """Column of the departure/arrival grid pair (l, p): its nearest class."""
+        grid = self.source.grid
+        ds = _wrap_delta_sin(self.delta_sin - grid.sin_angles[l] + grid.sin_angles[p], self.source)
+        dc = self.delta_curv - (grid.rings[l] - grid.rings[p]) / (2.0 * grid.z_delta)
+        return int(np.argmin(ds * ds + dc * dc))
 
 
 @dataclass
 class CoherenceProfile:
     max_off: float
     mean_off: float
-    hist: np.ndarray
-    edges: np.ndarray
-    was_normalized: bool
 
 
 @dataclass
@@ -133,13 +133,9 @@ def sample_polar_grid(size: int, wavelength: float, spacing: float,
     sins = config.sin_lo + (g + 0.5) * (config.sin_hi - config.sin_lo) / config.angle_count
     sin_list, dist_list, ring_list = [], [], []
     for u in sins:
-        if config.include_far:
-            sin_list.append(u)
-            dist_list.append(math.inf)
-            ring_list.append(0)
-        s = 1
+        s = 0 if config.include_far else 1
         while config.ring_limit is None or s <= config.ring_limit:
-            r = z_delta * (1.0 - u * u) / s
+            r = math.inf if s == 0 else z_delta * (1.0 - u * u) / s
             if r < config.distance_min:
                 break
             sin_list.append(u)
@@ -163,58 +159,60 @@ def build_dictionary(size: int, wavelength: float, spacing: float,
                            wavelength=wavelength, spacing=spacing)
 
 
-def _wrap_delta_sin(ds: np.ndarray, wavelength: float, spacing: float) -> np.ndarray:
+def _wrap_delta_sin(ds: np.ndarray, single: PolarDictionary) -> np.ndarray:
     """Reduce sin differences modulo the element phase period lambda/spacing."""
-    period = wavelength / spacing
+    period = single.wavelength / single.spacing
     return (ds + period / 2.0) % period - period / 2.0
 
 
-def build_cascaded_dictionary(single: PolarDictionary, tol: float = 1e-6) -> CascadedDictionary:
-    grid = single.grid
-    u = grid.sin_angles
-    c = grid.curvatures
-    ds = _wrap_delta_sin(u[:, None] - u[None, :], single.wavelength, single.spacing)
-    dc = c[:, None] - c[None, :]
-    keys = np.stack([np.round(ds / tol), np.round(dc / tol)], axis=-1).reshape(-1, 2)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    # representative pair per canonical tuple = lowest flat (l, p) index
-    l_idx, p_idx = np.unravel_index(first, ds.shape)
-    cols = single.F[:, l_idx] * np.conj(single.F[:, p_idx])
-    norms = np.linalg.norm(cols, axis=0)
-    return CascadedDictionary(
-        F=cols / norms,
-        col_scale=norms,
-        delta_sin=ds.reshape(-1)[first],
-        delta_curv=dc.reshape(-1)[first],
-        pair_to_col=inverse.reshape(ds.shape).astype(np.int64),
-        source=single,
-    )
+def build_cascaded_dictionary(single: PolarDictionary) -> CascadedDictionary:
+    """One unit column per (d_sin, d_curv) class of the departure/arrival grid pairs.
+
+    Angle g holds rings low..top(g). Over the angle pairs at difference dg the
+    ring differences fill [low - max top(arrival), max top(departure) - low].
+    Rounded keys merge classes whose sin offsets alias; columns are in key order.
+    """
+    grid, cfg = single.grid, single.grid.config
+    count, low = cfg.angle_count, 0 if cfg.include_far else 1
+    step = (cfg.sin_hi - cfg.sin_lo) / count
+    top = np.full(3 * count, -1)                # top ring of angle g at count + g, -1 if none
+    angle = np.rint((grid.sin_angles - cfg.sin_lo) / step - 0.5).astype(int)
+    np.maximum.at(top, count + angle, grid.rings)
+    dep, classes = top[count:2 * count], []
+    for dg in range(1 - count, count):
+        arr = top[count - dg:2 * count - dg]    # arr[g] = top of angle g - dg
+        both = (dep >= low) & (arr >= low)
+        if both.any():
+            classes += [(dg, dr) for dr in range(low - arr[both].max(), dep[both].max() - low + 1)]
+    d_angle, d_ring = np.array(classes).T
+    d_sin = _wrap_delta_sin(d_angle * step, single)
+    d_curv = d_ring / (2.0 * grid.z_delta)
+    keys = np.stack([np.round(d_sin / _KEY_TOL), np.round(d_curv / _KEY_TOL)], axis=1)
+    first = np.unique(keys, axis=0, return_index=True)[1]
+    d_sin, d_curv = d_sin[first], d_curv[first]
+    x = element_offsets(single.size) * single.spacing
+    F = (np.outer(x * x, d_curv) - np.outer(x, d_sin)) * (-2j * math.pi / single.wavelength)
+    scale = 1.0 / math.sqrt(single.size)
+    F = np.multiply(np.exp(F, out=F), scale, out=F)
+    return CascadedDictionary(F=F, col_scale=scale, delta_sin=d_sin,
+                              delta_curv=d_curv, source=single)
 
 
-def coherence_profile(F: np.ndarray, bins: int = 50, block: int = 512) -> CoherenceProfile:
-    """Off-diagonal |gram| statistics of a column dictionary."""
-    norms = np.linalg.norm(F, axis=0)
-    was_normalized = not np.allclose(norms, 1.0, atol=1e-9)
-    Fn = F / norms
+def coherence_profile(F: np.ndarray) -> CoherenceProfile:
+    """Off-diagonal |gram| statistics of a column dictionary, gram built in blocks."""
+    Fn = F / np.linalg.norm(F, axis=0)
     n = Fn.shape[1]
-    hist = np.zeros(bins, dtype=np.int64)
-    edges = np.linspace(0.0, 1.0, bins + 1)
     max_off, total, count = 0.0, 0.0, 0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, _GRAM_BLOCK):
+        hi = min(lo + _GRAM_BLOCK, n)
         g = np.abs(Fn[:, lo:hi].conj().T @ Fn)
-        for row, col in enumerate(range(lo, hi)):
-            g[row, col] = np.nan
-        vals = g[~np.isnan(g)]
-        vals = np.minimum(vals, 1.0)            # clip fp overshoot at duplicates
-        hist += np.histogram(vals, bins=edges)[0]
-        if vals.size:
-            max_off = max(max_off, float(vals.max()))
-            total += float(vals.sum())
-            count += vals.size
+        g[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
+        vals = np.minimum(g[~np.isnan(g)], 1.0)     # clip fp overshoot at duplicates
+        max_off = max(max_off, float(vals.max(initial=0.0)))
+        total += float(vals.sum())
+        count += vals.size
     mean_off = total / count if count else 0.0
-    return CoherenceProfile(max_off=max_off, mean_off=mean_off, hist=hist,
-                            edges=edges, was_normalized=was_normalized)
+    return CoherenceProfile(max_off=max_off, mean_off=mean_off)
 
 
 def nearest_grid_index(grid: PolarGrid, angle: float, distance: float) -> int:
@@ -230,8 +228,7 @@ def nearest_grid_index(grid: PolarGrid, angle: float, distance: float) -> int:
 def synthesize_cascaded(bs: PolarDictionary, cas: CascadedDictionary,
                         Lam: np.ndarray) -> np.ndarray:
     """G = F_bs @ Lam @ raw(F_cas)^H with Lam in the raw-column scale."""
-    raw = cas.F * cas.col_scale
-    return bs.F @ Lam @ raw.conj().T
+    return cas.col_scale * (bs.F @ Lam @ cas.F.conj().T)
 
 
 def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
@@ -259,7 +256,7 @@ def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
     atoms = []                                   # (bs grid idx, cascaded col) pairs
     for l, (pb, gi) in enumerate(zip(scene.bridge_bs, bs_idx)):
         for p, pu in enumerate(scene.users[0]):
-            col = cas.pair_to_col[dep_idx[l], arr_idx[p]]
+            col = cas.column(dep_idx[l], arr_idx[p])
             Lam[gi, col] += pb.gain * pu.gain
             B[col, l] += np.conj(pu.gain) * np.conj(pb.gain)
             atoms.append((gi, col))
@@ -273,8 +270,7 @@ def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
     coding = float(np.linalg.norm(G - synthesize_cascaded(bs, cas, Lam)) / np.linalg.norm(G))
 
     atoms = sorted(set(atoms))
-    raw = cas.F * cas.col_scale
-    design = np.stack([np.outer(bs.F[:, gi], raw[:, col].conj()).reshape(-1)
+    design = np.stack([np.outer(bs.F[:, gi], cas.col_scale * cas.F[:, col].conj()).reshape(-1)
                        for gi, col in atoms], axis=1)
     coeff, *_ = np.linalg.lstsq(design, G.reshape(-1), rcond=None)
     floor = float(np.linalg.norm(G.reshape(-1) - design @ coeff) / np.linalg.norm(G))

@@ -193,7 +193,7 @@ class TestBuildDict:
         assert meta["kind"] == "dictionaries"
         assert arrays["F_bs"].shape == (4, 12)
         assert arrays["F_cas"].shape == (8, 7)
-        assert arrays["pair_to_col"].shape == (4, 4)
+        assert set(arrays) == {"F_bs", "F_cas", "delta_sin", "delta_curv"}
 
 
 class TestSimulate:

@@ -1,4 +1,5 @@
-"""Every function, class and method of the package has a caller outside the tests.
+"""Every function, class, method and defaulted parameter of the package is used
+outside the tests.
 
 A definition counts as called when its name is loaded, or read as an
 attribute, anywhere in `src/polarce` or `perfbench/` outside its own body.
@@ -6,6 +7,11 @@ Dotted string constants such as the tracer targets of `perfbench/layers.py`
 ("omp.VectorizedProblem.correlate") count too, one reference per component.
 The check is by name, so a method that shares its name with any attribute
 read elsewhere passes; it catches what nothing names at all.
+
+A parameter with a default counts as set when some call in the same sources
+to a function of that name passes it, by keyword or by position (a `*` or
+`**` argument passes everything it could reach). A default that no call
+overrides is a knob with one value in use.
 """
 import ast
 import re
@@ -25,6 +31,13 @@ ALLOWED = {
                                  "its projection floor; the oracle for the "
                                  "polar dictionaries and for error-attribution "
                                  "diagnostics",
+}
+
+
+# defaulted parameters that only tests set
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "the command line when None; tests pass their argv",
+    "unrolled.ista_core(tol)": "stopping tolerance of the test oracle",
 }
 
 
@@ -70,3 +83,57 @@ def test_every_definition_has_a_caller():
     assert sorted(dead - set(ALLOWED)) == []
     # an oracle that gains a caller leaves the list
     assert sorted(set(ALLOWED) - dead) == []
+
+
+def _defaulted(tree):
+    """(function name, parameter, position or None) of every defaulted parameter.
+
+    The position counts the arguments a caller writes, so a method's self
+    or cls is not counted; keyword-only parameters have none.
+    """
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if id(node) in methods and not static else 0
+        for i, arg in enumerate(positional[len(positional) - len(node.args.defaults):],
+                                len(positional) - len(node.args.defaults)):
+            yield node.name, arg.arg, i - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unset_defaults() -> set[str]:
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for path in SOURCES:
+        for fname, param, position in _defaulted(ast.parse(path.read_text(), str(path))):
+            if not any(_passes(c, param, position) for c in calls.get(fname, [])):
+                unset.add(f"{path.stem}.{fname}({param})")
+    return unset
+
+
+def test_every_default_is_overridden_somewhere():
+    unset = _unset_defaults()
+    assert sorted(unset - set(ALLOWED_DEFAULTS)) == []
+    assert sorted(set(ALLOWED_DEFAULTS) - unset) == []

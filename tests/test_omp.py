@@ -143,7 +143,7 @@ class TestOmp:
         power = 2.5
         lam0 = 0.8 - 0.4j
         i, j = 9, 17
-        raw_col = small_cas_dict.F[:, j] * small_cas_dict.col_scale[j]
+        raw_col = small_cas_dict.F[:, j] * small_cas_dict.col_scale
         G = lam0 * np.outer(small_bs_dict.F[:, i], np.conj(raw_col))
         Y = math.sqrt(power) * (G @ small_E)
         res = omp(Y, problem, 1)

@@ -1,5 +1,6 @@
 """Polar grids, steering dictionaries, cascaded dedup, and scene coding."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,23 @@ from polarce.polar import (
 from polarce.rng import substream
 
 LAM = C_LIGHT / 30e9
+
+
+# the cascaded lattice's edge cases: aliasing on a full-range sin grid, angles
+# without rings, a ring cap, an asymmetric sin range and a single angle
+LATTICE_GRIDS = {
+    "ringed": (16, GridConfig(angle_count=4, distance_min=0.05)),
+    "full-range": (16, GridConfig(angle_count=16, sin_lo=-1.0, sin_hi=1.0,
+                                  distance_min=0.05)),
+    "full-range-odd": (15, GridConfig(angle_count=13, sin_lo=-1.0, sin_hi=1.0,
+                                      distance_min=0.05)),
+    "no-far": (16, GridConfig(angle_count=8, sin_lo=-0.99, sin_hi=0.99,
+                              distance_min=0.1, include_far=False)),
+    "ring-limit": (16, GridConfig(angle_count=6, distance_min=0.05, ring_limit=2)),
+    "asymmetric": (16, GridConfig(angle_count=5, sin_lo=-0.3, sin_hi=0.9,
+                                  distance_min=0.05)),
+    "one-angle": (16, GridConfig(angle_count=1, distance_min=0.05)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +98,11 @@ class TestGridSampling:
             assert g.rings[lo] == 0 and np.isinf(g.distances[lo])
 
     def test_curvature_is_ring_over_depth(self, ringed_dict):
+        # the cascaded lattice rests on (1 - sin^2)/(2 r) == ring/(2 z_delta)
         g = ringed_dict.grid
-        np.testing.assert_allclose(g.curvatures, g.rings / (2 * g.z_delta),
-                                   rtol=1e-12, atol=1e-18)
+        near = g.rings > 0
+        curv = (1 - g.sin_angles[near] ** 2) / (2 * g.distances[near])
+        np.testing.assert_allclose(curv, g.rings[near] / (2 * g.z_delta), rtol=1e-12)
 
     def test_ring_limit_caps_rings(self):
         cfg = GridConfig(angle_count=4, distance_min=0.05, ring_limit=1)
@@ -146,8 +166,11 @@ class TestCascadedDictionary:
         cas = build_cascaded_dictionary(d)
         assert cas.F.shape[1] == 2 * len(d.grid) - 1
 
-    def test_dedup_matches_brute_force_column_classes(self, ringed_dict, ringed_cas):
-        F = ringed_dict.F
+    @pytest.mark.parametrize("size, cfg", LATTICE_GRIDS.values(), ids=LATTICE_GRIDS.keys())
+    def test_dedup_matches_brute_force_column_classes(self, size, cfg):
+        d = build_dictionary(size, LAM, LAM / 2, cfg)
+        cas = build_cascaded_dictionary(d)
+        F = d.F
         G = F.shape[1]
         reps: list[np.ndarray] = []
         for l in range(G):
@@ -155,33 +178,50 @@ class TestCascadedDictionary:
                 c = F[:, l] * np.conj(F[:, p])
                 if not any(np.max(np.abs(c - r)) < 1e-8 for r in reps):
                     reps.append(c)
-        assert ringed_cas.F.shape[1] == len(reps)
+        assert cas.F.shape[1] == len(reps)
+        # every brute-force class is one column, up to the common scale
+        for r in reps:
+            assert np.min(np.abs(r[:, None] - cas.col_scale * cas.F).max(axis=0)) < 1e-9
 
     def test_every_pair_reconstructs_exactly(self, ringed_dict, ringed_cas):
         F = ringed_dict.F
         G = F.shape[1]
-        l, p = np.meshgrid(np.arange(G), np.arange(G), indexing="ij")
-        raw = F[:, l.ravel()] * np.conj(F[:, p.ravel()])
-        j = ringed_cas.pair_to_col[l.ravel(), p.ravel()]
-        want = ringed_cas.col_scale[j] * ringed_cas.F[:, j]
-        assert np.max(np.abs(raw - want)) < 1e-9
+        for l in range(G):
+            for p in range(G):
+                want = ringed_cas.col_scale * ringed_cas.F[:, ringed_cas.column(l, p)]
+                assert np.max(np.abs(F[:, l] * np.conj(F[:, p]) - want)) < 1e-9
 
     def test_pair_map_shape_and_range(self, ringed_dict, ringed_cas):
         G = ringed_dict.F.shape[1]
-        assert ringed_cas.pair_to_col.shape == (G, G)
-        assert ringed_cas.pair_to_col.min() == 0
-        assert ringed_cas.pair_to_col.max() == ringed_cas.F.shape[1] - 1
+        cols = {ringed_cas.column(l, p) for l in range(G) for p in range(G)}
         # every canonical column is hit by at least one pair
-        assert len(np.unique(ringed_cas.pair_to_col)) == ringed_cas.F.shape[1]
+        assert cols == set(range(ringed_cas.F.shape[1]))
+
+    def test_scale_is_one_over_root_size(self, ringed_dict, ringed_cas):
+        F = ringed_dict.F
+        raw = F[:, :, None] * np.conj(F[:, None, :])
+        np.testing.assert_allclose(np.linalg.norm(raw, axis=0), ringed_cas.col_scale,
+                                   rtol=1e-12)
+        assert ringed_cas.col_scale == 1.0 / math.sqrt(16)
 
     def test_diagonal_pairs_share_the_dc_column(self, ringed_dict, ringed_cas):
         G = ringed_dict.F.shape[1]
-        far = np.flatnonzero(ringed_dict.grid.rings == 0)
-        cols = {int(ringed_cas.pair_to_col[j, j]) for j in far}
+        cols = {ringed_cas.column(j, j) for j in range(G)}
         assert len(cols) == 1
         j0 = cols.pop()
         assert ringed_cas.delta_sin[j0] == pytest.approx(0.0, abs=1e-12)
         assert ringed_cas.delta_curv[j0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_build_peak_memory(self):
+        # desk-size RIS grid: the build holds no G x G pair table
+        d = build_dictionary(64, LAM, LAM / 2, GridConfig(angle_count=64, distance_min=1.0))
+        tracemalloc.start()
+        try:
+            cas = build_cascaded_dictionary(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * cas.F.nbytes
 
 
 class TestCoherenceProfile:
@@ -190,7 +230,6 @@ class TestCoherenceProfile:
                          + 1j * np.random.default_rng(1).standard_normal((12, 8)))[0]
         prof = coherence_profile(F)
         assert prof.max_off < 1e-9
-        assert not prof.was_normalized
 
     def test_duplicate_column_clips_to_one(self, rng):
         f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -199,12 +238,6 @@ class TestCoherenceProfile:
         g /= np.linalg.norm(g)
         prof = coherence_profile(np.stack([f, f, g], axis=1))
         assert prof.max_off == pytest.approx(1.0, abs=1e-12)
-
-    def test_normalization_flag(self, rng):
-        f = rng.standard_normal((6, 3))
-        prof = coherence_profile(2.0 * f / np.linalg.norm(f, axis=0))
-        assert prof.was_normalized
-        assert prof.hist.sum() == 3 * 3 - 3
 
     def test_cascaded_at_least_as_coherent_as_single(self, ringed_dict, ringed_cas):
         single = coherence_profile(ringed_dict.F)
@@ -288,7 +321,7 @@ class TestEncodeSparseTruth:
         assert nz.shape[0] == 1
         gi, col = nz[0]
         assert gi == 5
-        assert col == cas.pair_to_col[3, 8]
+        assert col == cas.column(3, 8)
         assert t.Lam[gi, col] == pytest.approx(rho[0] * gains[0], rel=1e-12)
         assert t.B[col, 0] == pytest.approx(np.conj(gains[0]) * np.conj(rho[0]),
                                             rel=1e-12)
