@@ -199,19 +199,22 @@ def build_cascaded_dictionary(single: PolarDictionary) -> CascadedDictionary:
 
 
 def coherence_profile(F: np.ndarray) -> CoherenceProfile:
-    """Off-diagonal |gram| statistics of a column dictionary, gram built in blocks."""
+    """Off-diagonal |gram| statistics of a column dictionary, gram built in blocks.
+
+    The gram is Hermitian, so each block row is formed only from its diagonal
+    block rightwards, and the pairs right of the diagonal block count twice.
+    """
     Fn = F / np.linalg.norm(F, axis=0)
     n = Fn.shape[1]
-    max_off, total, count = 0.0, 0.0, 0
+    max_off, total = 0.0, 0.0
     for lo in range(0, n, _GRAM_BLOCK):
         hi = min(lo + _GRAM_BLOCK, n)
-        g = np.abs(Fn[:, lo:hi].conj().T @ Fn)
-        g[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
-        vals = np.minimum(g[~np.isnan(g)], 1.0)     # clip fp overshoot at duplicates
-        max_off = max(max_off, float(vals.max(initial=0.0)))
-        total += float(vals.sum())
-        count += vals.size
-    mean_off = total / count if count else 0.0
+        g = np.abs(Fn[:, lo:hi].conj().T @ Fn[:, lo:])
+        np.minimum(g, 1.0, out=g)                   # clip fp overshoot at duplicates
+        g[np.arange(hi - lo), np.arange(hi - lo)] = 0.0
+        max_off = max(max_off, float(g.max(initial=0.0)))
+        total += float(g[:, :hi - lo].sum()) + 2.0 * float(g[:, hi - lo:].sum())
+    mean_off = total / (n * (n - 1)) if n > 1 else 0.0
     return CoherenceProfile(max_off=max_off, mean_off=mean_off)
 
 

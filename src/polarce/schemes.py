@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import PilotBlock, SystemConfig
 from .denoiser import DenoiserParams, denoise, row_energy, select_support
-from .omp import VectorizedProblem, cascaded_estimate, omp, omp_dense
+from .omp import DenseProblem, VectorizedProblem, cascaded_estimate, omp, omp_dense
 from .polar import CascadedDictionary, PolarDictionary
 from .unrolled import ListaParams, lista_forward, project_to_bs_subspace, reconstruct
 
@@ -73,9 +73,9 @@ def _two_stage(pilots: list[PilotBlock], ctx: PipelineContext, solve) -> np.ndar
 
 def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Learned support + per-path greedy pursuit on the cascaded dictionary."""
-    Psi = ctx.E.conj().T @ ctx.cas.F
+    prob = DenseProblem.build(ctx.E.conj().T @ ctx.cas.F)
     return _two_stage(pilots, ctx, lambda P: np.stack(
-        [ctx.cas.F @ omp_dense(p, Psi, ctx.config.paths_ris)[0] for p in P.T], axis=1))
+        [ctx.cas.F @ omp_dense(p, prob, ctx.config.paths_ris)[0] for p in P.T], axis=1))
 
 
 def estimate_dncnn_istanet(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Greedy pursuit on the implicit Kronecker design and its dense twin."""
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -9,8 +11,12 @@ import pytest
 
 from polarce.channel import (draw_scene, make_phase_matrix, noise_var_for_snr,
                              simulate_pilots)
-from polarce.omp import VectorizedProblem, cascaded_estimate, omp, omp_dense
+from polarce.harness import build_bs_dictionary, build_ris_dictionaries, load_config
+from polarce.omp import (_ROW_CHUNK, DenseProblem, VectorizedProblem,
+                         cascaded_estimate, omp, omp_dense)
 from polarce.rng import substream
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +40,48 @@ def scene_case(small_system, small_bs_dict, small_cas_dict):
     Y = simulate_pilots(scene, system, E, nv, substream(21, "noise")).Y
     prob = VectorizedProblem.build(small_bs_dict.F, small_cas_dict.F, E)
     return Y, prob, system.paths_bs * system.paths_ris
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """Desk-profile system and dictionaries: 96 BS atoms, 785 cascaded columns."""
+    cfg = load_config(DESK)
+    return cfg.system, build_bs_dictionary(cfg).F, build_ris_dictionaries(cfg)[1].F
+
+
+def desk_pilots(system, E, snr_db, seed):
+    scene = draw_scene(system, substream(seed, "scene"))
+    nv = noise_var_for_snr(scene, system, E, snr_db)
+    return simulate_pilots(scene, system, E, nv, substream(seed, "noise")).Y
+
+
+def full_scan_omp(Y, problem, sparsity):
+    """Reference pursuit that scores every atom by the full product (F_bs^H R) Psi.
+
+    No early stop and no ridge refit: the cases it is used on need neither.
+    """
+    gc = problem.Psi.shape[1]
+    y = Y.reshape(-1, order="F")
+    r, support, cols = y, [], []
+    for _ in range(sparsity):
+        R = r.reshape(Y.shape, order="F")
+        score = np.abs((problem.F_bs.conj().T @ R) @ problem.Psi) / problem.col_norms
+        score.reshape(-1)[support] = -1.0
+        k = int(np.argmax(score))
+        support.append(k)
+        cols.append(problem.column(*divmod(k, gc)))
+        A = np.stack(cols, axis=1)
+        coeffs = np.linalg.lstsq(A, y, rcond=None)[0]
+        r = y - A @ coeffs
+    return [divmod(k, gc) for k in support], coeffs
+
+
+def assert_matches_full_scan(Y, problem, sparsity):
+    res = omp(Y, problem, sparsity)
+    support, coeffs = full_scan_omp(Y, problem, sparsity)
+    assert res.support == support
+    np.testing.assert_array_equal(res.coeffs, coeffs)
+    return res
 
 
 def densify(problem: VectorizedProblem) -> np.ndarray:
@@ -64,10 +112,12 @@ class TestVectorizedProblem:
 
     def test_correlate_is_dense_adjoint(self, problem, rng):
         R = crandn(rng, problem.F_bs.shape[0], problem.Psi.shape[0])
-        got = problem.correlate(R)
+        n_g = problem.F_bs.shape[1]
         A = densify(problem)
-        want = (A.conj().T @ R.reshape(-1, order="F")).reshape(got.shape)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        want = (A.conj().T @ R.reshape(-1, order="F")).reshape(n_g, -1)
+        for rows in (np.arange(n_g), np.array([9, 2, 14]), np.array([5])):
+            np.testing.assert_allclose(problem.correlate(R, rows), want[rows],
+                                       atol=1e-10)
 
 
 class TestOmp:
@@ -152,6 +202,95 @@ class TestOmp:
         np.testing.assert_allclose(G_hat, G, atol=1e-12)
 
 
+class TestPrunedScan:
+    """The bound-pruned scan picks exactly the atoms of a full scan."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 40.0])
+    def test_desk_three_by_three_paths(self, desk, snr_db):
+        system, F_bs, F_cas = desk
+        assert (system.paths_bs, system.paths_ris) == (3, 3)
+        E = make_phase_matrix(system.n_ris, system.tau, substream(5, "phase"))
+        prob = VectorizedProblem.build(F_bs, F_cas, E)
+        for seed in range(3):
+            Y = desk_pilots(system, E, snr_db, seed)
+            res = assert_matches_full_scan(Y, prob, 9)
+            assert len(res.support) == 9
+
+    def test_tie_goes_to_lower_flat_index(self, small_bs_dict, small_cas_dict,
+                                          small_E, rng):
+        # BS atom 11 duplicates atom 3, so (3, j) and (11, j) score the same
+        F_bs = small_bs_dict.F.copy()
+        F_bs[:, 11] = F_bs[:, 3]
+        prob = VectorizedProblem.build(F_bs, small_cas_dict.F, small_E)
+        Y = (prob.column(11, 20).reshape(8, 12, order="F")
+             + 0.05 * crandn(rng, 8, 12))
+        res = assert_matches_full_scan(Y, prob, 3)
+        assert res.support[0] == (3, 20)
+
+    @pytest.mark.parametrize("rows, winner", [
+        ({1: (1, 0), 2: (1, 3)}, 1),
+        ({0: (1, 0), 8: (1, 5), **{i: (0, 5) for i in range(9, 16)}}, 0),
+        ({0: (1, 5), **{i: (0, 5) for i in range(1, 8)}, 9: (1, 0)}, 0),
+    ], ids=["larger-bound-later-in-chunk", "lower-row-in-later-chunk",
+            "higher-row-in-later-chunk"])
+    def test_exact_tie_across_rows(self, rows, winner):
+        # identity BS atoms and Psi = [1, 0]^T make z_i row i of R exactly, so
+        # the atom (i, 0) scores |R[i, 0]| and each listed row with a 1 ties
+        F_bs = np.eye(2 * _ROW_CHUNK, dtype=complex)
+        prob = VectorizedProblem.build(F_bs, np.array([[1.0], [0.0]], dtype=complex),
+                                       np.eye(2, dtype=complex))
+        Y = np.zeros((2 * _ROW_CHUNK, 2), dtype=complex)
+        for i, v in rows.items():
+            Y[i] = v
+        res = assert_matches_full_scan(Y, prob, 1)
+        assert res.support == [(winner, 0)]
+
+    def test_winner_outside_first_row_chunk(self):
+        # identity BS atoms make z_i row i of R; rows of the first chunk have
+        # the largest bound but are orthogonal to the only cascaded atom
+        n_g = 2 * _ROW_CHUNK
+        F_bs = np.eye(n_g, dtype=complex)
+        Psi = np.array([[1.0], [0.0]], dtype=complex)
+        prob = VectorizedProblem.build(F_bs, Psi, np.eye(2, dtype=complex))
+        Y = np.zeros((n_g, 2), dtype=complex)
+        Y[_ROW_CHUNK:, 1] = 5.0
+        Y[3] = [1.0 - 0.5j, 2.0]
+        Y[_ROW_CHUNK + 2, 0] = 0.5
+        bound = np.linalg.norm(Y, axis=1)
+        assert 3 not in np.argsort(-bound, kind="stable")[:_ROW_CHUNK]
+        res = assert_matches_full_scan(Y, prob, 2)
+        assert res.support == [(3, 0), (_ROW_CHUNK + 2, 0)]
+
+    def test_zero_norm_atom_scores_zero(self, small_bs_dict, small_cas_dict,
+                                        small_E):
+        # a zero cascaded column must not win as 0/0; the true atom does
+        F_cas = small_cas_dict.F.copy()
+        F_cas[:, 2] = 0.0
+        prob = VectorizedProblem.build(small_bs_dict.F, F_cas, small_E)
+        assert prob.col_norms[2] == 1.0
+        c = 0.7 + 1.1j
+        Y = c * prob.column(1, 4).reshape(8, 12, order="F")
+        res = omp(Y, prob, 2)
+        assert res.support == [(1, 4)]
+        assert res.coeffs[0] == pytest.approx(c, rel=1e-12)
+        assert not res.ridge_fallback
+        assert res.residual_norm < 1e-12 * np.linalg.norm(Y)
+
+    def test_peak_memory_below_one_full_scan(self, desk):
+        system, F_bs, F_cas = desk
+        E = make_phase_matrix(system.n_ris, system.tau, substream(5, "phase"))
+        Y = desk_pilots(system, E, 20.0, 0)
+        full_scan_bytes = F_bs.shape[1] * F_cas.shape[1] * 16
+        tracemalloc.start()
+        try:
+            prob = VectorizedProblem.build(F_bs, F_cas, E)
+            omp(Y, prob, system.paths_bs * system.paths_ris)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_scan_bytes
+
+
 class TestOmpDense:
     @pytest.mark.parametrize("case", ["random_case", "scene_case"],
                              ids=["random", "scene"])
@@ -159,7 +298,8 @@ class TestOmpDense:
         Y, problem, sparsity = request.getfixturevalue(case)
         A = densify(problem)
         res = omp(Y, problem, sparsity)
-        x, support = omp_dense(Y.reshape(-1, order="F"), A, sparsity)
+        x, support = omp_dense(Y.reshape(-1, order="F"), DenseProblem.build(A),
+                               sparsity)
         gc = problem.Psi.shape[1]
         flat = [i * gc + j for i, j in res.support]
         assert len(flat) == sparsity
@@ -169,13 +309,13 @@ class TestOmpDense:
     def test_full_rank_square_reproduces_solve(self, rng):
         A = crandn(rng, 4, 4)
         y = crandn(rng, 4)
-        x, support = omp_dense(y, A, 4)
+        x, support = omp_dense(y, DenseProblem.build(A), 4)
         np.testing.assert_allclose(x, np.linalg.solve(A, y), rtol=1e-8)
         assert sorted(support) == [0, 1, 2, 3]
 
     def test_zero_observation(self, rng):
         A = crandn(rng, 4, 6)
-        x, support = omp_dense(np.zeros(4, dtype=complex), A, 3)
+        x, support = omp_dense(np.zeros(4, dtype=complex), DenseProblem.build(A), 3)
         assert support == []
         assert np.all(x == 0)
 
@@ -183,7 +323,7 @@ class TestOmpDense:
         A = crandn(rng, 4, 3)
         A[:, 1] = 0.0
         y = A[:, 0] * 2.0
-        x, support = omp_dense(y, A, 1)
+        x, support = omp_dense(y, DenseProblem.build(A), 1)
         assert support == [0]
         assert x[0] == pytest.approx(2.0 + 0j, rel=1e-10)
 
@@ -196,7 +336,7 @@ class TestOmpDense:
         e = np.array([0.0, 0.0, 1.0], dtype=complex)
         A = np.stack([a, a, d], axis=1)
         y = a + 0.5 * d + 0.3 * e      # e keeps the residual alive
-        x, support = omp_dense(y, A, 3)
+        x, support = omp_dense(y, DenseProblem.build(A), 3)
         assert sorted(support) == [0, 1, 2]
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose(A @ x, a + 0.5 * d, atol=1e-4)
