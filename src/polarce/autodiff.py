@@ -30,6 +30,12 @@ product and no copy of the dictionary. `hermitian` records nothing: its
 output's gradient contributions are routed, conjugate-transposed, straight to
 its operand, which for an outer product only swaps the factors.
 
+Lifetime. `backward` frees each recorded value once its record has been
+processed, since every consumer of a value was recorded after it, so the tape
+shrinks as the backward pass proceeds. A tape therefore runs `backward` once:
+a second call, or any read of a freed `Node.value`, raises a ValueError
+saying the tape is used up.
+
 Convolution layout. Images are [B, H, W, C] with same zero padding. The padded
 image is read as rows [B*(H+k-1), (W+k-1)*Ci], and the kernel is laid out as a
 block-Toeplitz matrix [(W+k-1)*Ci, k*W*Co] whose block di maps a padded row
@@ -61,7 +67,10 @@ class Node:
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape.values[self.id]
+        v = self.tape.values[self.id]
+        if v is None:
+            raise ValueError("the tape is used up: backward has freed this node's value")
+        return v
 
 
 Record = namedtuple("Record", "op out ins aux")     # ins and out are node ids
@@ -79,7 +88,11 @@ class _Outer:
         return _Outer(self.v, self.u)
 
     def dense(self) -> np.ndarray:
-        return self.u @ np.conj(self.v).T
+        """u v^H, conjugating a copy of the smaller factor only."""
+        if self.u.size >= self.v.size:
+            return self.u @ np.conj(self.v).T
+        out = np.conj(self.u) @ self.v.T
+        return np.conj(out, out=out)
 
 
 class Tape:
@@ -123,23 +136,19 @@ class Tape:
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
         """Gradients of a real scalar loss w.r.t. every trainable leaf.
 
-        Unreachable parameters get zero gradients.
+        Unreachable parameters get zero gradients. Frees each recorded value
+        once it is no longer needed, which uses the tape up.
         """
-        lval = self.values[loss.id]
+        lval = loss.value               # raises once an earlier backward freed it
         if np.asarray(lval).size != 1 or np.iscomplexobj(lval):
             raise ValueError("loss must be a real scalar")
         grads: dict[int, np.ndarray] = {loss.id: np.ones_like(np.asarray(lval, dtype=np.float64))}
         owned: set[int] = set()
         for rec in reversed(self.records):
             g_out = grads.pop(rec.out, None)
-            if g_out is None:
-                continue
-            in_vals = [self.values[i] for i in rec.ins]
-            need = [self.needs_grad[i] for i in rec.ins]
-            contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], rec.aux, need)
-            for node_id, contrib in zip(rec.ins, contribs):
-                if contrib is not None:
-                    self._accumulate(grads, owned, node_id, contrib)
+            if g_out is not None:
+                self._backprop(rec, g_out, grads, owned)
+            self.values[rec.out] = None
         out = {}
         for node_id, name in self.trainable.items():
             g = grads.get(node_id)
@@ -147,6 +156,15 @@ class Tape:
                 g = np.zeros_like(self.values[node_id])
             out[name] = np.asarray(g)
         return out
+
+    def _backprop(self, rec: Record, g_out, grads: dict, owned: set) -> None:
+        """Pass g_out through one record; its contributions die on return."""
+        in_vals = [self.values[i] for i in rec.ins]
+        need = [self.needs_grad[i] for i in rec.ins]
+        contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], rec.aux, need)
+        for node_id, contrib in zip(rec.ins, contribs):
+            if contrib is not None:
+                self._accumulate(grads, owned, node_id, contrib)
 
     def _accumulate(self, grads: dict, owned: set, node_id: int, contrib) -> None:
         """Add one gradient contribution to node_id (see the module docstring)."""
@@ -229,11 +247,15 @@ def _conv2d_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _soft_threshold_fwd(x, lam):
+    """x scaled by max(|x| - lam, 0) / |x|, in one real buffer besides |x|."""
     if np.any(np.asarray(lam) < 0):
         raise ValueError("threshold must be nonnegative")
     mag = np.abs(x)
-    keep = np.maximum(mag - lam, 0.0)
-    return x * np.divide(keep, mag, out=np.zeros_like(mag), where=mag > 0)
+    shrink = np.subtract(mag, lam)
+    np.maximum(shrink, 0.0, out=shrink)
+    # where shrink is 0 it stays 0; elsewhere |x| > lam >= 0
+    np.divide(shrink, mag, out=shrink, where=shrink > 0)
+    return x * shrink
 
 
 def _sum_abs2_fwd(x):
@@ -242,12 +264,12 @@ def _sum_abs2_fwd(x):
 
 
 def _batch_norm_fwd(x, gamma, beta, aux):
-    """Batch-normalized x; leaves the per-channel mean and 1/std in aux."""
+    """Batch-normalized x; leaves the per-channel mean, variance and 1/std in aux."""
     axes = _bn_axes(x)
     mu = x.mean(axis=axes)
     var = x.var(axis=axes)
     inv = 1.0 / np.sqrt(var + aux["eps"])
-    aux["mu"], aux["inv"] = mu, inv
+    aux["mu"], aux["var"], aux["inv"] = mu, var, inv
     out = x - mu
     out *= inv
     out *= gamma
@@ -274,25 +296,36 @@ def _bwd_mul(g, ins, out, aux, need):
 
 
 def _bwd_matmul(g, ins, out, aux, need):
-    """dA = g b^H as factors; dB = a^H g, formed as (g^H a)^H so a is never copied."""
+    """dA = g b^H as factors; dB = a^H g, from whichever copies less.
+
+    a^H g copies a; (g^H a)^H copies g and the b-sized product, which keeps a
+    dictionary a from being copied when only a few columns of b depend on it.
+    """
     a, b = ins
-    return [_Outer(g, b) if need[0] else None,
-            _hermitian_copy(np.conj(g).T @ a) if need[1] else None]
+    gb = None
+    if need[1]:
+        gb = (np.conj(a.T) @ g if a.size <= g.size + b.size
+              else _hermitian_copy(np.conj(g).T @ a))
+    return [_Outer(g, b) if need[0] else None, gb]
 
 
 def _bwd_soft_threshold(g, ins, out, aux, need):
     """With u = x/|x| and z = conj(u) g on the active set |x| > lam:
     dx = u (Re z + j (1 - lam/|x|) Im z) and dlam = -Re z; both are 0 elsewhere."""
     x, lam = ins
-    mag = np.abs(x)
-    inv = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > lam)
-    z = np.conj(x) * g
+    inv = np.abs(x)                     # becomes 1/|x| on the active set, 0 elsewhere
+    active = np.greater(inv, lam)
+    np.divide(1.0, inv, out=inv, where=active)
+    np.copyto(inv, 0.0, where=np.logical_not(active, out=active))
+    z = np.conj(x)
+    z *= g
     z *= inv
-    glam = _unbroadcast(-z.real, np.shape(lam)) if need[1] else None
+    glam = -_unbroadcast(z.real, np.shape(lam)) if need[1] else None
     if not need[0]:
         return [None, glam]
     if np.iscomplexobj(z):
-        z.imag *= 1.0 - lam * inv
+        shrink = np.multiply(lam, inv)
+        z.imag *= np.subtract(1.0, shrink, out=shrink)
     z *= x
     z *= inv
     return [z, glam]
@@ -399,8 +432,10 @@ def conv2d(x, w):
 
 
 def batch_norm(x, gamma, beta, eps: float = 1e-5):
+    """(normalized x, batch mean, batch variance), the statistics per channel."""
     aux = {"eps": eps}
-    return _op("batch_norm", lambda *v: _batch_norm_fwd(*v, aux), (x, gamma, beta), aux)
+    out = _op("batch_norm", lambda *v: _batch_norm_fwd(*v, aux), (x, gamma, beta), aux)
+    return out, aux["mu"], aux["var"]
 
 
 def sum_abs2(x):

@@ -112,10 +112,9 @@ def denoiser_forward(x: np.ndarray, dp: DenoiserParams, training: bool,
     for i in range(1, cfg.layers - 1):
         z = ad.conv2d(h, w[f"conv{i}_w"])
         if training:
-            zv = ad.value(z)
-            axes = tuple(range(zv.ndim - 1))
-            stats[i] = (zv.mean(axis=axes), zv.var(axis=axes))
-            z = ad.batch_norm(z, w[f"bn{i}_gamma"], w[f"bn{i}_beta"], eps=cfg.bn_eps)
+            z, mean, var = ad.batch_norm(z, w[f"bn{i}_gamma"], w[f"bn{i}_beta"],
+                                         eps=cfg.bn_eps)
+            stats[i] = (mean, var)
         else:
             inv = 1.0 / np.sqrt(dp.buffers[f"bn{i}_var"] + cfg.bn_eps)
             g = dp.params[f"bn{i}_gamma"] * inv

@@ -33,7 +33,7 @@ from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
                     coherence_profile)
 from .rng import substream
 from .schemes import SCHEME_FUNCS, PipelineContext
-from .unrolled import (ListaParams, Stage2Config, make_stage2_dataset,
+from .unrolled import (FORWARD_FORM, ListaParams, Stage2Config, make_stage2_dataset,
                        stage2_loss, train_stage2)
 
 __all__ = [
@@ -256,12 +256,19 @@ def load_stage1(path, F_bs: np.ndarray, E: np.ndarray) -> DenoiserParams:
 def save_stage2(path, lp: ListaParams, E: np.ndarray, F_cas: np.ndarray) -> str:
     """Write a stage-2 network bound to the phase schedule and cascaded dictionary."""
     arrays = {"lam": lp.lam, "kappa": lp.kappa, "V": lp.V, "F": lp.F}
-    meta = {"kind": "stage2", "fingerprint": _fingerprint(E=E, F_cas=F_cas)}
+    meta = {"kind": "stage2", "forward": FORWARD_FORM,
+            "fingerprint": _fingerprint(E=E, F_cas=F_cas)}
     return container.save_container(path, arrays, meta=meta)
 
 
 def load_stage2(path, E: np.ndarray, F_cas: np.ndarray) -> ListaParams:
-    arrays, _ = _read_checkpoint(path, 2, _fingerprint(E=E, F_cas=F_cas))
+    """A stage-2 network, rejected unless it was trained for this forward form."""
+    arrays, meta = _read_checkpoint(path, 2, _fingerprint(E=E, F_cas=F_cas))
+    form = meta.get("forward")
+    if form != FORWARD_FORM:
+        raise ValueError(
+            f"trained for the {form or 'untagged'} forward form, but this version runs "
+            f"{FORWARD_FORM}; retrain it with `polarce train stage2`")
     return ListaParams(lam=arrays["lam"], kappa=arrays["kappa"],
                        V=arrays["V"], F=arrays["F"])
 

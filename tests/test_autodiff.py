@@ -132,7 +132,7 @@ class TestFiniteDifference:
                   "gamma": rng.uniform(0.5, 1.5, 3),
                   "beta": rng.standard_normal(3)}
         check_op(lambda t, n: ad.sum_abs2(
-                     ad.batch_norm(n["x"], n["gamma"], n["beta"], eps=eps)),
+                     ad.batch_norm(n["x"], n["gamma"], n["beta"], eps=eps)[0]),
                  mirror, arrays, rtol=3e-5)
 
     def test_sum_abs2_grad_is_2x(self, rng):
@@ -191,20 +191,31 @@ class TestOpValues:
 
     def test_batch_norm_two_point_literal(self):
         x = np.array([[1.0], [3.0]])
-        out = ad.batch_norm(x, np.ones(1), np.zeros(1), eps=1e-12)
+        out, mean, var = ad.batch_norm(x, np.ones(1), np.zeros(1), eps=1e-12)
         np.testing.assert_allclose(out, [[-1.0], [1.0]], atol=1e-6)
+        np.testing.assert_array_equal(mean, [2.0])
+        np.testing.assert_array_equal(var, [1.0])
 
     def test_batch_norm_zero_gamma_gives_beta(self, rng):
         x = rng.standard_normal((5, 3))
         beta = np.array([0.7, -0.2, 1.1])
-        out = ad.batch_norm(x, np.zeros(3), beta, eps=1e-5)
+        out, _, _ = ad.batch_norm(x, np.zeros(3), beta, eps=1e-5)
         np.testing.assert_allclose(out, np.broadcast_to(beta, (5, 3)), atol=1e-12)
 
     def test_batch_norm_standardized_passthrough(self, rng):
         x = rng.standard_normal((50, 2))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        out = ad.batch_norm(x, np.ones(2), np.zeros(2), eps=1e-12)
+        out, _, _ = ad.batch_norm(x, np.ones(2), np.zeros(2), eps=1e-12)
         np.testing.assert_allclose(out, x, atol=1e-5)
+
+    def test_batch_norm_statistics_are_numpys(self, rng):
+        # the denoiser folds these into its running buffers: they must be the
+        # bits of x.mean and x.var over the batch axes
+        x = rng.standard_normal((4, 5, 3, 6))
+        tape = ad.Tape()
+        _, mean, var = ad.batch_norm(tape.leaf(x), np.ones(6), np.zeros(6), eps=1e-5)
+        np.testing.assert_array_equal(mean, x.mean(axis=(0, 1, 2)))
+        np.testing.assert_array_equal(var, x.var(axis=(0, 1, 2)))
 
     def test_adjoint_identity(self, rng):
         A = crandn(rng, 5, 3)
@@ -280,6 +291,20 @@ class TestTapeMechanics:
         assert len(constants) == 4               # the four plain operands
         assert received and not set(received) & set(constants)
         assert {w.id, a.id} <= set(received)
+
+    def test_used_tape_fails_clearly(self, rng):
+        tape = ad.Tape()
+        x = tape.leaf(crandn(rng, 3), trainable=True, name="x")
+        y = ad.mul(x, 2.0)
+        loss = ad.sum_abs2(y)
+        assert float(loss.value) > 0
+        grads = tape.backward(loss)
+        np.testing.assert_allclose(grads["x"], 8.0 * x.value, rtol=1e-12)
+        with pytest.raises(ValueError, match="used up"):
+            tape.backward(loss)
+        for freed in (y, loss):
+            with pytest.raises(ValueError, match="used up"):
+                freed.value
 
     def test_grad_accumulates_over_reuse(self, rng):
         x = crandn(rng, 3)

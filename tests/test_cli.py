@@ -385,6 +385,23 @@ class TestEval:
         assert rc == 2
         assert "bad stage-1 checkpoint" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("form", [None, "synthesis"])
+    def test_stage2_checkpoint_of_another_forward_form(self, capsys, cfg_file,
+                                                       stage2_ckpt, tmp_path, form):
+        # same shapes and fingerprint, but another network: an untagged
+        # checkpoint predates the coefficient-domain forward pass
+        arrays, meta = load_container(stage2_ckpt)
+        del meta["forward"]
+        if form is not None:
+            meta["forward"] = form
+        old = tmp_path / "old2.plce"
+        save_container(old, arrays, meta=meta)
+        rc, out, err = run(capsys, ["eval", "--config", cfg_file, "--stage2", str(old),
+                                    "--out", str(tmp_path)])
+        assert (rc, out) == (2, "")
+        msg = json.loads(err)["error"]
+        assert "bad stage-2 checkpoint" in msg and "forward form" in msg
+
 
 class TestSweep:
     def test_snr_axis(self, capsys, omp_cfg_file, tmp_path):

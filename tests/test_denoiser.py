@@ -114,22 +114,33 @@ class TestDenoiserGradients:
         x = rng.standard_normal((2, 6, 3, 2))
         target = rng.standard_normal((2, 6, 3, 2))
 
-        def mirror(v):
-            # conv, batch-stat BN and ReLU written out, independent of the tape
+        def forward(v):
+            # conv, batch-stat BN and ReLU written out, independent of the tape;
+            # returns the loss and each BN layer's batch mean and variance
+            stats = {}
             h = np.maximum(conv2d_reference(x, v["conv0_w"]) + v["conv0_b"], 0.0)
             for i in range(1, cfg.layers - 1):
                 z = conv2d_reference(h, v[f"conv{i}_w"])
                 mu, var = z.mean(axis=(0, 1, 2)), z.var(axis=(0, 1, 2))
+                stats[i] = (mu, var)
                 z = v[f"bn{i}_gamma"] * (z - mu) / np.sqrt(var + cfg.bn_eps) + v[f"bn{i}_beta"]
                 h = np.maximum(z, 0.0)
             out = conv2d_reference(h, v[f"conv{cfg.layers - 1}_w"])
-            return float(np.sum((out - target) ** 2) / (2.0 * x.shape[0]))
+            return float(np.sum((out - target) ** 2) / (2.0 * x.shape[0])), stats
+
+        def mirror(v):
+            return forward(v)[0]
 
         dp.params = {k: v.copy() for k, v in params.items()}
         tape = ad.Tape()
-        out, _ = denoiser_forward(x, dp, training=True, tape=tape)
+        out, stats = denoiser_forward(x, dp, training=True, tape=tape)
         loss = _residual_loss(out, target)
-        assert float(loss.value) == pytest.approx(mirror(params), rel=1e-12)
+        want_loss, want_stats = forward(params)
+        assert float(loss.value) == pytest.approx(want_loss, rel=1e-12)
+        assert stats.keys() == want_stats.keys()
+        for i, (mu, var) in want_stats.items():
+            np.testing.assert_allclose(stats[i][0], mu, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(stats[i][1], var, rtol=1e-12)
         grads = tape.backward(loss)
         assert_grads_close(grads, numeric_grads(mirror, params), rtol=3e-5)
         # the data input is a constant of the tape; nothing flows back to it

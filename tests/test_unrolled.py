@@ -7,8 +7,8 @@ import pytest
 
 import polarce.autodiff as ad
 from polarce.channel import (
-    SystemConfig, draw_scene, make_phase_matrix, ris_side_rows, simulate_pilots,
-    steering_vector,
+    SystemConfig, draw_scene, make_phase_matrix, noise_var_for_snr, ris_side_rows,
+    simulate_pilots, steering_vector,
 )
 from polarce.rng import complex_normal, substream
 from polarce.unrolled import (
@@ -156,8 +156,8 @@ class TestListaForward:
         E, lp = _random_lista(rng, 8, 5, 9, 1)
         p = crandn(rng, 5, 2)
         got = lista_forward(p, lp, E)
-        step = lp.kappa[0] * (lp.V @ p)
-        coeff = ad.soft_threshold(lp.F.conj().T @ step, lp.lam[0])
+        wh = lp.F.conj().T @ lp.V
+        coeff = ad.soft_threshold(wh @ (lp.kappa[0] * p), lp.lam[0])
         np.testing.assert_allclose(got, lp.F @ coeff, atol=1e-13)
 
     def test_orthonormal_synthesis_reduces_to_ista(self, rng):
@@ -174,6 +174,36 @@ class TestListaForward:
         got = lista_forward(p[:, None], lp, E)[:, 0]
         res = ista_core(p, Psi_b, lam, kappa, layers, tol=0.0)
         np.testing.assert_allclose(got, F @ res.coeffs, atol=1e-12)
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_init_layers_are_ista_on_overcomplete_dictionary(self, rng, depth):
+        # Gc = 3 M: layer t of the untrained net is iteration t of ISTA on E^H F
+        E, lp = _random_lista(rng, 12, 8, 36, depth, lam=0.03)
+        Psi = E.conj().T @ lp.F
+        P = crandn(rng, 8, 3)
+        got = lista_forward(P, lp, E)
+        for j in range(P.shape[1]):
+            res = ista_core(P[:, j], Psi, lp.lam[0], lp.kappa[0], depth, tol=0.0)
+            np.testing.assert_allclose(got[:, j], lp.F @ res.coeffs, rtol=0, atol=1e-12)
+
+    def test_untrained_error_does_not_grow_with_depth(self, small_system, small_E,
+                                                      small_cas_dict):
+        # the synthesis form x <- F soft(F^H ...) diverged here: relative error
+        # 0.87, 3.0, 728, 1.65e5 at 1, 2, 4, 6 layers on desk training paths
+        scenes = [draw_scene(small_system, substream(61, "depth", t)) for t in range(20)]
+        for snr_db in (0.0, 20.0):
+            nvs = [noise_var_for_snr(sc, small_system, small_E, snr_db) for sc in scenes]
+            ds = make_stage2_dataset(small_system, scenes, small_E, nvs,
+                                     substream(61, "depth-noise", str(snr_db)))
+            errs = []
+            for depth in range(1, 9):
+                lp = lista_init(small_E, small_cas_dict.F, Stage2Config(layers=depth),
+                                probe_P=ds.P)
+                diff = lista_forward(ds.P, lp, small_E) - ds.Xl
+                errs.append(np.mean(np.linalg.norm(diff, axis=0) ** 2
+                                    / np.linalg.norm(ds.Xl, axis=0) ** 2))
+            assert errs[0] < 1.0
+            assert np.all(np.diff(errs) <= 0.0), errs
 
     def test_taped_matches_numpy(self, rng):
         E, lp = _random_lista(rng, 9, 6, 11, 3)
@@ -198,13 +228,14 @@ class TestListaForward:
                   "kappa0": np.array(0.3), "kappa1": np.array(0.25)}
 
         def mirror(v):
-            x = np.zeros((m, batch), dtype=complex)
+            psi = E.conj().T @ v["F"]
+            wh = v["F"].conj().T @ v["V"]
+            b = np.zeros((gc, batch), dtype=complex)
             for t in range(layers):
-                step = x - v[f"kappa{t}"] * (v["V"] @ (E.conj().T @ x - P))
-                mags = np.abs(v["F"].conj().T @ step)
-                assert np.min(np.abs(mags - v[f"lam{t}"])) > 1e-4
-                x = v["F"] @ ad.soft_threshold(v["F"].conj().T @ step,
-                                               float(v[f"lam{t}"]))
+                step = b + wh @ (v[f"kappa{t}"] * (P - psi @ b))
+                assert np.min(np.abs(np.abs(step) - v[f"lam{t}"])) > 1e-4
+                b = ad.soft_threshold(step, float(v[f"lam{t}"]))
+            x = v["F"] @ b
             return float(np.sum(np.abs((x - X) * w[None, :]) ** 2) / (2 * batch))
 
         tape = ad.Tape()
@@ -218,10 +249,10 @@ class TestListaForward:
 
 
     def test_backward_peak_memory(self):
-        # Measured: 3.03 F-sized buffers (the F gradient, one rank-32 product
-        # being added into it, and half-size [Gc, B] temporaries); 5.43 when
-        # every contribution was a new array and hermitian copied F. Stacking
-        # the 12 rank-32 factor pairs of the F gradient alone takes 6.
+        # Measured: 3.10 F-sized buffers (the F gradient, the quarter-size
+        # Psi and W gradients, and the half-size [Gc, B] gradient of b plus one
+        # soft threshold's temporaries); 5.43 for the earlier synthesis form
+        # when every contribution was a new array and hermitian copied F.
         rng = np.random.default_rng(3)
         E, lp = _random_lista(rng, 64, 16, 2000, 6, lam=0.01)
         P, X = crandn(rng, 16, 32), crandn(rng, 64, 32)
