@@ -20,15 +20,14 @@ trainable leaf. `backward` asks each op only for the gradients of its marked
 operands, so nothing is computed toward constants: the data input of a
 network's first convolution, `E^H` and `P` in the unrolled net, loss targets.
 
-Accumulation. A node's first gradient contribution is stored as given; it may
-alias another node's gradient (`add` hands the same array to both operands).
-The second contribution allocates a buffer that the tape owns, and every
-later one is added into that buffer in place. The weight gradient of a matmul
-is the outer product g b^H, kept as its two factors until it is added into the
-weight's buffer, so a rank-32 update of a 128x6419 dictionary makes one
-product and no copy of the dictionary. `hermitian` records nothing: its
-output's gradient contributions are routed, conjugate-transposed, straight to
-its operand, which for an outer product only swaps the factors.
+Accumulation. Every backward op returns plain arrays, one per operand. A
+node's first gradient contribution is stored as given, and a later one is
+added into it in place only if it is a new ndarray (its `base` is None). A
+view is not: `add`, `sub` and `mul` hand views of the same g to several
+operands through `_unbroadcast`. Nor is a numpy scalar, which reductions and
+negations of 0-d arrays return and `np.add(..., out=)` cannot write into.
+Otherwise the second contribution allocates the sum, and the same rule
+applies to it.
 
 Lifetime. `backward` frees each recorded value once its record has been
 processed, since every consumer of a value was recorded after it, so the tape
@@ -51,8 +50,8 @@ from collections import namedtuple
 import numpy as np
 
 __all__ = [
-    "Tape", "Node", "value", "add", "sub", "mul", "scale", "matmul",
-    "hermitian", "relu", "soft_threshold", "conv2d", "batch_norm", "sum_abs2",
+    "Tape", "Node", "value", "add", "sub", "mul", "matmul", "hermitian",
+    "relu", "soft_threshold", "conv2d", "batch_norm", "sum_abs2",
 ]
 
 
@@ -76,32 +75,12 @@ class Node:
 Record = namedtuple("Record", "op out ins aux")     # ins and out are node ids
 
 
-class _Outer:
-    """The outer product u @ v^H, held as its factors."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u: np.ndarray, v: np.ndarray):
-        self.u, self.v = u, v
-
-    def adjoint(self) -> "_Outer":
-        return _Outer(self.v, self.u)
-
-    def dense(self) -> np.ndarray:
-        """u v^H, conjugating a copy of the smaller factor only."""
-        if self.u.size >= self.v.size:
-            return self.u @ np.conj(self.v).T
-        out = np.conj(self.u) @ self.v.T
-        return np.conj(out, out=out)
-
-
 class Tape:
     def __init__(self):
         self.values: list[np.ndarray] = []
         self.records: list[Record] = []
         self.trainable: dict[int, str] = {}
         self.needs_grad: list[bool] = []            # per node: depends on a trainable leaf
-        self.adjoint_of: dict[int, int] = {}        # hermitian output -> its operand
 
     def _append(self, value: np.ndarray, needs_grad: bool) -> int:
         self.values.append(value)
@@ -127,10 +106,7 @@ class Tape:
         """Record op's output out, computed from the operands ins."""
         in_ids = tuple(self._wrap(x).id for x in ins)
         out_id = self._append(out, any(self.needs_grad[i] for i in in_ids))
-        if op == "hermitian":
-            self.adjoint_of[out_id] = in_ids[0]
-        else:
-            self.records.append(Record(op, out_id, in_ids, aux))
+        self.records.append(Record(op, out_id, in_ids, aux))
         return Node(self, out_id)
 
     def backward(self, loss: Node) -> dict[str, np.ndarray]:
@@ -143,11 +119,10 @@ class Tape:
         if np.asarray(lval).size != 1 or np.iscomplexobj(lval):
             raise ValueError("loss must be a real scalar")
         grads: dict[int, np.ndarray] = {loss.id: np.ones_like(np.asarray(lval, dtype=np.float64))}
-        owned: set[int] = set()
         for rec in reversed(self.records):
             g_out = grads.pop(rec.out, None)
             if g_out is not None:
-                self._backprop(rec, g_out, grads, owned)
+                self._backprop(rec, g_out, grads)
             self.values[rec.out] = None
         out = {}
         for node_id, name in self.trainable.items():
@@ -157,38 +132,26 @@ class Tape:
             out[name] = np.asarray(g)
         return out
 
-    def _backprop(self, rec: Record, g_out, grads: dict, owned: set) -> None:
+    def _backprop(self, rec: Record, g_out, grads: dict) -> None:
         """Pass g_out through one record; its contributions die on return."""
         in_vals = [self.values[i] for i in rec.ins]
         need = [self.needs_grad[i] for i in rec.ins]
         contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], rec.aux, need)
         for node_id, contrib in zip(rec.ins, contribs):
             if contrib is not None:
-                self._accumulate(grads, owned, node_id, contrib)
+                self._accumulate(grads, node_id, contrib)
 
-    def _accumulate(self, grads: dict, owned: set, node_id: int, contrib) -> None:
+    def _accumulate(self, grads: dict, node_id: int, contrib) -> None:
         """Add one gradient contribution to node_id (see the module docstring)."""
-        fresh = False                   # contrib is a new array nothing else holds
-        while node_id in self.adjoint_of:
-            node_id = self.adjoint_of[node_id]
-            if isinstance(contrib, _Outer):
-                contrib = contrib.adjoint()
-            else:
-                contrib, fresh = _hermitian_copy(contrib), True
-        if isinstance(contrib, _Outer):
-            contrib, fresh = contrib.dense(), True
         if np.iscomplexobj(contrib) and not np.iscomplexobj(self.values[node_id]):
             contrib = contrib.real
         cur = grads.get(node_id)
         if cur is None:
             grads[node_id] = contrib
-            if fresh:
-                owned.add(node_id)
-        elif node_id in owned:
+        elif isinstance(cur, np.ndarray) and cur.base is None:
             np.add(cur, contrib, out=cur)
         else:
             grads[node_id] = cur + contrib
-            owned.add(node_id)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -296,17 +259,23 @@ def _bwd_mul(g, ins, out, aux, need):
 
 
 def _bwd_matmul(g, ins, out, aux, need):
-    """dA = g b^H as factors; dB = a^H g, from whichever copies less.
+    """dA = g b^H and dB = a^H g, each from whichever form copies less.
 
-    a^H g copies a; (g^H a)^H copies g and the b-sized product, which keeps a
-    dictionary a from being copied when only a few columns of b depend on it.
+    g b^H conjugates a copy of the smaller of g and b. a^H g copies a; (g^H a)^H
+    copies g and the b-sized product, which keeps a dictionary a from being
+    copied when only a few columns of b depend on it.
     """
     a, b = ins
-    gb = None
+    ga = gb = None
+    if need[0] and g.size >= b.size:
+        ga = g @ np.conj(b).T
+    elif need[0]:
+        ga = np.conj(g) @ b.T
+        np.conj(ga, out=ga)
     if need[1]:
         gb = (np.conj(a.T) @ g if a.size <= g.size + b.size
               else _hermitian_copy(np.conj(g).T @ a))
-    return [_Outer(g, b) if need[0] else None, gb]
+    return [ga, gb]
 
 
 def _bwd_soft_threshold(g, ins, out, aux, need):
@@ -372,8 +341,8 @@ _BACKWARD = {
     "add": _bwd_add,
     "sub": _bwd_sub,
     "mul": _bwd_mul,
-    "scale": lambda g, ins, out, aux, need: [np.conj(aux["c"]) * g],
     "matmul": _bwd_matmul,
+    "hermitian": lambda g, ins, out, aux, need: [_hermitian_copy(g)],
     "relu": lambda g, ins, out, aux, need: [g * (ins[0] > 0)],
     "soft_threshold": _bwd_soft_threshold,
     "conv2d": _bwd_conv2d,
@@ -404,10 +373,6 @@ def sub(a, b):
 
 def mul(a, b):
     return _op("mul", np.multiply, (a, b))
-
-
-def scale(a, c):
-    return _op("scale", lambda x: c * x, (a,), {"c": c})
 
 
 def matmul(a, b):

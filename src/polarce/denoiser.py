@@ -43,6 +43,14 @@ class Stage1Config:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
 
+    def __post_init__(self):
+        if self.layers < 2:
+            raise ValueError("stage1 needs at least 2 layers (first and last conv)")
+        if self.kernel < 1 or self.kernel % 2 != 1:
+            raise ValueError(f"stage1 kernel must be odd and positive, got {self.kernel}")
+        if self.width < 1 or self.batch < 1:
+            raise ValueError("stage1 width and batch must be at least 1")
+
 
 @dataclass
 class DenoiserParams:
@@ -55,7 +63,6 @@ class DenoiserParams:
 class Stage1Dataset:
     C: np.ndarray            # [n, N_G, L] identical-column inputs
     X: np.ndarray            # [n, N_G, L] clean grid-coded targets
-    bs_idx: np.ndarray       # [n, L] true nearest-grid rows (sorted per sample)
 
 
 @dataclass
@@ -72,8 +79,6 @@ def row_energy(Y: np.ndarray, bs: PolarDictionary) -> np.ndarray:
 def init_denoiser(cfg: Stage1Config, rng: np.random.Generator) -> DenoiserParams:
     """Fan-in scaled Gaussian init; the final layer starts at zero so an
     untrained denoiser is the identity."""
-    if cfg.layers < 2:
-        raise ValueError("need at least first and last conv layers")
     k, w = cfg.kernel, cfg.width
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
@@ -157,7 +162,7 @@ def _residual_pairs(dataset: Stage1Dataset):
 
 def _residual_loss(out, target: np.ndarray):
     """Half the summed squared residual error per sample."""
-    return ad.scale(ad.sum_abs2(ad.sub(out, target)), 1.0 / (2.0 * target.shape[0]))
+    return ad.mul(ad.sum_abs2(ad.sub(out, target)), 1.0 / (2.0 * target.shape[0]))
 
 
 def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray,
@@ -174,7 +179,6 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
     L = config.paths_bs
     C = np.zeros((n, n_rows, L), dtype=np.complex128)
     X = np.zeros((n, n_rows, L), dtype=np.complex128)
-    idx = np.zeros((n, L), dtype=np.int64)
     e_bar = E @ np.ones(E.shape[1]) / E.shape[1]
     for i, scene in enumerate(scenes):
         blk = simulate_pilots(scene, config, E, noise_vars[i], rng)
@@ -186,9 +190,8 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
         order = np.argsort(gi, kind="stable")
         for l, src in enumerate(order):
             X[i, gi[src], l] = amp[src]
-        idx[i] = gi[order]
         C[i] = cr[:, None]
-    return Stage1Dataset(C=C, X=X, bs_idx=idx)
+    return Stage1Dataset(C=C, X=X)
 
 
 def train_stage1(dataset: Stage1Dataset, cfg: Stage1Config, seed: int,

@@ -54,6 +54,10 @@ class Stage2Config:
     lam_scale: float = 0.1            # init threshold vs layer-1 coefficient peak
     probe: int = 64                   # samples used to calibrate the init threshold
 
+    def __post_init__(self):
+        if self.layers < 1 or self.batch < 1:
+            raise ValueError("stage2 layers and batch must be at least 1")
+
 
 @dataclass
 class ListaParams:
@@ -175,7 +179,7 @@ def _path_loss(out, Xl: np.ndarray):
     """Normalized reconstruction loss sum_l ||out_l - x_l||^2 / ||x_l||^2 / (2B)."""
     w = 1.0 / np.maximum(np.linalg.norm(Xl, axis=0), 1e-300)
     weighted = ad.mul(ad.sub(out, Xl), w[None, :])
-    return ad.scale(ad.sum_abs2(weighted), 1.0 / (2.0 * Xl.shape[1]))
+    return ad.mul(ad.sum_abs2(weighted), 1.0 / (2.0 * Xl.shape[1]))
 
 
 def make_stage2_dataset(config: SystemConfig, scenes: list[SceneRealization],

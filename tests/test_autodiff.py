@@ -50,7 +50,7 @@ class TestFiniteDifference:
     def test_scale_complex_constant(self, rng):
         c = 0.7 - 0.3j
         arrays = {"a": crandn(rng, 4)}
-        check_op(lambda t, n: ad.sum_abs2(ad.scale(n["a"], c)),
+        check_op(lambda t, n: ad.sum_abs2(ad.mul(n["a"], c)),
                  lambda v: float(np.sum(np.abs(c * v["a"]) ** 2)),
                  arrays)
 
@@ -273,9 +273,9 @@ class TestTapeMechanics:
         received = []
         accumulate = ad.Tape._accumulate
 
-        def spy(self, grads, owned, node_id, contrib):
+        def spy(self, grads, node_id, contrib):
             received.append(node_id)
-            accumulate(self, grads, owned, node_id, contrib)
+            accumulate(self, grads, node_id, contrib)
 
         monkeypatch.setattr(ad.Tape, "_accumulate", spy)
         tape = ad.Tape()
@@ -313,6 +313,28 @@ class TestTapeMechanics:
         loss = ad.sum_abs2(ad.add(xn, xn))
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads["x"], 8.0 * x, rtol=1e-12)
+
+    def test_shared_and_scalar_contributions_are_not_written_into(self, rng):
+        # add hands p and q views of one g, and each gets a later contribution;
+        # lam is a 0-d leaf used twice, whose contributions are numpy scalars
+        mag = np.concatenate([rng.uniform(0.1, 0.4, 6), rng.uniform(0.9, 2.0, 6)])
+        z = rng.permutation(mag) * np.exp(2j * np.pi * rng.uniform(size=12))
+        arrays = {"x": z[:6].reshape(2, 3), "y": z[6:].reshape(2, 3),
+                  "lam": np.array(0.6)}
+        soft = TestFiniteDifference._soft_np
+
+        def build(t, n):
+            p = ad.soft_threshold(n["x"], n["lam"])
+            q = ad.soft_threshold(n["y"], n["lam"])
+            ep, eq = ad.sum_abs2(p), ad.sum_abs2(q)
+            return ad.add(ad.add(ad.sum_abs2(ad.add(p, q)), ep), eq)
+
+        def mirror(v):
+            p, q = soft(v["x"], v["lam"]), soft(v["y"], v["lam"])
+            return float(np.sum(np.abs(p + q) ** 2) + np.sum(np.abs(p) ** 2)
+                         + np.sum(np.abs(q) ** 2))
+
+        check_op(build, mirror, arrays)
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,

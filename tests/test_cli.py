@@ -151,6 +151,19 @@ class TestConfigErrors:
         assert rc == 2
         assert "seed must be nonnegative" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("section, bad", [
+        ("stage2", {"layers": 0}), ("stage1", {"kernel": 2}),
+        ("stage1", {"layers": 1}), ("stage2", {"batch": 0}),
+    ], ids=["stage2-no-layers", "stage1-even-kernel", "stage1-one-layer",
+            "stage2-zero-batch"])
+    def test_bad_network_config(self, capsys, tmp_path, section, bad):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO[section], **bad)})))
+        rc, _, err = run(capsys, ["train", section, "--config", str(path),
+                                  "--out", str(tmp_path / "net.plce")])
+        assert rc == 2
+        assert section in json.loads(err)["error"]
+
     @pytest.mark.parametrize("command", [["eval"], ["simulate"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):
         rc, _, err = run(capsys, [*command, "--config", omp_cfg_file, "--snr", "nan",

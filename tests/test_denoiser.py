@@ -10,6 +10,7 @@ from polarce.denoiser import (
     Stage1Config, _residual_loss, denoise, denoiser_forward, init_denoiser,
     make_stage1_dataset, row_energy, select_support, stage1_loss, train_stage1,
 )
+from polarce.polar import nearest_grid_index
 from polarce.rng import substream
 
 from helpers import assert_grads_close, conv2d_reference, numeric_grads
@@ -210,15 +211,20 @@ class TestStage1Dataset:
             want_cr = small_bs_dict.F.conj().T @ (
                 math.sqrt(small_system.power) * scene.G[0] @ e_bar)
             np.testing.assert_allclose(ds.C[i, :, 0], want_cr, atol=1e-12)
-            assert np.all(np.diff(ds.bs_idx[i]) >= 0)
             rows = ris_side_rows(scene, small_system)
             amps = math.sqrt(small_system.power) * (rows.conj().T @ e_bar)
+            # one nonzero per target column, at the paths' nearest grid rows
+            # in ascending order
+            hits = []
             for l in range(L):
                 col = ds.X[i, :, l]
                 nz = np.flatnonzero(np.abs(col) > 0)
-                assert nz.size == 1 and nz[0] == ds.bs_idx[i, l]
+                assert nz.size == 1
+                hits.append(int(nz[0]))
                 assert complex(col[nz[0]]) in [pytest.approx(a, rel=1e-12)
                                                for a in amps]
+            assert hits == sorted(nearest_grid_index(small_bs_dict.grid, p.angle, p.distance)
+                                  for p in scene.bridge_bs)
 
     def test_deterministic(self, small_system, small_bs_dict, small_E):
         a = _noisy_dataset(small_system, small_bs_dict, small_E, 3, 0.01, 5, "d")

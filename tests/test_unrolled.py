@@ -249,7 +249,7 @@ class TestListaForward:
 
 
     def test_backward_peak_memory(self):
-        # Measured: 3.10 F-sized buffers (the F gradient, the quarter-size
+        # Measured: 3.26 F-sized buffers (the F gradient, the quarter-size
         # Psi and W gradients, and the half-size [Gc, B] gradient of b plus one
         # soft threshold's temporaries); 5.43 for the earlier synthesis form
         # when every contribution was a new array and hermitian copied F.
@@ -266,6 +266,26 @@ class TestListaForward:
             tracemalloc.stop()
         assert grads["F"].shape == lp.F.shape
         assert peak <= 3.5 * lp.F.nbytes, f"peak {peak / lp.F.nbytes:.2f} F-sized buffers"
+
+    def test_backward_frees_every_recorded_value(self, rng, monkeypatch):
+        # only leaves (parameters and constants) keep their values; every op
+        # output, the hermitian ones included, is freed once backward passes it
+        leaf_ids = set()
+        leaf = ad.Tape.leaf
+
+        def spy(self, *args, **kwargs):
+            node = leaf(self, *args, **kwargs)
+            leaf_ids.add(node.id)
+            return node
+
+        monkeypatch.setattr(ad.Tape, "leaf", spy)
+        E, lp = _random_lista(rng, 12, 6, 40, 3, lam=0.01)
+        tape = ad.Tape()
+        loss = _path_loss(lista_forward(crandn(rng, 6, 4), lp, E, tape=tape),
+                          crandn(rng, 12, 4))
+        tape.backward(loss)
+        assert len(leaf_ids) < len(tape.values)
+        assert {i for i, v in enumerate(tape.values) if v is not None} == leaf_ids
 
 
 class TestStage2Dataset:
