@@ -22,9 +22,12 @@ __all__ = [
     "C_LIGHT", "SystemConfig", "PathParams", "SceneRealization", "PilotBlock",
     "steering_vector", "build_channels", "draw_scene", "make_phase_matrix",
     "simulate_pilots", "noise_var_for_snr", "ris_side_rows",
+    "PHASE_KINDS", "SNR_CONVENTIONS",
 ]
 
 C_LIGHT = 299_792_458.0
+PHASE_KINDS = ("random", "dft")             # make_phase_matrix schedules
+SNR_CONVENTIONS = ("receive", "transmit")   # noise_var_for_snr references
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,12 @@ class SystemConfig:
             raise ValueError("array sizes and pilot length must be positive")
         if not 0 < self.angle_bound < math.pi / 2:
             raise ValueError("angle bound must be in (0, pi/2)")
+        if self.paths_bs < 1 or self.paths_ris < 1:
+            raise ValueError("paths_bs and paths_ris must be at least 1")
+        for name in ("bs_dist", "ris_dist"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:
+                raise ValueError(f"{name} must be [low, high] with low <= high, got {lo}, {hi}")
 
     @property
     def wavelength(self) -> float:
@@ -179,15 +188,15 @@ def draw_scene(config: SystemConfig, rng: np.random.Generator) -> SceneRealizati
 def make_phase_matrix(n_ris: int, tau: int, rng: np.random.Generator | None = None,
                       kind: str = "random") -> np.ndarray:
     """Unit-modulus RIS schedule, one column per pilot slot."""
+    if kind not in PHASE_KINDS:
+        raise ValueError(f"unknown phase matrix kind {kind!r}, expected {PHASE_KINDS}")
     if kind == "random":
         if rng is None:
             raise ValueError("random phase matrix needs an rng")
         return np.exp(2j * np.pi * rng.uniform(size=(n_ris, tau)))
-    if kind == "dft":
-        m = np.arange(n_ris)[:, None]
-        t = np.arange(tau)[None, :]
-        return np.exp(-2j * np.pi * m * t / n_ris)
-    raise ValueError(f"unknown phase matrix kind {kind!r}")
+    m = np.arange(n_ris)[:, None]
+    t = np.arange(tau)[None, :]
+    return np.exp(-2j * np.pi * m * t / n_ris)
 
 
 def simulate_pilots(scene: SceneRealization, config: SystemConfig, E: np.ndarray,
@@ -209,11 +218,11 @@ def noise_var_for_snr(scene: SceneRealization, config: SystemConfig, E: np.ndarr
 
     receive: snr = p ||G E||_F^2 / (N tau sigma^2); transmit: snr = p / sigma^2.
     """
+    if convention not in SNR_CONVENTIONS:
+        raise ValueError(f"unknown SNR convention {convention!r}, expected {SNR_CONVENTIONS}")
     snr = 10.0 ** (snr_db / 10.0)
     if convention == "transmit":
         return config.power / snr
-    if convention != "receive":
-        raise ValueError(f"unknown SNR convention {convention!r}")
     sig = config.power * np.linalg.norm(scene.G[0] @ E) ** 2
     return float(sig / (config.n_bs * config.tau * snr))
 

@@ -71,6 +71,9 @@ def _emit(obj) -> None:
 
 
 def cmd_info(args) -> int:
+    if args.out:
+        raise ConfigError("info writes no file; `polarce build-dict --out` writes "
+                          "the dictionaries")
     cfg = _resolve_config(args)
     bs = harness.build_bs_dictionary(cfg)
     single, cas = harness.build_ris_dictionaries(cfg)

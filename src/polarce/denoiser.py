@@ -48,8 +48,8 @@ class Stage1Config:
             raise ValueError("stage1 needs at least 2 layers (first and last conv)")
         if self.kernel < 1 or self.kernel % 2 != 1:
             raise ValueError(f"stage1 kernel must be odd and positive, got {self.kernel}")
-        if self.width < 1 or self.batch < 1:
-            raise ValueError("stage1 width and batch must be at least 1")
+        if self.width < 1 or self.batch < 1 or self.train_size < 1:
+            raise ValueError("stage1 width, batch and train_size must be at least 1")
 
 
 @dataclass

@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .channel import (PathParams, PilotBlock, SceneRealization, SystemConfig,
-                      build_channels, draw_scene, make_phase_matrix,
-                      noise_var_for_snr, simulate_pilots, steering_vector)
+from .channel import (PHASE_KINDS, SNR_CONVENTIONS, PathParams, PilotBlock,
+                      SceneRealization, SystemConfig, build_channels, draw_scene,
+                      make_phase_matrix, noise_var_for_snr, simulate_pilots,
+                      steering_vector)
 from .denoiser import (DenoiserParams, Stage1Config,
                        make_stage1_dataset, row_energy, stage1_loss,
                        train_stage1)
@@ -77,6 +78,11 @@ class SweepConfig:
         unknown = set(self.schemes) - set(SCHEME_FUNCS)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}")
+        if self.phase_kind not in PHASE_KINDS:
+            raise ValueError(f"unknown phase_kind {self.phase_kind!r}, expected {PHASE_KINDS}")
+        if self.snr_convention not in SNR_CONVENTIONS:
+            raise ValueError(f"unknown snr_convention {self.snr_convention!r}, "
+                             f"expected {SNR_CONVENTIONS}")
         for name in ("snr_db", "tau", "depths"):
             axis = getattr(self, name)
             if len(axis) == 0:
@@ -97,6 +103,19 @@ class ExperimentConfig:
     stage1: Stage1Config
     stage2: Stage2Config
     sweep: SweepConfig
+
+    def __post_init__(self):
+        """Try each sweep depth in both stage configs and each tau in the system
+        config, as the layer and pilot sweeps will, so a bad point fails at load."""
+        points = (("depths", lambda d: (dataclasses.replace(self.stage1, layers=d),
+                                        dataclasses.replace(self.stage2, layers=d))),
+                  ("tau", lambda t: dataclasses.replace(self.system, tau=t)))
+        for name, swap in points:
+            for v in getattr(self.sweep, name):
+                try:
+                    swap(int(v))
+                except ValueError as e:
+                    raise ValueError(f"sweep.{name} entry {v}: {e}") from e
 
 
 def _default_grids(system: SystemConfig) -> tuple[GridConfig, GridConfig]:
@@ -499,29 +518,18 @@ def run_leakage_report(cfg: ExperimentConfig, outdir) -> dict:
     E = phase_schedule(cfg)
     sins = bs_full.grid.sin_angles
     far_r, near_r = sys_.bs_dist[1], sys_.bs_dist[0]
-
-    def angle(u):
-        return float(np.arcsin(u))
-
     mids = 0.5 * (sins[:-1] + sins[1:])
-    placements = {
-        "on": [(angle(u), far_r, u) for u in sins],
-        "off_angle": [(angle(u), far_r, u) for u in mids],
-        "off_dist": [(angle(u), near_r, u) for u in sins],
-        "off_both": [(angle(u), near_r, u) for u in mids],
-    }
-    rows, scan = [], {}
-    for kind, items in placements.items():
-        fracs = []
-        for g, (th, r, u) in enumerate(items):
-            prof = _single_path_profile(sys_, bs_full, E, th, r)
-            fracs.append(_top1_power(prof))
-            rows.append([f"scan_{kind}", g, float(u), fracs[-1]])
-        scan[kind] = np.array(fracs)
-    g_mid = len(sins) // 2
-    for kind, items in placements.items():
-        th, r, u = items[min(g_mid, len(items) - 1)]
-        prof = _single_path_profile(sys_, bs_full, E, th, r)
+    placements = {"on": (sins, far_r), "off_angle": (mids, far_r),
+                  "off_dist": (sins, near_r), "off_both": (mids, near_r)}
+    rows, scan, middle = [], {}, {}
+    for kind, (placed, r) in placements.items():
+        profs = [_single_path_profile(sys_, bs_full, E, float(np.arcsin(u)), r)
+                 for u in placed]
+        scan[kind] = [_top1_power(prof) for prof in profs]
+        rows.extend([f"scan_{kind}", g, float(u), f]
+                    for g, (u, f) in enumerate(zip(placed, scan[kind])))
+        middle[kind] = profs[min(len(sins) // 2, len(placed) - 1)]
+    for kind, prof in middle.items():
         rows.extend([f"profile_{kind}", g, float(sins[g]), float(v)]
                     for g, v in enumerate(prof))
 
@@ -529,34 +537,25 @@ def run_leakage_report(cfg: ExperimentConfig, outdir) -> dict:
     prof_single = coherence_profile(single.F)
     prof_cas = coherence_profile(cas.F)
     probe = _drift_probe(single, cas)
-    corr = np.abs(cas.F.conj().T @ probe["vector"])
-    peaks = count_lattice_peaks(cas, corr, within_db=3.0)
-    drows = [[j, float(cas.delta_sin[j]), float(cas.delta_curv[j]), float(corr[j])]
-             for j in range(corr.size)]
-
+    corr = probe.pop("corr")
     summary = {
-        "on_grid_min_top1": float(scan["on"].min()),
-        "off_angle_min_top1": float(scan["off_angle"].min()),
-        "off_dist_min_top1": float(scan["off_dist"].min()),
-        "off_both_min_top1": float(scan["off_both"].min()),
-        "worst_off_top1": float(min(scan[k].min() for k in
-                                    ("off_angle", "off_dist", "off_both"))),
+        "on_grid_min_top1": min(scan["on"]),
+        "off_angle_min_top1": min(scan["off_angle"]),
+        "off_dist_min_top1": min(scan["off_dist"]),
+        "off_both_min_top1": min(scan["off_both"]),
+        "worst_off_top1": min(min(scan[k]) for k in ("off_angle", "off_dist", "off_both")),
         "single_mean_coherence": prof_single.mean_off,
         "single_max_coherence": prof_single.max_off,
         "cascaded_mean_coherence": prof_cas.mean_off,
         "cascaded_max_coherence": prof_cas.max_off,
-        "drift_peaks_within_3db": int(peaks),
-        "drift_probe": {k: v for k, v in probe.items() if k != "vector"},
+        "drift_peaks_within_3db": probe["peaks"],
+        "drift_probe": probe,
     }
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "leakage_profile.csv",
-              ["kind", "index", "sin_angle", "value"], rows)
-    write_csv(outdir / "drift_profile.csv",
-              ["col", "delta_sin", "delta_curv", "corr"], drows)
-    (outdir / "leakage_profile.meta.json").write_text(
-        json.dumps({"config": config_to_dict(cfg), "summary": summary},
-                   indent=2, sort_keys=True) + "\n")
+    _write_outputs(outdir, "leakage_profile", ["kind", "index", "sin_angle", "value"],
+                   rows, {"config": config_to_dict(cfg), "summary": summary})
+    write_csv(Path(outdir) / "drift_profile.csv", ["col", "delta_sin", "delta_curv", "corr"],
+              [[j, float(s), float(c), float(v)]
+               for j, (s, c, v) in enumerate(zip(cas.delta_sin, cas.delta_curv, corr))])
     return summary
 
 
@@ -566,10 +565,10 @@ def _drift_probe(single: PolarDictionary, cas: CascadedDictionary) -> dict:
     The departure sits on a grid angle; the arrival distance is scanned over
     a few near-field values and the bridge-side distance is solved so the true
     curvature difference lands half a lattice step off, which is where the
-    drifted peaks of the cascaded profile are most pronounced.
+    drifted peaks of the cascaded profile are most pronounced. Returns the
+    winner's geometry, its peak count and its correlation |F_casᴴ x| ("corr").
     """
-    grid = single.grid
-    sins = np.unique(np.round(grid.sin_angles, 12))
+    sins = np.unique(np.round(single.grid.sin_angles, 12))
     u_dep = float(sins[len(sins) // 2])
     u_arr = float(sins[len(sins) // 4])
     lam, delta = single.wavelength, single.spacing
@@ -579,13 +578,11 @@ def _drift_probe(single: PolarDictionary, cas: CascadedDictionary) -> dict:
         a_arr = steering_vector(m, float(np.arcsin(u_arr)), d_arr, lam, delta)
         for s_dep in (5.0, 6.5, 8.0, 11.0, 15.0, 22.0, 30.0):
             a_dep = steering_vector(m, float(np.arcsin(u_dep)), s_dep, lam, delta)
-            x = a_dep * np.conj(a_arr)
-            corr = np.abs(cas.F.conj().T @ x)
+            corr = np.abs(cas.F.conj().T @ (a_dep * np.conj(a_arr)))
             peaks = count_lattice_peaks(cas, corr, within_db=3.0)
-            cand = {"vector": x, "peaks": peaks, "s_dep": s_dep,
-                    "d_arr": d_arr, "u_dep": u_dep, "u_arr": u_arr}
             if best is None or peaks > best["peaks"]:
-                best = cand
+                best = {"corr": corr, "peaks": peaks, "s_dep": s_dep,
+                        "d_arr": d_arr, "u_dep": u_dep, "u_arr": u_arr}
     return best
 
 
@@ -602,35 +599,22 @@ def count_lattice_peaks(cas: CascadedDictionary, corr: np.ndarray,
     count as adjacent whenever their circular gap is no wider than the
     largest in-range gap. Only peaks within within_db of the global maximum
     are counted.
+
+    The count runs on a rank image: corr at (sin rank, curv rank), padded by
+    one cell, -inf where no column sits; when the sin axis wraps, the padding
+    rows copy the opposite edge rows, so the 8 neighbours are plain offsets.
     """
     period = cas.source.wavelength / cas.source.spacing
-    ds = np.round(cas.delta_sin, 9)
-    dc = np.round(cas.delta_curv, 9)
-    us, uc = np.unique(ds), np.unique(dc)
-    si = np.searchsorted(us, ds)
-    ci = np.searchsorted(uc, dc)
-    ns = us.size
-    wrap = ns > 2 and (us[0] + period - us[-1]) <= 1.5 * np.diff(us).max()
-    index = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(si, ci))}
+    us, si = np.unique(np.round(cas.delta_sin, 9), return_inverse=True)
+    uc, ci = np.unique(np.round(cas.delta_curv, 9), return_inverse=True)
+    img = np.full((us.size + 2, uc.size + 2), -np.inf)
+    img[si + 1, ci + 1] = corr
+    if us.size > 2 and (us[0] + period - us[-1]) <= 1.5 * np.diff(us).max():
+        img[0], img[-1] = img[-2], img[1]
+    around = np.max([img[si + 1 + da, ci + 1 + db] for da in (-1, 0, 1)
+                     for db in (-1, 0, 1) if da or db], axis=0)
     thresh = corr.max() * 10.0 ** (-within_db / 20.0)
-    peaks = 0
-    for k, (a, b) in enumerate(zip(si, ci)):
-        if corr[k] < thresh:
-            continue
-        best = True
-        for da in (-1, 0, 1):
-            aa = (a + da) % ns if wrap else a + da
-            for db in (-1, 0, 1):
-                if da == 0 and db == 0:
-                    continue
-                nb = index.get((int(aa), int(b + db)))
-                if nb is not None and corr[nb] > corr[k]:
-                    best = False
-                    break
-            if not best:
-                break
-        peaks += int(best)
-    return peaks
+    return int(np.count_nonzero((corr >= thresh) & (corr >= around)))
 
 
 # --------------------------------------------------------------- loss curves

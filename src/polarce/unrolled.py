@@ -55,8 +55,8 @@ class Stage2Config:
     probe: int = 64                   # samples used to calibrate the init threshold
 
     def __post_init__(self):
-        if self.layers < 1 or self.batch < 1:
-            raise ValueError("stage2 layers and batch must be at least 1")
+        if self.layers < 1 or self.batch < 1 or self.train_size < 1:
+            raise ValueError("stage2 layers, batch and train_size must be at least 1")
 
 
 @dataclass

@@ -164,6 +164,29 @@ class TestConfigErrors:
         assert rc == 2
         assert section in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("axis, section, bad, field", [
+        ("layers", "sweep", {"depths": [1, 3]}, "sweep.depths"),
+        ("tau", "sweep", {"tau": [0, 4]}, "sweep.tau"),
+        ("snr", "sweep", {"phase_kind": "hadamard"}, "phase_kind"),
+        ("snr", "sweep", {"snr_convention": "noise"}, "snr_convention"),
+        ("snr", "system", {"bs_dist": [30, 5]}, "bs_dist"),
+        ("snr", "system", {"ris_dist": [20, 1]}, "ris_dist"),
+        ("snr", "system", {"paths_bs": 0}, "paths_bs"),
+        ("snr", "system", {"paths_ris": 0}, "paths_ris"),
+        ("layers", "stage1", {"train_size": 0}, "stage1"),
+        ("layers", "stage2", {"train_size": 0}, "stage2"),
+    ], ids=["depth-1", "tau-0", "phase-kind", "snr-convention", "bs-dist-reversed",
+            "ris-dist-reversed", "no-bs-paths", "no-ris-paths", "stage1-no-train",
+            "stage2-no-train"])
+    def test_bad_sweep_config(self, capsys, tmp_path, axis, section, bad, field):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO[section], **bad)})))
+        rc, _, err = run(capsys, ["sweep", axis, "--config", str(path),
+                                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert field in json.loads(err)["error"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["eval"], ["simulate"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):
         rc, _, err = run(capsys, [*command, "--config", omp_cfg_file, "--snr", "nan",
@@ -190,6 +213,13 @@ class TestInfo:
         rc, out, _ = run(capsys, ["info", "--config", cfg_file, "--seed", "99"])
         assert rc == 0
         assert json.loads(out)["config"]["sweep"]["seed"] == 99
+
+    def test_out_is_refused(self, capsys, cfg_file, tmp_path):
+        rc, out, err = run(capsys, ["info", "--config", cfg_file,
+                                    "--out", str(tmp_path / "dicts.plce")])
+        assert rc == 2 and out == ""
+        assert "build-dict --out" in json.loads(err)["error"]
+        assert not (tmp_path / "dicts.plce").exists()
 
 
 class TestBuildDict:

@@ -1,6 +1,7 @@
 """Orchestration layer: configs, error metric, checkpoints, paired sweeps."""
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from polarce.rng import substream
 from polarce.schemes import PipelineContext
 from polarce.unrolled import ListaParams
 
-from helpers import crandn
+from helpers import count_lattice_peaks_reference, crandn
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MICRO = {
     "system": {"n_bs": 4, "n_ris": 8, "tau": 6, "paths_bs": 1, "paths_ris": 1},
@@ -321,6 +324,20 @@ def peaks_cas():
     return build_cascaded_dictionary(single)
 
 
+# (cascaded dictionary, random draws); paper's loop oracle takes ~10 ms a draw
+LATTICES = {
+    "desk": (lambda: build_ris_dictionaries(load_config(CONFIGS / "desk.json"))[1], 40),
+    "paper": (lambda: build_ris_dictionaries(load_config(CONFIGS / "paper.json"))[1], 4),
+    # full-coverage 6-angle grid: the sin offsets wrap
+    "wrap-6-angle": (lambda: build_cascaded_dictionary(build_dictionary(
+        8, 0.01, 0.005, GridConfig(angle_count=6, ring_limit=0, distance_min=5.0))), 100),
+    # 9 sin x 5 curv ranks with two empty cells, no wrap
+    "asymmetric": (lambda: build_cascaded_dictionary(build_dictionary(
+        16, 0.01, 0.005, GridConfig(angle_count=5, sin_lo=-0.2, sin_hi=0.5,
+                                    distance_min=0.1))), 100),
+}
+
+
 def sin_ranks(cas):
     vals = np.round(cas.delta_sin, 9)
     return np.searchsorted(np.unique(vals), vals)
@@ -356,6 +373,19 @@ class TestLatticePeaks:
         corr[np.flatnonzero(ranks == 0)[0]] = 1.0
         corr[np.flatnonzero(ranks == ranks.max())[0]] = 0.9
         assert count_lattice_peaks(peaks_cas, corr, within_db=3.0) == 1
+
+    @pytest.mark.parametrize("lattice", list(LATTICES))
+    @pytest.mark.parametrize("decimals", [None, 1], ids=["random", "tied"])
+    def test_matches_loop_reference(self, lattice, decimals):
+        build, draws = LATTICES[lattice]
+        cas = build()
+        rng = np.random.default_rng(17)
+        for _ in range(draws):
+            corr = rng.random(cas.F.shape[1])
+            if decimals is not None:
+                corr = np.round(corr, decimals)
+            assert (count_lattice_peaks(cas, corr, within_db=3.0)
+                    == count_lattice_peaks_reference(cas, corr, within_db=3.0))
 
 
 class TestTop1Fraction:
