@@ -35,13 +35,14 @@ shrinks as the backward pass proceeds. A tape therefore runs `backward` once:
 a second call, or any read of a freed `Node.value`, raises a ValueError
 saying the tape is used up.
 
-Convolution layout. Images are [B, H, W, C] with same zero padding. The padded
-image is read as rows [B*(H+k-1), (W+k-1)*Ci], and the kernel is laid out as a
-block-Toeplitz matrix [(W+k-1)*Ci, k*W*Co] whose block di maps a padded row
-to its contribution through kernel row di. The convolution is one GEMM of the
-two plus k shifted row sums; its backward is two GEMMs against the same
-Toeplitz matrix. The matrix grows with W^2, which suits the narrow images the
-denoiser sees (W = paths_bs).
+Convolution layout. Images are [B, H, W, C] with same zero padding. The image,
+padded on the H axis only, is read as rows [B*(H+k-1), W*Ci], and the kernel
+is laid out as a block-Toeplitz matrix [W*Ci, k*W*Co] whose block di maps a
+padded row to its contribution through kernel row di. Taps that would read
+the W padding are left out of the matrix, so no product multiplies a padding
+zero. The convolution is one GEMM of the two plus k shifted row sums; its
+backward is two GEMMs against the same Toeplitz matrix. The matrix grows with
+W^2, which suits the narrow images the denoiser sees (W = paths_bs).
 """
 from __future__ import annotations
 
@@ -175,25 +176,34 @@ def _hermitian_copy(a: np.ndarray) -> np.ndarray:
 
 
 def _conv_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """x zero-padded by k//2 on both image axes, as rows [B*Hp, Wp*Ci]."""
+    """x zero-padded by k//2 on the H axis, as rows [B*Hp, W*Ci]."""
     b, h, w, c = x.shape
     pad = k // 2
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x
-    return xp.reshape(b * (h + 2 * pad), (w + 2 * pad) * c)
+    xp = np.zeros((b, h + 2 * pad, w, c), dtype=x.dtype)
+    xp[:, pad:pad + h] = x
+    return xp.reshape(b * (h + 2 * pad), w * c)
+
+
+def _conv_columns(width: int, k: int):
+    """(output column j, image columns it reads, their taps dj) as slices."""
+    pad = k // 2
+    for j in range(width):
+        lo, hi = max(j - pad, 0), min(j + pad + 1, width)
+        yield j, slice(lo, hi), slice(lo - j + pad, hi - j + pad)
 
 
 def _conv_toeplitz(w: np.ndarray, width: int) -> np.ndarray:
-    """Kernel [k, k, Ci, Co] as the block-Toeplitz matrix [Wp*Ci, k*W*Co].
+    """Kernel [k, k, Ci, Co] as the block-Toeplitz matrix [W*Ci, k*W*Co].
 
-    Entry [(j+dj)*Ci + c, (di*W + j)*Co + o] is w[di, dj, c, o].
+    Entry [(j+dj-k//2)*Ci + c, (di*W + j)*Co + o] is w[di, dj, c, o]; taps
+    that fall outside the image are dropped.
     """
     k, _, ci, co = w.shape
-    t = np.zeros((width + k - 1, ci, k, width, co), dtype=w.dtype)
+    t = np.zeros((width, ci, k, width, co), dtype=w.dtype)
     taps = w.transpose(1, 2, 0, 3)                      # [dj, c, di, o]
-    for j in range(width):
-        t[j:j + k, :, :, j] = taps
-    return t.reshape((width + k - 1) * ci, k * width * co)
+    for j, cols, dj in _conv_columns(width, k):
+        t[cols, :, :, j] = taps[dj]
+    return t.reshape(width * ci, k * width * co)
 
 
 def _conv2d_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -216,8 +226,8 @@ def _soft_threshold_fwd(x, lam):
     mag = np.abs(x)
     shrink = np.subtract(mag, lam)
     np.maximum(shrink, 0.0, out=shrink)
-    # where shrink is 0 it stays 0; elsewhere |x| > lam >= 0
-    np.divide(shrink, mag, out=shrink, where=shrink > 0)
+    mag[mag == 0] = 1.0                 # shrink is 0 there
+    shrink /= mag
     return x * shrink
 
 
@@ -230,10 +240,10 @@ def _batch_norm_fwd(x, gamma, beta, aux):
     """Batch-normalized x; leaves the per-channel mean, variance and 1/std in aux."""
     axes = _bn_axes(x)
     mu = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    out = x - mu
+    var = np.add.reduce(np.square(out), axis=axes) / (x.size // x.shape[-1])  # as np.var
     inv = 1.0 / np.sqrt(var + aux["eps"])
     aux["mu"], aux["var"], aux["inv"] = mu, var, inv
-    out = x - mu
     out *= inv
     out *= gamma
     out += beta
@@ -284,8 +294,9 @@ def _bwd_soft_threshold(g, ins, out, aux, need):
     x, lam = ins
     inv = np.abs(x)                     # becomes 1/|x| on the active set, 0 elsewhere
     active = np.greater(inv, lam)
-    np.divide(1.0, inv, out=inv, where=active)
-    np.copyto(inv, 0.0, where=np.logical_not(active, out=active))
+    inv += ~active                      # |x| + 1 off it, so every divide is finite
+    np.divide(1.0, inv, out=inv)
+    inv *= active
     z = np.conj(x)
     z *= g
     z *= inv
@@ -314,13 +325,13 @@ def _bwd_conv2d(g, ins, out, aux, need):
     gs = gs.reshape(b * (h + 2 * pad), k * width * co)
     gx = gw = None
     if need[0]:
-        gxp = (gs @ _conv_toeplitz(w, width).T).reshape(b, h + 2 * pad, width + 2 * pad, ci)
-        gx = np.ascontiguousarray(gxp[:, pad:pad + h, pad:pad + width])
+        gxp = (gs @ _conv_toeplitz(w, width).T).reshape(b, h + 2 * pad, width, ci)
+        gx = np.ascontiguousarray(gxp[:, pad:pad + h])
     if need[1]:
-        gt = (_conv_rows(x, k).T @ gs).reshape(width + 2 * pad, ci, k, width, co)
-        gw = gt[0:k, :, :, 0].copy()                    # [dj, c, di, o]
-        for j in range(1, width):
-            gw += gt[j:j + k, :, :, j]
+        gt = (_conv_rows(x, k).T @ gs).reshape(width, ci, k, width, co)
+        gw = np.zeros((k, ci, k, co), dtype=gt.dtype)   # [dj, c, di, o]
+        for j, cols, dj in _conv_columns(width, k):
+            gw[dj] += gt[cols, :, :, j]
         gw = np.ascontiguousarray(gw.transpose(2, 0, 1, 3))
     return [gx, gw]
 
@@ -330,11 +341,17 @@ def _bwd_batch_norm(g, ins, out, aux, need):
     axes = _bn_axes(x)
     n = x.size // x.shape[-1]
     inv = aux["inv"]
-    xh = (x - aux["mu"]) * inv
+    xh = x - aux["mu"]
+    xh *= inv
     gbeta = g.sum(axis=axes)
-    ggamma = (g * xh).sum(axis=axes)
-    gx = gamma * inv * (g - gbeta / n - xh * (ggamma / n)) if need[0] else None
-    return [gx, ggamma if need[1] else None, gbeta if need[2] else None]
+    gx = g * xh
+    ggamma = gx.sum(axis=axes)
+    if need[0]:             # gamma inv (g - gbeta/n - xh ggamma/n), in xh and gx
+        np.subtract(g, gbeta / n, out=gx)
+        xh *= ggamma / n
+        gx -= xh
+        gx *= gamma * inv
+    return [gx if need[0] else None, ggamma if need[1] else None, gbeta if need[2] else None]
 
 
 _BACKWARD = {

@@ -165,7 +165,7 @@ def cmd_train(args) -> int:
         lp, trace = harness.train_stage2_model(cfg, cas, E, snr, harness.snr_label(snr))
         digest = harness.save_stage2(out, lp, E, cas.F)
     _emit({"written": str(out), "sha256": digest,
-           "final_loss": trace[-1]["loss"], "episodes": len(trace)})
+           "final_loss": trace[-1]["loss"] if trace else None, "episodes": len(trace)})
     return 0
 
 

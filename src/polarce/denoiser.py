@@ -50,6 +50,8 @@ class Stage1Config:
             raise ValueError(f"stage1 kernel must be odd and positive, got {self.kernel}")
         if self.width < 1 or self.batch < 1 or self.train_size < 1:
             raise ValueError("stage1 width, batch and train_size must be at least 1")
+        if self.val_size < 0:
+            raise ValueError(f"stage1 val_size must be at least 0, got {self.val_size}")
 
 
 @dataclass

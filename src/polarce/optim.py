@@ -34,7 +34,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     Complex parameters keep a complex first moment; the second moment tracks
     |grad|^2 so the step is phase-equivariant. The in-place updates do the
     operations of p - lr (m/bc1) / (sqrt(v/bc2) + eps) in the same order, so
-    the result is bit-identical to evaluating that expression.
+    the result is bit-identical to evaluating that expression. numpy divides a
+    complex number by a real d as (re + im*0) * (1/d), so a complex step is
+    scaled by 1/bc1 and 1/den instead, without the complex divide. The two
+    differ only where a part is -0, which m never holds and a step only after
+    underflow.
     """
     state.step += 1
     t = state.step
@@ -55,11 +59,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v *= state.beta2
         g2 *= 1.0 - state.beta2
         v += g2
-        step = np.divide(m, bc1, out=np.empty_like(m))      # arrays, also when 0-d
-        step *= state.lr
         den = np.divide(v, bc2, out=np.empty_like(v))
         np.sqrt(den, out=den)
         den += state.eps
-        step /= den
-        new_params[name] = p - step
+        if np.iscomplexobj(m):          # by reciprocals, see above
+            step = np.multiply(m, 1.0 / bc1, out=np.empty_like(m))
+            step *= state.lr
+            step *= np.divide(1.0, den, out=den)
+        else:
+            step = np.divide(m, bc1, out=np.empty_like(m))  # arrays, also when 0-d
+            step *= state.lr
+            step /= den
+        new_params[name] = np.subtract(p, step, out=step)
     return new_params

@@ -7,6 +7,8 @@ dL/dRe + 1j dL/dIm, the same layout the tape produces.
 """
 import numpy as np
 
+from polarce.autodiff import _unbroadcast
+
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -109,3 +111,140 @@ def count_lattice_peaks_reference(cas, corr: np.ndarray, within_db: float = 3.0)
                 break
         peaks += int(best)
     return peaks
+
+
+# Byte-level oracles: the training kernels as they were written before they
+# were trimmed to the work whose result is used. The kernels in
+# `polarce.autodiff` and `polarce.optim` must match them byte for byte.
+
+def _padded_conv_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """x zero-padded by k//2 on both image axes, as rows [B*Hp, Wp*Ci]."""
+    b, h, w, c = x.shape
+    pad = k // 2
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    return xp.reshape(b * (h + 2 * pad), (w + 2 * pad) * c)
+
+
+def _padded_conv_toeplitz(w: np.ndarray, width: int) -> np.ndarray:
+    """Kernel [k, k, Ci, Co] as the block-Toeplitz matrix [Wp*Ci, k*W*Co]."""
+    k, _, ci, co = w.shape
+    t = np.zeros((width + k - 1, ci, k, width, co), dtype=w.dtype)
+    taps = w.transpose(1, 2, 0, 3)                      # [dj, c, di, o]
+    for j in range(width):
+        t[j:j + k, :, :, j] = taps
+    return t.reshape((width + k - 1) * ci, k * width * co)
+
+
+def conv2d_padded_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded convolution as one GEMM over the image padded on both axes."""
+    k = w.shape[0]
+    b, h, width, _ = x.shape
+    co = w.shape[3]
+    y = (_padded_conv_rows(x, k) @ _padded_conv_toeplitz(w, width)).reshape(
+        b, h + k - 1, k, width * co)
+    out = y[:, :h, 0].copy()
+    for di in range(1, k):
+        out += y[:, di:di + h, di]
+    return out.reshape(b, h, width, co)
+
+
+def conv2d_backward_reference(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw) of `conv2d_padded_reference`, with GEMMs over the padded width."""
+    k = w.shape[0]
+    pad = k // 2
+    b, h, width, ci = x.shape
+    co = w.shape[3]
+    gs = np.zeros((b, h + 2 * pad, k, width * co), dtype=g.dtype)
+    g_rows = g.reshape(b, h, width * co)
+    for di in range(k):
+        gs[:, di:di + h, di] = g_rows
+    gs = gs.reshape(b * (h + 2 * pad), k * width * co)
+    gxp = (gs @ _padded_conv_toeplitz(w, width).T).reshape(b, h + 2 * pad, width + 2 * pad, ci)
+    gx = np.ascontiguousarray(gxp[:, pad:pad + h, pad:pad + width])
+    gt = (_padded_conv_rows(x, k).T @ gs).reshape(width + 2 * pad, ci, k, width, co)
+    gw = gt[0:k, :, :, 0].copy()                        # [dj, c, di, o]
+    for j in range(1, width):
+        gw += gt[j:j + k, :, :, j]
+    return gx, np.ascontiguousarray(gw.transpose(2, 0, 1, 3))
+
+
+def batch_norm_reference(x, gamma, beta, eps):
+    """(output, mean, variance, 1/std) with numpy's own mean and var."""
+    axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = x - mu
+    out *= inv
+    out *= gamma
+    out += beta
+    return out, mu, var, inv
+
+
+def batch_norm_backward_reference(g, x, gamma, mu, inv):
+    """(dx, dgamma, dbeta) of batch norm, one expression per gradient."""
+    axes = tuple(range(x.ndim - 1))
+    n = x.size // x.shape[-1]
+    xh = (x - mu) * inv
+    gbeta = g.sum(axis=axes)
+    ggamma = (g * xh).sum(axis=axes)
+    return gamma * inv * (g - gbeta / n - xh * (ggamma / n)), ggamma, gbeta
+
+
+def soft_threshold_reference(x, lam):
+    """x scaled by max(|x| - lam, 0) / |x|, dividing only where that is > 0."""
+    mag = np.abs(x)
+    shrink = np.subtract(mag, lam)
+    np.maximum(shrink, 0.0, out=shrink)
+    np.divide(shrink, mag, out=shrink, where=shrink > 0)
+    return x * shrink
+
+
+def soft_threshold_backward_reference(g, x, lam):
+    """(dx, dlam) of the soft threshold through masked divides."""
+    inv = np.abs(x)
+    active = np.greater(inv, lam)
+    np.divide(1.0, inv, out=inv, where=active)
+    np.copyto(inv, 0.0, where=np.logical_not(active, out=active))
+    z = np.conj(x)
+    z *= g
+    z *= inv
+    glam = -_unbroadcast(z.real, np.shape(lam))
+    if np.iscomplexobj(z):
+        shrink = np.multiply(lam, inv)
+        z.imag *= np.subtract(1.0, shrink, out=shrink)
+    z *= x
+    z *= inv
+    return z, glam
+
+
+def adam_step_reference(params: dict, grads: dict, state) -> dict:
+    """Adam as p - lr (m/bc1) / (sqrt(v/bc2) + eps), dividing complex by real."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    new_params = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        if np.iscomplexobj(g):
+            g2 = g.real ** 2
+            g2 += g.imag ** 2
+        else:
+            g2 = g ** 2
+        v = state.v[name]
+        v *= state.beta2
+        g2 *= 1.0 - state.beta2
+        v += g2
+        step = np.divide(m, bc1, out=np.empty_like(m))
+        step *= state.lr
+        den = np.divide(v, bc2, out=np.empty_like(v))
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        new_params[name] = p - step
+    return new_params

@@ -175,9 +175,10 @@ class TestConfigErrors:
         ("snr", "system", {"paths_ris": 0}, "paths_ris"),
         ("layers", "stage1", {"train_size": 0}, "stage1"),
         ("layers", "stage2", {"train_size": 0}, "stage2"),
+        ("snr", "stage1", {"val_size": -1}, "val_size"),
     ], ids=["depth-1", "tau-0", "phase-kind", "snr-convention", "bs-dist-reversed",
             "ris-dist-reversed", "no-bs-paths", "no-ris-paths", "stage1-no-train",
-            "stage2-no-train"])
+            "stage2-no-train", "stage1-negative-val"])
     def test_bad_sweep_config(self, capsys, tmp_path, axis, section, bad, field):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO[section], **bad)})))
@@ -313,6 +314,20 @@ class TestTrain:
         lp = load_stage2(out_file, harness.phase_schedule(cfg), cas.F)
         assert lp.lam.shape == (3,)
         assert lp.F.shape[1] == 7
+
+
+    @pytest.mark.parametrize("network", ["stage1", "stage2"])
+    def test_zero_episodes(self, capsys, tmp_path, network):
+        """No episode, no loss: the untrained network is written all the same."""
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(dict(MICRO, **{network: dict(MICRO[network], episodes=0)})))
+        out_file = tmp_path / "net.plce"
+        rc, out, _ = run(capsys, ["train", network, "--config", str(path),
+                                  "--out", str(out_file)])
+        assert rc == 0
+        info = json.loads(out)
+        assert info["final_loss"] is None and info["episodes"] == 0
+        assert out_file.exists()
 
 
 class TestEval:

@@ -1,0 +1,144 @@
+"""The training kernels against byte-level oracles.
+
+Each kernel of the tape and of Adam must give the same bytes as the wider
+form it replaced (copied into `helpers`). Outputs are compared with
+`tobytes()`, which tells -0 from +0 where `array_equal` does not. Inputs are
+seeded and hold exact zeros: ReLU-sparse images and gradients, entries with
+|x| = 0 and |x| = lam, and lam = 0.
+"""
+import numpy as np
+import pytest
+
+import polarce.autodiff as ad
+from polarce.optim import adam_init, adam_step
+
+from helpers import (adam_step_reference, batch_norm_backward_reference,
+                     batch_norm_reference, conv2d_backward_reference,
+                     conv2d_padded_reference, crandn, soft_threshold_backward_reference,
+                     soft_threshold_reference)
+
+# (batch, H, W, k, Ci, Co): the denoiser's first, middle and last layers at
+# the training batch, the paper (H 192) and desk (H 96) BS grids and W =
+# paths_bs = 3, and a middle layer with W = 5 and k = 5. Byte identity rests on
+# OpenBLAS summing each GEMM entry the same way with and without the padding
+# terms. Its blocked kernel does; its small-matrix kernel, which it takes
+# for some products below about 1e6 multiply-adds, does not, so much smaller
+# images (batch 4, H 24, W 5, k 5) differ from the padded form in the last bit.
+CONV_SHAPES = [(32, h, 3, 3, ci, co) for h in (192, 96)
+               for ci, co in ((2, 16), (16, 16), (16, 2))] + [(32, 96, 5, 5, 16, 16)]
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def sparse(rng, shape, keep=0.5):
+    """Standard normal entries with about 1 - keep of them exactly 0."""
+    return rng.standard_normal(shape) * (rng.random(shape) < keep)
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "b{}h{}w{}k{}ci{}co{}".format(*s))
+class TestConv2dBytes:
+    @staticmethod
+    def operands(shape):
+        b, h, width, k, ci, co = shape
+        rng = np.random.default_rng(h * 100 + ci * 10 + co)
+        x = np.maximum(rng.standard_normal((b, h, width, ci)), 0.0)     # ReLU-sparse
+        w = 0.1 * rng.standard_normal((k, k, ci, co))
+        g = sparse(rng, (b, h, width, co))
+        return x, w, g
+
+    def test_forward(self, shape):
+        x, w, _ = self.operands(shape)
+        assert same_bytes(ad._conv2d_fwd(x, w), conv2d_padded_reference(x, w))
+
+    def test_backward(self, shape):
+        x, w, g = self.operands(shape)
+        gx, gw = ad._bwd_conv2d(g, [x, w], None, None, [True, True])
+        want_gx, want_gw = conv2d_backward_reference(g, x, w)
+        assert same_bytes(gx, want_gx)
+        assert same_bytes(gw, want_gw)
+
+
+@pytest.mark.parametrize("h", [192, 96])
+class TestBatchNormBytes:
+    @staticmethod
+    def operands(h):
+        rng = np.random.default_rng(h)
+        x = sparse(rng, (32, h, 3, 16), keep=0.8) + 0.3
+        x[rng.random(x.shape) < 0.1] = 0.0
+        gamma = 1.0 + 0.1 * rng.standard_normal(16)
+        beta = 0.1 * rng.standard_normal(16)
+        g = sparse(rng, x.shape)
+        return x, gamma, beta, g
+
+    def test_forward(self, h):
+        x, gamma, beta, _ = self.operands(h)
+        aux = {"eps": 1e-5}
+        out = ad._batch_norm_fwd(x, gamma, beta, aux)
+        want, mu, var, inv = batch_norm_reference(x, gamma, beta, 1e-5)
+        assert same_bytes(out, want)
+        assert same_bytes(aux["mu"], mu)
+        assert same_bytes(aux["var"], var)
+        assert same_bytes(aux["inv"], inv)
+
+    def test_backward(self, h):
+        x, gamma, beta, g = self.operands(h)
+        out, mu, var, inv = batch_norm_reference(x, gamma, beta, 1e-5)
+        aux = {"eps": 1e-5, "mu": mu, "var": var, "inv": inv}
+        got = ad._bwd_batch_norm(g, [x, gamma, beta], out, aux, [True, True, True])
+        for a, b in zip(got, batch_norm_backward_reference(g, x, gamma, mu, inv)):
+            assert same_bytes(a, b)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+class TestSoftThresholdBytes:
+    @staticmethod
+    def operands(kind, lam):
+        rng = np.random.default_rng(7)
+        shape = (400, 32)
+        x = crandn(rng, *shape) if kind == "complex" else rng.standard_normal(shape)
+        x[rng.random(shape) < 0.1] = 0.0                    # |x| = 0
+        x[rng.random(shape) < 0.05] = -0.0
+        x[rng.random(shape) < 0.05] = lam                   # |x| = lam
+        x[rng.random(shape) < 0.05] = -lam
+        g = sparse(rng, shape)
+        if kind == "complex":
+            g = g + 1j * sparse(rng, shape)
+        return x, np.array(lam), g
+
+    def test_forward(self, kind, lam):
+        x, lam, _ = self.operands(kind, lam)
+        assert same_bytes(ad._soft_threshold_fwd(x, lam), soft_threshold_reference(x, lam))
+
+    @pytest.mark.parametrize("need", [(True, True), (True, False), (False, True)])
+    def test_backward(self, kind, lam, need):
+        x, lam, g = self.operands(kind, lam)
+        got = ad._bwd_soft_threshold(g, [x, lam], None, None, list(need))
+        want = soft_threshold_backward_reference(g, x, lam)
+        for n, a, b in zip(need, got, want):
+            assert same_bytes(a, b) if n else a is None
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_adam_step_bytes(kind):
+    """Three steps on an F-sized parameter and a scalar, moments included."""
+    rng = np.random.default_rng(3)
+    shape = (128, 6419)
+
+    def draw():
+        return crandn(rng, *shape) if kind == "complex" else rng.standard_normal(shape)
+
+    params = {"F": draw(), "lam": np.array(0.0)}
+    got_p, want_p = dict(params), dict(params)
+    got_s, want_s = adam_init(params, lr=1e-4), adam_init(params, lr=1e-4)
+    for _ in range(3):
+        grads = {"F": draw() * (rng.random(shape) < 0.7), "lam": np.array(rng.standard_normal())}
+        got_p = adam_step(got_p, grads, got_s)
+        want_p = adam_step_reference(want_p, grads, want_s)
+        for name in params:
+            assert same_bytes(got_p[name], want_p[name])
+            assert same_bytes(got_s.m[name], want_s.m[name])
+            assert same_bytes(got_s.v[name], want_s.v[name])
