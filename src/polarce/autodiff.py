@@ -29,6 +29,14 @@ negations of 0-d arrays return and `np.add(..., out=)` cannot write into.
 Otherwise the second contribution allocates the sum, and the same rule
 applies to it.
 
+Precision. A gradient takes the dtype of its node: `backward` seeds the loss
+with ones of the loss's dtype, and each contribution is cast to the dtype of
+the node it flows into, after a complex contribution into a real node is cut
+to its real part. A float32 or complex64 network therefore runs its whole
+backward pass in single precision, even when a float64 constant (a loss
+normalization, say) promotes the loss itself to float64. For a float64 graph
+every cast is a no-op.
+
 Lifetime. `backward` frees each recorded value once its record has been
 processed, since every consumer of a value was recorded after it, so the tape
 shrinks as the backward pass proceeds. A tape therefore runs `backward` once:
@@ -119,7 +127,7 @@ class Tape:
         lval = loss.value               # raises once an earlier backward freed it
         if np.asarray(lval).size != 1 or np.iscomplexobj(lval):
             raise ValueError("loss must be a real scalar")
-        grads: dict[int, np.ndarray] = {loss.id: np.ones_like(np.asarray(lval, dtype=np.float64))}
+        grads: dict[int, np.ndarray] = {loss.id: np.ones_like(lval)}
         for rec in reversed(self.records):
             g_out = grads.pop(rec.out, None)
             if g_out is not None:
@@ -144,8 +152,11 @@ class Tape:
 
     def _accumulate(self, grads: dict, node_id: int, contrib) -> None:
         """Add one gradient contribution to node_id (see the module docstring)."""
-        if np.iscomplexobj(contrib) and not np.iscomplexobj(self.values[node_id]):
+        dtype = self.values[node_id].dtype
+        if np.iscomplexobj(contrib) and dtype.kind != "c":
             contrib = contrib.real
+        if contrib.dtype != dtype:
+            contrib = contrib.astype(dtype)
         cur = grads.get(node_id)
         if cur is None:
             grads[node_id] = contrib

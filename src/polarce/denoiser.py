@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import SceneRealization, SystemConfig, ris_side_rows, simulate_pilots
-from .optim import adam_init, adam_step
+from .optim import adam_init, adam_step, with_precision
 from .polar import PolarDictionary, nearest_grid_index
 from .rng import substream
 
@@ -196,13 +196,23 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
     return Stage1Dataset(C=C, X=X)
 
 
+def _at_precision(dp: DenoiserParams, real) -> DenoiserParams:
+    return DenoiserParams(dp.config, with_precision(dp.params, real),
+                          with_precision(dp.buffers, real))
+
+
 def train_stage1(dataset: Stage1Dataset, cfg: Stage1Config, seed: int,
                  val: Stage1Dataset | None = None):
-    """Adam on the residual loss; returns (DenoiserParams, per-episode trace)."""
+    """Adam on the residual loss; returns (DenoiserParams, per-episode trace).
+
+    Trains in single precision: parameters, BN buffers, Adam moments and
+    batches are float32. Returns the parameters and buffers widened, exactly,
+    to float64; the validation loss is taken on that float64 network.
+    """
     rng = substream(seed, "stage1-init")
-    dp = init_denoiser(cfg, rng)
+    dp = _at_precision(init_denoiser(cfg, rng), np.float32)
     state = adam_init(dp.params, lr=cfg.lr)
-    xin, target = _residual_pairs(dataset)
+    xin, target = (a.astype(np.float32) for a in _residual_pairs(dataset))
     n = xin.shape[0]
     order_rng = substream(seed, "stage1-order")
     trace = []
@@ -226,9 +236,9 @@ def train_stage1(dataset: Stage1Dataset, cfg: Stage1Config, seed: int,
             losses.append(lval)
         rec = {"episode": ep, "loss": float(np.mean(losses))}
         if val is not None:
-            rec["val_loss"] = stage1_loss(val, dp)
+            rec["val_loss"] = stage1_loss(val, _at_precision(dp, np.float64))
         trace.append(rec)
-    return dp, trace
+    return _at_precision(dp, np.float64), trace
 
 
 def stage1_loss(dataset: Stage1Dataset, dp: DenoiserParams) -> float:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AdamState", "adam_init", "adam_step"]
+__all__ = ["AdamState", "adam_init", "adam_step", "with_precision"]
 
 
 @dataclass
@@ -20,11 +20,19 @@ class AdamState:
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
+    """Zero moments in each parameter's precision; the second moment is real."""
     state = AdamState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros(p.shape, dtype=np.float64)
+        state.v[name] = np.zeros(p.shape, dtype=p.real.dtype)
     return state
+
+
+def with_precision(arrays: dict[str, np.ndarray], real) -> dict[str, np.ndarray]:
+    """Copies of named arrays in the real dtype `real`, complex ones in its
+    complex counterpart (float32 -> complex64, float64 -> complex128)."""
+    cplx = np.promote_types(real, np.complex64)
+    return {k: v.astype(cplx if np.iscomplexobj(v) else real) for k, v in arrays.items()}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

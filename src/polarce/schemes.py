@@ -74,8 +74,13 @@ def _two_stage(pilots: list[PilotBlock], ctx: PipelineContext, solve) -> np.ndar
 def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Learned support + per-path greedy pursuit on the cascaded dictionary."""
     prob = DenseProblem.build(ctx.E.conj().T @ ctx.cas.F)
-    return _two_stage(pilots, ctx, lambda P: np.stack(
-        [ctx.cas.F @ omp_dense(p, prob, ctx.config.paths_ris)[0] for p in P.T], axis=1))
+
+    def synthesize(p):
+        """F x from the picked columns only; x has at most paths_ris nonzeros."""
+        x, sup = omp_dense(p, prob, ctx.config.paths_ris)
+        return ctx.cas.F[:, sup] @ x[sup]
+
+    return _two_stage(pilots, ctx, lambda P: np.stack([synthesize(p) for p in P.T], axis=1))
 
 
 def estimate_dncnn_istanet(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:

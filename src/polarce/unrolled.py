@@ -19,6 +19,10 @@ check this at every depth up to 8. A safe step therefore keeps the untrained
 net convergent: at 20 dB its mean relative error ||x_hat - x||^2 / ||x||^2 at
 1, 2, 4, 6 and 8 layers is 0.81, 0.72, 0.63, 0.58 and 0.54 on 180 desk
 training paths, and 0.89, 0.85, 0.81, 0.78 and 0.77 on 90 paper ones.
+
+Training runs in single precision (complex64 V, F, E and batches, float32
+thresholds and steps, Adam moments to match) and returns complex128/float64
+parameters; inference runs in double precision.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import SceneRealization, SystemConfig, ris_side_rows
-from .optim import adam_init, adam_step
+from .optim import adam_init, adam_step, with_precision
 from .rng import complex_normal, substream
 
 __all__ = [
@@ -137,17 +141,18 @@ def lista_init(E: np.ndarray, F_cas: np.ndarray, cfg: Stage2Config,
 
 
 def _lista_param_dict(lp: ListaParams) -> dict[str, np.ndarray]:
+    """Named parameters, each layer's threshold and step as 0-d arrays of their dtype."""
     d = {"V": lp.V, "F": lp.F}
     for t in range(lp.lam.size):
-        d[f"lam{t}"] = np.asarray(lp.lam[t], dtype=np.float64)
-        d[f"kappa{t}"] = np.asarray(lp.kappa[t], dtype=np.float64)
+        d[f"lam{t}"] = np.asarray(lp.lam[t])
+        d[f"kappa{t}"] = np.asarray(lp.kappa[t])
     return d
 
 
 def _lista_from_dict(d: dict[str, np.ndarray], layers: int) -> ListaParams:
     return ListaParams(
-        lam=np.array([float(d[f"lam{t}"]) for t in range(layers)]),
-        kappa=np.array([float(d[f"kappa{t}"]) for t in range(layers)]),
+        lam=np.array([d[f"lam{t}"] for t in range(layers)]),
+        kappa=np.array([d[f"kappa{t}"] for t in range(layers)]),
         V=d["V"], F=d["F"],
     )
 
@@ -177,7 +182,8 @@ def lista_forward(P: np.ndarray, lp: ListaParams, E: np.ndarray,
 
 def _path_loss(out, Xl: np.ndarray):
     """Normalized reconstruction loss sum_l ||out_l - x_l||^2 / ||x_l||^2 / (2B)."""
-    w = 1.0 / np.maximum(np.linalg.norm(Xl, axis=0), 1e-300)
+    norms = np.linalg.norm(Xl, axis=0)
+    w = 1.0 / np.maximum(norms, np.finfo(norms.dtype).tiny)
     weighted = ad.mul(ad.sub(out, Xl), w[None, :])
     return ad.mul(ad.sum_abs2(weighted), 1.0 / (2.0 * Xl.shape[1]))
 
@@ -203,9 +209,15 @@ def make_stage2_dataset(config: SystemConfig, scenes: list[SceneRealization],
 
 def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
                  cfg: Stage2Config, seed: int):
-    """Adam on the normalized reconstruction loss; returns (params, trace)."""
+    """Adam on the normalized reconstruction loss; returns (params, trace).
+
+    Trains in single precision: V, F, E and the batches are complex64, the
+    thresholds and steps float32, and so are the Adam moments. Returns the
+    parameters widened, exactly, to complex128/float64.
+    """
     lp = lista_init(E, F_cas, cfg, probe_P=dataset.P[:, :cfg.probe])
-    params = _lista_param_dict(lp)
+    params = with_precision(_lista_param_dict(lp), np.float32)
+    E = E.astype(np.complex64)
     state = adam_init(params, lr=cfg.lr)
     n = dataset.P.shape[1]
     order_rng = substream(seed, "stage2-order")
@@ -216,19 +228,19 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
         for lo in range(0, n, cfg.batch):
             sel = order[lo:lo + cfg.batch]
             tape = ad.Tape()
-            out = lista_forward(dataset.P[:, sel], _lista_from_dict(params, cfg.layers),
-                                E, tape=tape)
-            loss = _path_loss(out, dataset.Xl[:, sel])
+            out = lista_forward(dataset.P[:, sel].astype(np.complex64),
+                                _lista_from_dict(params, cfg.layers), E, tape=tape)
+            loss = _path_loss(out, dataset.Xl[:, sel].astype(np.complex64))
             lval = float(loss.value)
             if not np.isfinite(lval):
                 raise RuntimeError(f"stage-2 training diverged at episode {ep}: loss={lval}")
             grads = tape.backward(loss)
             params = adam_step(params, grads, state)
-            for t in range(cfg.layers):
-                params[f"lam{t}"] = np.maximum(params[f"lam{t}"], 0.0)
+            for t in range(cfg.layers):     # in place: numpy 1.x would widen a 0-d result
+                np.maximum(params[f"lam{t}"], 0.0, out=params[f"lam{t}"])
             losses.append(lval)
         trace.append({"episode": ep, "loss": float(np.mean(losses))})
-    return _lista_from_dict(params, cfg.layers), trace
+    return _lista_from_dict(with_precision(params, np.float64), cfg.layers), trace
 
 
 def stage2_loss(dataset: Stage2Dataset, lp: ListaParams, E: np.ndarray) -> float:

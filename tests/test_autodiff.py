@@ -337,6 +337,40 @@ class TestTapeMechanics:
         check_op(build, mirror, arrays)
 
 
+class TestPrecision:
+    """A gradient takes its node's dtype, whatever the constants around it."""
+
+    def test_float32_leaf_times_float64_constant(self, rng):
+        x = rng.standard_normal(5).astype(np.float32)
+        c = rng.standard_normal(5)
+        tape = ad.Tape()
+        xn = tape.leaf(x, trainable=True, name="x")
+        loss = ad.mul(ad.sum_abs2(ad.mul(xn, c)), 0.5)
+        assert loss.value.dtype == np.float64           # the constant promotes
+        g = tape.backward(loss)["x"]
+        assert g.dtype == np.float32
+        np.testing.assert_allclose(g, c * c * x, rtol=1e-6)
+
+    def test_complex64_leaf_gets_complex64_gradient(self, rng):
+        z = crandn(rng, 3, 4).astype(np.complex64)
+        B = crandn(rng, 4, 2)
+        tape = ad.Tape()
+        zn = tape.leaf(z, trainable=True, name="z")
+        loss = ad.mul(ad.sum_abs2(ad.matmul(zn, B)), 0.5)
+        g = tape.backward(loss)["z"]
+        assert g.dtype == np.complex64
+        np.testing.assert_allclose(g, (z @ B) @ B.conj().T, rtol=1e-5)
+
+    def test_complex_contribution_into_float32_node_is_its_real_part(self, rng):
+        a = rng.standard_normal(4).astype(np.float32)
+        c = crandn(rng, 4)
+        tape = ad.Tape()
+        an = tape.leaf(a, trainable=True, name="a")
+        g = tape.backward(ad.sum_abs2(ad.mul(an, c)))["a"]
+        assert g.dtype == np.float32
+        np.testing.assert_allclose(g, 2.0 * np.abs(c) ** 2 * a, rtol=1e-6)
+
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 

@@ -374,6 +374,18 @@ class TestEval:
         assert rc == 0
         assert (tmp_path / "eval.csv").read_text().splitlines() == sweep_lines_at_20
 
+    def test_stage1_checkpoint_matches_sweep_row(self, capsys, all_cfg_file,
+                                                 stage1_ckpt, sweep_lines_at_20,
+                                                 tmp_path):
+        """A stage-1 network trained in float32 and stored in float64 gives
+        the sweep's own dncnn-omp row."""
+        rc, _, _ = run(capsys, ["eval", "--config", all_cfg_file, "--snr", "20",
+                                "--stage1", stage1_ckpt, "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "eval.csv").read_text().splitlines()
+        assert lines == sweep_lines_at_20
+        assert any(line.startswith("dncnn-omp,") for line in lines)
+
     def test_stage2_checkpoint_other_pilot_length(self, capsys, tau4_cfg_file,
                                                   stage2_ckpt, tmp_path):
         rc, _, err = run(capsys, ["eval", "--config", tau4_cfg_file,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polarce.autodiff as ad
+import polarce.denoiser as denoiser_mod
 from polarce.channel import draw_scene, simulate_pilots
 from polarce.denoiser import (
     Stage1Config, _residual_loss, denoise, denoiser_forward, init_denoiser,
@@ -268,3 +269,20 @@ class TestStage1Training:
         with pytest.raises(RuntimeError):
             with np.errstate(all="ignore"):
                 train_stage1(ds, wild, seed=0)
+
+    def test_trains_in_float32_returns_float64(self, small_system, small_bs_dict,
+                                               small_E, monkeypatch):
+        seen = set()
+        step = denoiser_mod.adam_step
+
+        def spy(params, grads, state):
+            for arrays in (params, grads, state.m, state.v):
+                seen.update(a.dtype for a in arrays.values())
+            return step(params, grads, state)
+
+        monkeypatch.setattr(denoiser_mod, "adam_step", spy)
+        ds = _noisy_dataset(small_system, small_bs_dict, small_E, 16, 0.05, 9, "r")
+        dp, _ = train_stage1(ds, TINY, seed=11)
+        assert seen == {np.dtype(np.float32)}
+        assert {a.dtype for a in [*dp.params.values(), *dp.buffers.values()]} \
+            == {np.dtype(np.float64)}

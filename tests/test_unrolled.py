@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import polarce.autodiff as ad
+import polarce.unrolled as unrolled_mod
 from polarce.channel import (
     SystemConfig, draw_scene, make_phase_matrix, noise_var_for_snr, ris_side_rows,
     simulate_pilots, steering_vector,
@@ -378,3 +379,30 @@ class TestStage2Training:
         with pytest.raises(RuntimeError):
             with np.errstate(all="ignore"):
                 train_stage2(ds, small_E, small_cas_dict.F, wild, seed=0)
+
+    def test_trains_in_single_precision_returns_double(self, training_setup, small_E,
+                                                       small_cas_dict, monkeypatch):
+        ds, cfg = training_setup
+        seen = {}
+        step = unrolled_mod.adam_step
+
+        def spy(params, grads, state):
+            for arrays in (params, grads, state.m, state.v):
+                for k, a in arrays.items():
+                    seen.setdefault(k.rstrip("0123456789"), set()).add(a.dtype)
+            return step(params, grads, state)
+
+        monkeypatch.setattr(unrolled_mod, "adam_step", spy)
+        lp, _ = train_stage2(ds, small_E, small_cas_dict.F, cfg, seed=5)
+        f32, c64 = np.dtype(np.float32), np.dtype(np.complex64)
+        # Adam's second moment is real for complex parameters
+        assert seen == {"lam": {f32}, "kappa": {f32}, "V": {c64, f32}, "F": {c64, f32}}
+        assert lp.lam.dtype == lp.kappa.dtype == np.float64
+        assert lp.V.dtype == lp.F.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_zero_target_column_is_weighted_finitely(self, rng, dtype):
+        """A zero column's weight is 1/tiny of its precision, never 1/0."""
+        X = crandn(rng, 6, 3).astype(dtype)
+        X[:, 1] = 0.0
+        assert float(_path_loss(X.copy(), X)) == 0.0
