@@ -7,7 +7,8 @@ of real-dtype nodes are kept real. Losses must be real scalars.
 
 The tape records one op per node in execution order, so iterating the records
 in reverse is a reverse topological traversal that touches each node exactly
-once. The ops are the ones the two trained networks use.
+once. The ops are the ones the two trained networks use; `take` reads one
+layer's entry of a [layers] parameter, such as the unrolled net's thresholds.
 
 Every op also runs eagerly: when no operand is a `Node` it computes on the
 plain arrays and returns an array, recording nothing. A network is therefore
@@ -60,7 +61,7 @@ import numpy as np
 
 __all__ = [
     "Tape", "Node", "value", "add", "sub", "mul", "matmul", "hermitian",
-    "relu", "soft_threshold", "conv2d", "batch_norm", "sum_abs2",
+    "relu", "soft_threshold", "conv2d", "batch_norm", "sum_abs2", "take",
 ]
 
 
@@ -365,6 +366,12 @@ def _bwd_batch_norm(g, ins, out, aux, need):
     return [gx if need[0] else None, ggamma if need[1] else None, gbeta if need[2] else None]
 
 
+def _bwd_take(g, ins, out, aux, need):
+    gx = np.zeros_like(ins[0])
+    gx[aux["t"]] = g
+    return [gx]
+
+
 _BACKWARD = {
     "add": _bwd_add,
     "sub": _bwd_sub,
@@ -376,6 +383,7 @@ _BACKWARD = {
     "conv2d": _bwd_conv2d,
     "batch_norm": _bwd_batch_norm,
     "sum_abs2": lambda g, ins, out, aux, need: [2.0 * g * ins[0]],
+    "take": _bwd_take,
 }
 
 
@@ -433,3 +441,8 @@ def batch_norm(x, gamma, beta, eps: float = 1e-5):
 
 def sum_abs2(x):
     return _op("sum_abs2", _sum_abs2_fwd, (x,))
+
+
+def take(x, t: int):
+    """Entry t of a 1-d array, as a 0-d array."""
+    return _op("take", lambda v: np.asarray(v[t]), (x,), {"t": t})

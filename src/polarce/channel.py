@@ -50,6 +50,8 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_bs < 1 or self.n_ris < 1 or self.tau < 1:
             raise ValueError("array sizes and pilot length must be positive")
+        if not self.power > 0:
+            raise ValueError(f"power must be positive, got {self.power}")
         if not 0 < self.angle_bound < math.pi / 2:
             raise ValueError("angle bound must be in (0, pi/2)")
         if self.paths_bs < 1 or self.paths_ris < 1:

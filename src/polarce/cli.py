@@ -7,7 +7,7 @@ checkpoints it writes the sweep's row at s, and `simulate --snr s` writes
 that point's pilot blocks. Config files are JSON (see
 harness.config_from_dict); a missing or invalid config or option value, or a
 checkpoint that does not fit the config, exits with code 2 and a JSON error
-on stderr.
+on stderr. So does a training run whose loss stops being finite.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container, harness
+from .optim import TrainingDiverged
 
 CONFIG_ERROR = 2
 
@@ -62,7 +63,7 @@ def _load_checkpoint(path, what: str, loader, *bound):
         raise ConfigError(f"{what} checkpoint not found: {p}")
     try:
         return loader(p, *bound)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, TypeError, OSError) as e:
         raise ConfigError(f"bad {what} checkpoint {p}: {e}") from e
 
 
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, TrainingDiverged) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return CONFIG_ERROR
 

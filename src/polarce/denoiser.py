@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import SceneRealization, SystemConfig, ris_side_rows, simulate_pilots
-from .optim import adam_init, adam_step, with_precision
+from .optim import train, with_precision
 from .polar import PolarDictionary, nearest_grid_index
 from .rng import substream
 
@@ -52,6 +52,14 @@ class Stage1Config:
             raise ValueError("stage1 width, batch and train_size must be at least 1")
         if self.val_size < 0:
             raise ValueError(f"stage1 val_size must be at least 0, got {self.val_size}")
+        if self.episodes < 0:
+            raise ValueError(f"stage1 episodes must be at least 0, got {self.episodes}")
+        if not self.lr > 0:
+            raise ValueError(f"stage1 lr must be positive, got {self.lr}")
+        if not self.bn_eps > 0:
+            raise ValueError(f"stage1 bn_eps must be positive, got {self.bn_eps}")
+        if not 0 <= self.bn_momentum <= 1:
+            raise ValueError(f"stage1 bn_momentum must be in [0, 1], got {self.bn_momentum}")
 
 
 @dataclass
@@ -106,29 +114,30 @@ def denoiser_forward(x: np.ndarray, dp: DenoiserParams, training: bool,
     """Residual prediction for a [B, H, W, 2] input.
 
     Given a tape, the parameters become its trainable leaves and the output is
-    a differentiable node; without one it is a plain array. Returns (output,
-    {bn layer: (batch mean, batch var)}) — the stats the train loop folds into
-    the running buffers.
+    a differentiable node; without one it is a plain array. In training mode
+    each BN layer normalizes by its batch statistics and folds them into the
+    running mean and variance in dp.buffers, at momentum cfg.bn_momentum;
+    otherwise it normalizes by those running buffers.
     """
     cfg = dp.config
     w = dp.params
     if tape is not None:
         w = {k: tape.leaf(v, trainable=True, name=k) for k, v in w.items()}
     h = ad.relu(ad.add(ad.conv2d(x, w["conv0_w"]), w["conv0_b"]))
-    stats = {}
+    mo, buf = cfg.bn_momentum, dp.buffers
     for i in range(1, cfg.layers - 1):
         z = ad.conv2d(h, w[f"conv{i}_w"])
         if training:
             z, mean, var = ad.batch_norm(z, w[f"bn{i}_gamma"], w[f"bn{i}_beta"],
                                          eps=cfg.bn_eps)
-            stats[i] = (mean, var)
+            buf[f"bn{i}_mean"] = (1 - mo) * buf[f"bn{i}_mean"] + mo * mean
+            buf[f"bn{i}_var"] = (1 - mo) * buf[f"bn{i}_var"] + mo * var
         else:
-            inv = 1.0 / np.sqrt(dp.buffers[f"bn{i}_var"] + cfg.bn_eps)
+            inv = 1.0 / np.sqrt(buf[f"bn{i}_var"] + cfg.bn_eps)
             g = dp.params[f"bn{i}_gamma"] * inv
-            z = ad.add(ad.mul(z, g), dp.params[f"bn{i}_beta"] - dp.buffers[f"bn{i}_mean"] * g)
+            z = ad.add(ad.mul(z, g), dp.params[f"bn{i}_beta"] - buf[f"bn{i}_mean"] * g)
         h = ad.relu(z)
-    out = ad.conv2d(h, w[f"conv{cfg.layers - 1}_w"])
-    return out, stats
+    return ad.conv2d(h, w[f"conv{cfg.layers - 1}_w"])
 
 
 def _to_channels(C: np.ndarray) -> np.ndarray:
@@ -150,7 +159,7 @@ def denoise(C: np.ndarray, dp: DenoiserParams):
     Returns (residual, cleaned) with cleaned computed as input - residual.
     """
     alpha = _unit_scale(C)
-    out, _ = denoiser_forward(_to_channels(C / alpha), dp, training=False)
+    out = denoiser_forward(_to_channels(C / alpha), dp, training=False)
     R = (out[..., 0] + 1j * out[..., 1]) * alpha
     return R, C - R
 
@@ -196,55 +205,36 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
     return Stage1Dataset(C=C, X=X)
 
 
-def _at_precision(dp: DenoiserParams, real) -> DenoiserParams:
-    return DenoiserParams(dp.config, with_precision(dp.params, real),
-                          with_precision(dp.buffers, real))
-
-
 def train_stage1(dataset: Stage1Dataset, cfg: Stage1Config, seed: int,
                  val: Stage1Dataset | None = None):
     """Adam on the residual loss; returns (DenoiserParams, per-episode trace).
 
-    Trains in single precision: parameters, BN buffers, Adam moments and
-    batches are float32. Returns the parameters and buffers widened, exactly,
-    to float64; the validation loss is taken on that float64 network.
+    `optim.train` with float32 batches and BN buffers; the buffers come back
+    widened to float64 too, and each episode's `val_loss` is taken on the
+    widened network.
     """
-    rng = substream(seed, "stage1-init")
-    dp = _at_precision(init_denoiser(cfg, rng), np.float32)
-    state = adam_init(dp.params, lr=cfg.lr)
+    dp = init_denoiser(cfg, substream(seed, "stage1-init"))
+    dp.buffers = with_precision(dp.buffers, np.float32)
     xin, target = (a.astype(np.float32) for a in _residual_pairs(dataset))
-    n = xin.shape[0]
-    order_rng = substream(seed, "stage1-order")
-    trace = []
-    for ep in range(cfg.episodes):
-        order = order_rng.permutation(n)
-        losses = []
-        for lo in range(0, n, cfg.batch):
-            sel = order[lo:lo + cfg.batch]
-            tape = ad.Tape()
-            out, stats = denoiser_forward(xin[sel], dp, training=True, tape=tape)
-            loss = _residual_loss(out, target[sel])
-            lval = float(loss.value)
-            if not np.isfinite(lval):
-                raise RuntimeError(f"stage-1 training diverged at episode {ep}: loss={lval}")
-            grads = tape.backward(loss)
-            dp.params = adam_step(dp.params, grads, state)
-            mo = cfg.bn_momentum
-            for i, (bm, bv) in stats.items():
-                dp.buffers[f"bn{i}_mean"] = (1 - mo) * dp.buffers[f"bn{i}_mean"] + mo * bm
-                dp.buffers[f"bn{i}_var"] = (1 - mo) * dp.buffers[f"bn{i}_var"] + mo * bv
-            losses.append(lval)
-        rec = {"episode": ep, "loss": float(np.mean(losses))}
-        if val is not None:
-            rec["val_loss"] = stage1_loss(val, _at_precision(dp, np.float64))
-        trace.append(rec)
-    return _at_precision(dp, np.float64), trace
+
+    def batch_loss(params, sel, tape):
+        dp.params = params
+        return _residual_loss(denoiser_forward(xin[sel], dp, training=True, tape=tape),
+                              target[sel])
+
+    def widened(params):
+        return DenoiserParams(cfg, with_precision(params, np.float64),
+                              with_precision(dp.buffers, np.float64))
+
+    params, trace = train(dp.params, batch_loss, xin.shape[0], cfg, seed, 1, report=lambda p: (
+        {} if val is None else {"val_loss": stage1_loss(val, widened(p))}))
+    return widened(params), trace
 
 
 def stage1_loss(dataset: Stage1Dataset, dp: DenoiserParams) -> float:
     """The training loss over the whole dataset, in inference mode."""
     xin, target = _residual_pairs(dataset)
-    out, _ = denoiser_forward(xin, dp, training=False)
+    out = denoiser_forward(xin, dp, training=False)
     return float(_residual_loss(out, target))
 
 

@@ -13,9 +13,11 @@ sweep's row at s and `polarce simulate --snr s` writes that row's pilot blocks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,6 +72,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.support_guard < 0:
+            raise ValueError(f"support_guard must be at least 0, got {self.support_guard}")
+        if not self.schemes or len(set(self.schemes)) != len(self.schemes):
+            raise ValueError(f"schemes must list distinct schemes, got {list(self.schemes)}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         snrs = (*self.snr_db, *self.train_snr_db, self.eval_snr_db, self.loss_snr_db)
@@ -144,11 +150,34 @@ def default_config() -> ExperimentConfig:
     )
 
 
+# cached: evaluating a class's string annotations costs more than checking a config
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _json_type_ok(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: a bool for bool, an int
+    (not a bool) for int, any number for float, a list of fitting items for a
+    tuple, and also null for an optional field."""
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint in (int, float, str):
+        return (isinstance(value, (int, float) if hint is float else hint)
+                and not isinstance(value, bool))
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return value is None or _json_type_ok(value, args[0])
+    return isinstance(value, list) and all(_json_type_ok(v, args[0]) for v in value)
+
+
 def _merge_section(base, cls, data: dict, name: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
+    hints = _type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    for k, v in data.items():
+        if not _json_type_ok(v, hints[k]):
+            kind = hints[k] if typing.get_origin(hints[k]) else hints[k].__name__
+            raise ValueError(f"{name}.{k} must be of type {kind}, got {json.dumps(v)}")
     coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     return dataclasses.replace(base, **coerced)
 
@@ -274,10 +303,9 @@ def load_stage1(path, F_bs: np.ndarray, E: np.ndarray) -> DenoiserParams:
 
 def save_stage2(path, lp: ListaParams, E: np.ndarray, F_cas: np.ndarray) -> str:
     """Write a stage-2 network bound to the phase schedule and cascaded dictionary."""
-    arrays = {"lam": lp.lam, "kappa": lp.kappa, "V": lp.V, "F": lp.F}
     meta = {"kind": "stage2", "forward": FORWARD_FORM,
             "fingerprint": _fingerprint(E=E, F_cas=F_cas)}
-    return container.save_container(path, arrays, meta=meta)
+    return container.save_container(path, vars(lp), meta=meta)
 
 
 def load_stage2(path, E: np.ndarray, F_cas: np.ndarray) -> ListaParams:
@@ -288,8 +316,7 @@ def load_stage2(path, E: np.ndarray, F_cas: np.ndarray) -> ListaParams:
         raise ValueError(
             f"trained for the {form or 'untagged'} forward form, but this version runs "
             f"{FORWARD_FORM}; retrain it with `polarce train stage2`")
-    return ListaParams(lam=arrays["lam"], kappa=arrays["kappa"],
-                       V=arrays["V"], F=arrays["F"])
+    return ListaParams(**arrays)
 
 
 # ------------------------------------------------------------------- training

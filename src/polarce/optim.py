@@ -1,11 +1,19 @@
-"""Adam over named parameter dicts (real or complex arrays)."""
+"""Adam over named parameter dicts (real or complex arrays), and the one
+minibatch training loop that both networks run."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AdamState", "adam_init", "adam_step", "with_precision"]
+from . import autodiff as ad
+from .rng import substream
+
+__all__ = ["AdamState", "TrainingDiverged", "adam_init", "adam_step", "with_precision", "train"]
+
+
+class TrainingDiverged(RuntimeError):
+    """A training batch's loss is not finite."""
 
 
 @dataclass
@@ -80,3 +88,35 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             step /= den
         new_params[name] = np.subtract(p, step, out=step)
     return new_params
+
+
+def train(params: dict[str, np.ndarray], batch_loss, n: int, cfg, seed: int, stage: int,
+          project=lambda params: None, report=lambda params: {}):
+    """Adam on named parameters over n samples; returns (params, per-episode trace).
+
+    Parameters and moments are float32/complex64; they come back widened,
+    exactly, to float64/complex128. Each episode takes the samples in the
+    order of the `stage{stage}-order` substream, cfg.batch at a time: the
+    loss node batch_loss(params, sel, tape) must be finite (else
+    TrainingDiverged), then Adam steps and project(params) fixes the result
+    in place. A trace entry is the mean batch loss plus report(params).
+    """
+    params = with_precision(params, np.float32)
+    state = adam_init(params, lr=cfg.lr)
+    order_rng = substream(seed, f"stage{stage}-order")
+    trace = []
+    for ep in range(cfg.episodes):
+        order = order_rng.permutation(n)
+        losses = []
+        for lo in range(0, n, cfg.batch):
+            tape = ad.Tape()
+            loss = batch_loss(params, order[lo:lo + cfg.batch], tape)
+            lval = float(loss.value)
+            if not np.isfinite(lval):
+                raise TrainingDiverged(
+                    f"stage-{stage} training diverged at episode {ep}: loss={lval}")
+            params = adam_step(params, tape.backward(loss), state)
+            project(params)
+            losses.append(lval)
+        trace.append({"episode": ep, "loss": float(np.mean(losses)), **report(params)})
+    return with_precision(params, np.float64), trace

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import SceneRealization, SystemConfig, ris_side_rows
-from .optim import adam_init, adam_step, with_precision
+from .optim import train
 from .rng import complex_normal, substream
 
 __all__ = [
@@ -61,6 +61,14 @@ class Stage2Config:
     def __post_init__(self):
         if self.layers < 1 or self.batch < 1 or self.train_size < 1:
             raise ValueError("stage2 layers, batch and train_size must be at least 1")
+        if self.episodes < 0:
+            raise ValueError(f"stage2 episodes must be at least 0, got {self.episodes}")
+        if self.probe < 0:
+            raise ValueError(f"stage2 probe must be at least 0, got {self.probe}")
+        if not self.lam_scale >= 0:
+            raise ValueError(f"stage2 lam_scale must be at least 0, got {self.lam_scale}")
+        if not self.lr > 0:
+            raise ValueError(f"stage2 lr must be positive, got {self.lr}")
 
 
 @dataclass
@@ -140,43 +148,27 @@ def lista_init(E: np.ndarray, F_cas: np.ndarray, cfg: Stage2Config,
     )
 
 
-def _lista_param_dict(lp: ListaParams) -> dict[str, np.ndarray]:
-    """Named parameters, each layer's threshold and step as 0-d arrays of their dtype."""
-    d = {"V": lp.V, "F": lp.F}
-    for t in range(lp.lam.size):
-        d[f"lam{t}"] = np.asarray(lp.lam[t])
-        d[f"kappa{t}"] = np.asarray(lp.kappa[t])
-    return d
-
-
-def _lista_from_dict(d: dict[str, np.ndarray], layers: int) -> ListaParams:
-    return ListaParams(
-        lam=np.array([d[f"lam{t}"] for t in range(layers)]),
-        kappa=np.array([d[f"kappa{t}"] for t in range(layers)]),
-        V=d["V"], F=d["F"],
-    )
-
-
 def lista_forward(P: np.ndarray, lp: ListaParams, E: np.ndarray,
                   tape: ad.Tape | None = None):
     """Run the unrolled layers on a [tau, B] batch; returns x = F b, [M, B].
 
-    Given a tape, the parameters become its trainable leaves (named as in the
-    checkpoint dict) and the returned node is differentiable; without one the
-    result is a plain array.
+    Given a tape, the fields of lp become its trainable leaves, named as the
+    fields, and the returned node is differentiable; without one the result is
+    a plain array.
     """
-    w = _lista_param_dict(lp)
+    w = vars(lp)
     if tape is not None:
         w = {k: tape.leaf(v, trainable=True, name=k) for k, v in w.items()}
     psi = ad.matmul(E.conj().T, w["F"])                             # [tau, Gc]
     wh = ad.hermitian(ad.matmul(ad.hermitian(w["V"]), w["F"]))     # F^H V, [Gc, tau]
     # b starts at 0, so the first layer has no Psi b term
-    b = ad.soft_threshold(ad.matmul(wh, ad.mul(P, w["kappa0"])), w["lam0"])
+    b = ad.soft_threshold(ad.matmul(wh, ad.mul(P, ad.take(w["kappa"], 0))),
+                          ad.take(w["lam"], 0))
     for t in range(1, lp.lam.size):
-        r = ad.mul(ad.sub(P, ad.matmul(psi, b)), w[f"kappa{t}"])
+        r = ad.mul(ad.sub(P, ad.matmul(psi, b)), ad.take(w["kappa"], t))
         # two statements, so an untaped pass frees the old b before thresholding
         b = ad.add(b, ad.matmul(wh, r))
-        b = ad.soft_threshold(b, w[f"lam{t}"])
+        b = ad.soft_threshold(b, ad.take(w["lam"], t))
     return ad.matmul(w["F"], b)
 
 
@@ -211,36 +203,20 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
                  cfg: Stage2Config, seed: int):
     """Adam on the normalized reconstruction loss; returns (params, trace).
 
-    Trains in single precision: V, F, E and the batches are complex64, the
-    thresholds and steps float32, and so are the Adam moments. Returns the
-    parameters widened, exactly, to complex128/float64.
+    `optim.train` on the fields of ListaParams, with E and the batches in
+    complex64 and the thresholds clamped to >= 0 after every step.
     """
     lp = lista_init(E, F_cas, cfg, probe_P=dataset.P[:, :cfg.probe])
-    params = with_precision(_lista_param_dict(lp), np.float32)
     E = E.astype(np.complex64)
-    state = adam_init(params, lr=cfg.lr)
-    n = dataset.P.shape[1]
-    order_rng = substream(seed, "stage2-order")
-    trace = []
-    for ep in range(cfg.episodes):
-        order = order_rng.permutation(n)
-        losses = []
-        for lo in range(0, n, cfg.batch):
-            sel = order[lo:lo + cfg.batch]
-            tape = ad.Tape()
-            out = lista_forward(dataset.P[:, sel].astype(np.complex64),
-                                _lista_from_dict(params, cfg.layers), E, tape=tape)
-            loss = _path_loss(out, dataset.Xl[:, sel].astype(np.complex64))
-            lval = float(loss.value)
-            if not np.isfinite(lval):
-                raise RuntimeError(f"stage-2 training diverged at episode {ep}: loss={lval}")
-            grads = tape.backward(loss)
-            params = adam_step(params, grads, state)
-            for t in range(cfg.layers):     # in place: numpy 1.x would widen a 0-d result
-                np.maximum(params[f"lam{t}"], 0.0, out=params[f"lam{t}"])
-            losses.append(lval)
-        trace.append({"episode": ep, "loss": float(np.mean(losses))})
-    return _lista_from_dict(with_precision(params, np.float64), cfg.layers), trace
+
+    def batch_loss(params, sel, tape):
+        out = lista_forward(dataset.P[:, sel].astype(np.complex64), ListaParams(**params),
+                            E, tape=tape)
+        return _path_loss(out, dataset.Xl[:, sel].astype(np.complex64))
+
+    params, trace = train(vars(lp), batch_loss, dataset.P.shape[1], cfg, seed, 2,
+                          project=lambda p: np.maximum(p["lam"], 0.0, out=p["lam"]))
+    return ListaParams(**params), trace
 
 
 def stage2_loss(dataset: Stage2Dataset, lp: ListaParams, E: np.ndarray) -> float:

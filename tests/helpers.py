@@ -7,7 +7,13 @@ dL/dRe + 1j dL/dIm, the same layout the tape produces.
 """
 import numpy as np
 
+import polarce.autodiff as ad
 from polarce.autodiff import _unbroadcast
+from polarce.denoiser import (DenoiserParams, _residual_loss, _residual_pairs,
+                              init_denoiser, stage1_loss)
+from polarce.optim import adam_init, adam_step, with_precision
+from polarce.rng import substream
+from polarce.unrolled import ListaParams, _path_loss, lista_init
 
 
 def crandn(rng, *shape):
@@ -248,3 +254,114 @@ def adam_step_reference(params: dict, grads: dict, state) -> dict:
         step /= den
         new_params[name] = p - step
     return new_params
+
+
+# Training oracles: each network's own Adam loop as it was written before both
+# stages ran `optim.train`, with the unrolled net's thresholds and steps as
+# one 0-d leaf per layer and the BN statistics folded by the loop. The
+# trainers in `polarce` must match them byte for byte.
+
+def _denoiser_forward_stats(x, dp: DenoiserParams, tape):
+    """Training-mode denoiser output and {bn layer: (batch mean, batch var)}."""
+    cfg = dp.config
+    w = {k: tape.leaf(v, trainable=True, name=k) for k, v in dp.params.items()}
+    h = ad.relu(ad.add(ad.conv2d(x, w["conv0_w"]), w["conv0_b"]))
+    stats = {}
+    for i in range(1, cfg.layers - 1):
+        z = ad.conv2d(h, w[f"conv{i}_w"])
+        z, mean, var = ad.batch_norm(z, w[f"bn{i}_gamma"], w[f"bn{i}_beta"], eps=cfg.bn_eps)
+        stats[i] = (mean, var)
+        h = ad.relu(z)
+    return ad.conv2d(h, w[f"conv{cfg.layers - 1}_w"]), stats
+
+
+def _at_precision(dp: DenoiserParams, real) -> DenoiserParams:
+    return DenoiserParams(dp.config, with_precision(dp.params, real),
+                          with_precision(dp.buffers, real))
+
+
+def train_stage1_reference(dataset, cfg, seed: int, val=None):
+    dp = _at_precision(init_denoiser(cfg, substream(seed, "stage1-init")), np.float32)
+    state = adam_init(dp.params, lr=cfg.lr)
+    xin, target = (a.astype(np.float32) for a in _residual_pairs(dataset))
+    n = xin.shape[0]
+    order_rng = substream(seed, "stage1-order")
+    trace = []
+    for ep in range(cfg.episodes):
+        order = order_rng.permutation(n)
+        losses = []
+        for lo in range(0, n, cfg.batch):
+            sel = order[lo:lo + cfg.batch]
+            tape = ad.Tape()
+            out, stats = _denoiser_forward_stats(xin[sel], dp, tape)
+            loss = _residual_loss(out, target[sel])
+            lval = float(loss.value)
+            if not np.isfinite(lval):
+                raise RuntimeError(f"stage-1 training diverged at episode {ep}: loss={lval}")
+            grads = tape.backward(loss)
+            dp.params = adam_step(dp.params, grads, state)
+            mo = cfg.bn_momentum
+            for i, (bm, bv) in stats.items():
+                dp.buffers[f"bn{i}_mean"] = (1 - mo) * dp.buffers[f"bn{i}_mean"] + mo * bm
+                dp.buffers[f"bn{i}_var"] = (1 - mo) * dp.buffers[f"bn{i}_var"] + mo * bv
+            losses.append(lval)
+        rec = {"episode": ep, "loss": float(np.mean(losses))}
+        if val is not None:
+            rec["val_loss"] = stage1_loss(val, _at_precision(dp, np.float64))
+        trace.append(rec)
+    return _at_precision(dp, np.float64), trace
+
+
+def _lista_param_dict(lp: ListaParams) -> dict:
+    d = {"V": lp.V, "F": lp.F}
+    for t in range(lp.lam.size):
+        d[f"lam{t}"] = np.asarray(lp.lam[t])
+        d[f"kappa{t}"] = np.asarray(lp.kappa[t])
+    return d
+
+
+def _lista_from_dict(d: dict, layers: int) -> ListaParams:
+    return ListaParams(lam=np.array([d[f"lam{t}"] for t in range(layers)]),
+                       kappa=np.array([d[f"kappa{t}"] for t in range(layers)]),
+                       V=d["V"], F=d["F"])
+
+
+def _lista_forward_per_layer_leaves(P, lp: ListaParams, E, tape):
+    w = {k: tape.leaf(v, trainable=True, name=k) for k, v in _lista_param_dict(lp).items()}
+    psi = ad.matmul(E.conj().T, w["F"])
+    wh = ad.hermitian(ad.matmul(ad.hermitian(w["V"]), w["F"]))
+    b = ad.soft_threshold(ad.matmul(wh, ad.mul(P, w["kappa0"])), w["lam0"])
+    for t in range(1, lp.lam.size):
+        r = ad.mul(ad.sub(P, ad.matmul(psi, b)), w[f"kappa{t}"])
+        b = ad.add(b, ad.matmul(wh, r))
+        b = ad.soft_threshold(b, w[f"lam{t}"])
+    return ad.matmul(w["F"], b)
+
+
+def train_stage2_reference(dataset, E, F_cas, cfg, seed: int):
+    lp = lista_init(E, F_cas, cfg, probe_P=dataset.P[:, :cfg.probe])
+    params = with_precision(_lista_param_dict(lp), np.float32)
+    E = E.astype(np.complex64)
+    state = adam_init(params, lr=cfg.lr)
+    n = dataset.P.shape[1]
+    order_rng = substream(seed, "stage2-order")
+    trace = []
+    for ep in range(cfg.episodes):
+        order = order_rng.permutation(n)
+        losses = []
+        for lo in range(0, n, cfg.batch):
+            sel = order[lo:lo + cfg.batch]
+            tape = ad.Tape()
+            out = _lista_forward_per_layer_leaves(dataset.P[:, sel].astype(np.complex64),
+                                                  _lista_from_dict(params, cfg.layers), E, tape)
+            loss = _path_loss(out, dataset.Xl[:, sel].astype(np.complex64))
+            lval = float(loss.value)
+            if not np.isfinite(lval):
+                raise RuntimeError(f"stage-2 training diverged at episode {ep}: loss={lval}")
+            grads = tape.backward(loss)
+            params = adam_step(params, grads, state)
+            for t in range(cfg.layers):
+                np.maximum(params[f"lam{t}"], 0.0, out=params[f"lam{t}"])
+            losses.append(lval)
+        trace.append({"episode": ep, "loss": float(np.mean(losses))})
+    return _lista_from_dict(with_precision(params, np.float64), cfg.layers), trace

@@ -67,6 +67,14 @@ class TestFiniteDifference:
                  lambda v: float(np.sum(np.abs(v["a"].conj().T @ w) ** 2)),
                  arrays)
 
+    def test_take(self, rng):
+        # entry 0 is read twice, entry 2 once, entry 1 never (zero gradient)
+        arrays = {"s": rng.standard_normal(3), "a": crandn(rng, 4)}
+        check_op(lambda t, n: ad.sum_abs2(ad.add(ad.mul(n["a"], ad.take(n["s"], 0)),
+                                                 ad.mul(ad.take(n["s"], 2), ad.take(n["s"], 0)))),
+                 lambda v: float(np.sum(np.abs(v["a"] * v["s"][0] + v["s"][2] * v["s"][0]) ** 2)),
+                 arrays)
+
     def test_relu(self, rng):
         # keep values away from the kink
         x = rng.uniform(0.1, 1.0, (4, 5)) * rng.choice([-1.0, 1.0], (4, 5))

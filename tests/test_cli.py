@@ -154,15 +154,22 @@ class TestConfigErrors:
     @pytest.mark.parametrize("section, bad", [
         ("stage2", {"layers": 0}), ("stage1", {"kernel": 2}),
         ("stage1", {"layers": 1}), ("stage2", {"batch": 0}),
+        ("stage1", {"episodes": -2}), ("stage2", {"episodes": -2}),
+        ("stage2", {"probe": -1}), ("stage2", {"lam_scale": -1}),
+        ("stage1", {"bn_eps": -1}), ("stage1", {"lr": -1e-3}), ("stage2", {"lr": -1e-3}),
+        ("stage1", {"bn_momentum": 1.5}),
     ], ids=["stage2-no-layers", "stage1-even-kernel", "stage1-one-layer",
-            "stage2-zero-batch"])
+            "stage2-zero-batch", "stage1-negative-episodes", "stage2-negative-episodes",
+            "stage2-negative-probe", "stage2-negative-lam-scale", "stage1-negative-bn-eps",
+            "stage1-negative-lr", "stage2-negative-lr", "stage1-bn-momentum-above-1"])
     def test_bad_network_config(self, capsys, tmp_path, section, bad):
         path = tmp_path / "net.json"
         path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO[section], **bad)})))
         rc, _, err = run(capsys, ["train", section, "--config", str(path),
                                   "--out", str(tmp_path / "net.plce")])
         assert rc == 2
-        assert section in json.loads(err)["error"]
+        msg = json.loads(err)["error"]
+        assert section in msg and next(iter(bad)) in msg
 
     @pytest.mark.parametrize("axis, section, bad, field", [
         ("layers", "sweep", {"depths": [1, 3]}, "sweep.depths"),
@@ -176,9 +183,14 @@ class TestConfigErrors:
         ("layers", "stage1", {"train_size": 0}, "stage1"),
         ("layers", "stage2", {"train_size": 0}, "stage2"),
         ("snr", "stage1", {"val_size": -1}, "val_size"),
+        ("snr", "sweep", {"support_guard": -1}, "support_guard"),
+        ("snr", "system", {"power": 0}, "power"),
+        ("snr", "sweep", {"schemes": ["omp", "omp"]}, "schemes"),
+        ("snr", "sweep", {"schemes": []}, "schemes"),
     ], ids=["depth-1", "tau-0", "phase-kind", "snr-convention", "bs-dist-reversed",
             "ris-dist-reversed", "no-bs-paths", "no-ris-paths", "stage1-no-train",
-            "stage2-no-train", "stage1-negative-val"])
+            "stage2-no-train", "stage1-negative-val", "negative-guard", "zero-power",
+            "duplicate-scheme", "no-schemes"])
     def test_bad_sweep_config(self, capsys, tmp_path, axis, section, bad, field):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO[section], **bad)})))
@@ -187,6 +199,45 @@ class TestConfigErrors:
         assert rc == 2
         assert field in json.loads(err)["error"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, bad, field", [
+        ("sweep", {"trials": 2.5}, "sweep.trials"),
+        ("system", {"n_bs": 8.0}, "system.n_bs"),
+        ("stage1", {"episodes": 1.5}, "stage1.episodes"),
+        ("bs_grid", {"include_far": "no"}, "bs_grid.include_far"),
+        ("stage2", {"layers": True}, "stage2.layers"),
+        ("sweep", {"tau": [4, 6.5]}, "sweep.tau"),
+    ], ids=["float-trials", "float-n-bs", "float-episodes", "string-bool", "bool-int",
+            "float-in-int-list"])
+    def test_wrong_typed_value(self, capsys, tmp_path, section, bad, field):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO.get(section, {}), **bad)})))
+        rc, out, err = run(capsys, ["info", "--config", str(path)])
+        assert rc == 2 and out == ""
+        assert field in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("section, value", [
+        ("ris_grid", {"ring_limit": None}), ("system", {"spacing_m": None}),
+        ("system", {"power": 2}),
+    ], ids=["null-ring-limit", "null-spacing", "int-for-float"])
+    def test_typed_values_accepted(self, capsys, tmp_path, section, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO.get(section, {}), **value)})))
+        rc, out, _ = run(capsys, ["info", "--config", str(path)])
+        assert rc == 0
+        key, v = next(iter(value.items()))
+        assert json.loads(out)["config"][section][key] == v
+
+    def test_training_divergence(self, capsys, tmp_path):
+        path = tmp_path / "wild.json"
+        path.write_text(json.dumps(dict(MICRO, stage2=dict(MICRO["stage2"], lr=1e6))))
+        with np.errstate(all="ignore"):
+            rc, out, err = run(capsys, ["train", "stage2", "--config", str(path),
+                                        "--out", str(tmp_path / "s2.plce")])
+        # the progress line, then the error
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert "stage-2 training diverged" in json.loads(err.splitlines()[-1])["error"]
+        assert not (tmp_path / "s2.plce").exists()
 
     @pytest.mark.parametrize("command", [["eval"], ["simulate"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):

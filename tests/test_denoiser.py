@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import polarce.autodiff as ad
-import polarce.denoiser as denoiser_mod
+import polarce.optim as optim_mod
 from polarce.channel import draw_scene, simulate_pilots
 from polarce.denoiser import (
     Stage1Config, _residual_loss, denoise, denoiser_forward, init_denoiser,
@@ -134,15 +134,22 @@ class TestDenoiserGradients:
             return forward(v)[0]
 
         dp.params = {k: v.copy() for k, v in params.items()}
+        before = dict(dp.buffers)
         tape = ad.Tape()
-        out, stats = denoiser_forward(x, dp, training=True, tape=tape)
+        out = denoiser_forward(x, dp, training=True, tape=tape)
         loss = _residual_loss(out, target)
         want_loss, want_stats = forward(params)
         assert float(loss.value) == pytest.approx(want_loss, rel=1e-12)
-        assert stats.keys() == want_stats.keys()
+        # the forward pass folds each BN layer's batch statistics into its buffers
+        assert dp.buffers.keys() == before.keys() == {
+            f"bn{i}_{s}" for i in want_stats for s in ("mean", "var")}
+        mo = cfg.bn_momentum
         for i, (mu, var) in want_stats.items():
-            np.testing.assert_allclose(stats[i][0], mu, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(stats[i][1], var, rtol=1e-12)
+            np.testing.assert_allclose(dp.buffers[f"bn{i}_mean"],
+                                       (1 - mo) * before[f"bn{i}_mean"] + mo * mu,
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(dp.buffers[f"bn{i}_var"],
+                                       (1 - mo) * before[f"bn{i}_var"] + mo * var, rtol=1e-12)
         grads = tape.backward(loss)
         assert_grads_close(grads, numeric_grads(mirror, params), rtol=3e-5)
         # the data input is a constant of the tape; nothing flows back to it
@@ -273,14 +280,14 @@ class TestStage1Training:
     def test_trains_in_float32_returns_float64(self, small_system, small_bs_dict,
                                                small_E, monkeypatch):
         seen = set()
-        step = denoiser_mod.adam_step
+        step = optim_mod.adam_step
 
         def spy(params, grads, state):
             for arrays in (params, grads, state.m, state.v):
                 seen.update(a.dtype for a in arrays.values())
             return step(params, grads, state)
 
-        monkeypatch.setattr(denoiser_mod, "adam_step", spy)
+        monkeypatch.setattr(optim_mod, "adam_step", spy)
         ds = _noisy_dataset(small_system, small_bs_dict, small_E, 16, 0.05, 9, "r")
         dp, _ = train_stage1(ds, TINY, seed=11)
         assert seen == {np.dtype(np.float32)}

@@ -1,7 +1,8 @@
-"""The training kernels against byte-level oracles.
+"""The training kernels and loops against byte-level oracles.
 
 Each kernel of the tape and of Adam must give the same bytes as the wider
-form it replaced (copied into `helpers`). Outputs are compared with
+form it replaced (copied into `helpers`), and so must each network's trainer
+against the loop it ran before both ran `optim.train`. Outputs are compared with
 `tobytes()`, which tells -0 from +0 where `array_equal` does not. Inputs are
 seeded and hold exact zeros: ReLU-sparse images and gradients, entries with
 |x| = 0 and |x| = lam, and lam = 0.
@@ -10,12 +11,17 @@ import numpy as np
 import pytest
 
 import polarce.autodiff as ad
+from polarce.channel import draw_scene
+from polarce.denoiser import Stage1Config, make_stage1_dataset, train_stage1
 from polarce.optim import adam_init, adam_step
+from polarce.rng import substream
+from polarce.unrolled import Stage2Config, make_stage2_dataset, train_stage2
 
 from helpers import (adam_step_reference, batch_norm_backward_reference,
                      batch_norm_reference, conv2d_backward_reference,
                      conv2d_padded_reference, crandn, soft_threshold_backward_reference,
-                     soft_threshold_reference)
+                     soft_threshold_reference, train_stage1_reference,
+                     train_stage2_reference)
 
 # (batch, H, W, k, Ci, Co): the denoiser's first, middle and last layers at
 # the training batch, the paper (H 192) and desk (H 96) BS grids and W =
@@ -142,3 +148,51 @@ def test_adam_step_bytes(kind):
             assert same_bytes(got_p[name], want_p[name])
             assert same_bytes(got_s.m[name], want_s.m[name])
             assert same_bytes(got_s.v[name], want_s.v[name])
+
+
+def same_trace(got, want) -> bool:
+    """Same episodes with the same keys, and every value with the same bytes."""
+    return len(got) == len(want) and all(
+        g.keys() == w.keys() and all(same_bytes(g[k], w[k]) for k in w)
+        for g, w in zip(got, want))
+
+
+class TestTrainingBytes:
+    """Parameters, buffers and traces; 20 samples in batches of 8 or 7 leave a
+    short last batch."""
+
+    @staticmethod
+    def scenes(system, count, label):
+        return [draw_scene(system, substream(41, label, t)) for t in range(count)]
+
+    @pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
+    def test_stage1(self, small_system, small_bs_dict, small_E, with_val):
+        def dataset(count, label):
+            return make_stage1_dataset(small_system, small_bs_dict, small_E,
+                                       self.scenes(small_system, count, label), [0.05] * count,
+                                       substream(41, label, "noise"))
+
+        ds = dataset(20, "train")
+        val = dataset(6, "val") if with_val else None
+        cfg = Stage1Config(layers=4, width=4, lr=1e-2, batch=8, episodes=3)
+        got, got_trace = train_stage1(ds, cfg, seed=5, val=val)
+        want, want_trace = train_stage1_reference(ds, cfg, seed=5, val=val)
+        assert same_trace(got_trace, want_trace)
+        assert with_val == ("val_loss" in got_trace[0])
+        for mine, theirs in ((got.params, want.params), (got.buffers, want.buffers)):
+            assert mine.keys() == theirs.keys()
+            assert all(same_bytes(mine[k], theirs[k]) for k in theirs)
+
+    # with 2 layers in batches of 7, one step takes a threshold below 0, and the
+    # clamp brings it back
+    @pytest.mark.parametrize("layers, batch", [(3, 8), (2, 7)], ids=["3-layers", "2-layers"])
+    def test_stage2(self, small_system, small_E, small_cas_dict, layers, batch):
+        scenes = self.scenes(small_system, 10, "train2")
+        ds = make_stage2_dataset(small_system, scenes, small_E, [0.02] * 10,
+                                 substream(41, "train2", "noise"))
+        cfg = Stage2Config(layers=layers, lr=1e-2, batch=batch, episodes=3, probe=8)
+        got, got_trace = train_stage2(ds, small_E, small_cas_dict.F, cfg, seed=5)
+        want, want_trace = train_stage2_reference(ds, small_E, small_cas_dict.F, cfg, seed=5)
+        assert same_trace(got_trace, want_trace)
+        assert vars(got).keys() == vars(want).keys()
+        assert all(same_bytes(vars(got)[k], vars(want)[k]) for k in vars(want))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import polarce.autodiff as ad
-import polarce.unrolled as unrolled_mod
+import polarce.optim as optim_mod
 from polarce.channel import (
     SystemConfig, draw_scene, make_phase_matrix, noise_var_for_snr, ris_side_rows,
     simulate_pilots, steering_vector,
@@ -213,8 +213,7 @@ class TestListaForward:
         tape = ad.Tape()
         taped = lista_forward(P, lp, E, tape=tape)
         np.testing.assert_array_equal(taped.value, plain)
-        assert sorted(tape.trainable.values()) == sorted(
-            ["V", "F", "lam0", "lam1", "lam2", "kappa0", "kappa1", "kappa2"])
+        assert sorted(tape.trainable.values()) == sorted(["V", "F", "lam", "kappa"])
 
     def test_taped_gradients_match_finite_differences(self, rng):
         m, tau, gc, layers, batch = 6, 5, 7, 2, 3
@@ -225,23 +224,21 @@ class TestListaForward:
         F0 = crandn(rng, m, gc)
         F0 /= np.linalg.norm(F0, axis=0)
         arrays = {"V": E * 0.9, "F": F0,
-                  "lam0": np.array(0.01), "lam1": np.array(0.015),
-                  "kappa0": np.array(0.3), "kappa1": np.array(0.25)}
+                  "lam": np.array([0.01, 0.015]), "kappa": np.array([0.3, 0.25])}
 
         def mirror(v):
             psi = E.conj().T @ v["F"]
             wh = v["F"].conj().T @ v["V"]
             b = np.zeros((gc, batch), dtype=complex)
             for t in range(layers):
-                step = b + wh @ (v[f"kappa{t}"] * (P - psi @ b))
-                assert np.min(np.abs(np.abs(step) - v[f"lam{t}"])) > 1e-4
-                b = ad.soft_threshold(step, float(v[f"lam{t}"]))
+                step = b + wh @ (v["kappa"][t] * (P - psi @ b))
+                assert np.min(np.abs(np.abs(step) - v["lam"][t])) > 1e-4
+                b = ad.soft_threshold(step, float(v["lam"][t]))
             x = v["F"] @ b
             return float(np.sum(np.abs((x - X) * w[None, :]) ** 2) / (2 * batch))
 
         tape = ad.Tape()
-        lp = ListaParams(lam=np.array([0.01, 0.015]), kappa=np.array([0.3, 0.25]),
-                         V=arrays["V"].copy(), F=arrays["F"].copy())
+        lp = ListaParams(**{k: v.copy() for k, v in arrays.items()})
         loss = _path_loss(lista_forward(P, lp, E, tape=tape), X)
         assert float(loss.value) == pytest.approx(mirror(arrays), rel=1e-12)
         grads = tape.backward(loss)
@@ -384,15 +381,15 @@ class TestStage2Training:
                                                        small_cas_dict, monkeypatch):
         ds, cfg = training_setup
         seen = {}
-        step = unrolled_mod.adam_step
+        step = optim_mod.adam_step
 
         def spy(params, grads, state):
             for arrays in (params, grads, state.m, state.v):
                 for k, a in arrays.items():
-                    seen.setdefault(k.rstrip("0123456789"), set()).add(a.dtype)
+                    seen.setdefault(k, set()).add(a.dtype)
             return step(params, grads, state)
 
-        monkeypatch.setattr(unrolled_mod, "adam_step", spy)
+        monkeypatch.setattr(optim_mod, "adam_step", spy)
         lp, _ = train_stage2(ds, small_E, small_cas_dict.F, cfg, seed=5)
         f32, c64 = np.dtype(np.float32), np.dtype(np.complex64)
         # Adam's second moment is real for complex parameters
