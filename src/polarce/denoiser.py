@@ -1,11 +1,21 @@
-"""Stage 1: residual denoising of the row-compressed observation + support pick.
+"""Stage 1: residual denoising of the polar-domain row energy + support pick.
 
-The pilot block is compressed to c_r = (1/tau) sum_i [F_bs^H Y]_{:, i}, whose
-entries concentrate on the BS-side grid rows of the active paths. A small
-residual CNN (first conv+ReLU, middle conv+BN+ReLU, last conv) sees the
-replicated column image as two real channels and learns to output everything
-that is not signal: noise plus off-grid leakage. Support = largest cleaned
-rows.
+The pilot block is compressed to its row energy s_g = ||[F_bs^H Y]_{g,:}||,
+which peaks at the BS-side grid rows of the active paths. A small residual
+CNN (first conv+ReLU, middle conv+BN+ReLU, last conv) sees it as a one-column
+real image and learns to output everything that is not signal: noise plus
+off-grid leakage. Support = largest cleaned rows.
+
+This departs from the paper's coherent slot average c_r = F_bs^H Y 1/tau,
+which weights path l by the random x_l^H e_bar and so fades some paths at
+any SNR. Per-path nearest-row hit rate, guard 2, 300 scenes x 3 paths (the
+DnCNN on c_r copied into L columns read .630 at 20 dB on desk):
+
+    at 0/10/20/30 dB     desk                  paper
+    peak-pick on c_r     .396 .616 .669 .673   .521 .688 .718 .726
+    peak-pick on s       .779 .833 .842 .843   .831 .852 .864 .863
+    DnCNN on s           .814 .891 .888 .902
+    DnCNN on s^2         .796 .860 .866 .871
 """
 from __future__ import annotations
 
@@ -24,10 +34,14 @@ __all__ = [
     "Stage1Config", "DenoiserParams", "Stage1Dataset", "SupportEstimate",
     "row_energy", "init_denoiser", "denoiser_forward", "denoise",
     "make_stage1_dataset", "train_stage1", "stage1_loss",
-    "select_support",
+    "select_support", "STAGE1_FORM",
 ]
 
-_CHANNELS = 2            # real and imaginary parts of the row image
+_CHANNELS = 1            # the row energy is real
+
+# Names the input the network reads; stage-1 checkpoints carry it, since the
+# same parameter shapes on another input mean another network.
+STAGE1_FORM = "row-energy-1col"
 
 
 @dataclass(frozen=True)
@@ -71,8 +85,8 @@ class DenoiserParams:
 
 @dataclass
 class Stage1Dataset:
-    C: np.ndarray            # [n, N_G, L] identical-column inputs
-    X: np.ndarray            # [n, N_G, L] clean grid-coded targets
+    C: np.ndarray            # [n, N_G, 1] row energies
+    X: np.ndarray            # [n, N_G, 1] clean grid-coded targets
 
 
 @dataclass
@@ -82,8 +96,8 @@ class SupportEstimate:
 
 
 def row_energy(Y: np.ndarray, bs: PolarDictionary) -> np.ndarray:
-    """Average polar-domain row response of a pilot block."""
-    return bs.F.conj().T @ Y.mean(axis=1)
+    """Norm of each polar-domain row of a pilot block over its slots, [N_G]."""
+    return np.linalg.norm(bs.F.conj().T @ Y, axis=1)
 
 
 def init_denoiser(cfg: Stage1Config, rng: np.random.Generator) -> DenoiserParams:
@@ -111,7 +125,7 @@ def init_denoiser(cfg: Stage1Config, rng: np.random.Generator) -> DenoiserParams
 
 def denoiser_forward(x: np.ndarray, dp: DenoiserParams, training: bool,
                      tape: ad.Tape | None = None):
-    """Residual prediction for a [B, H, W, 2] input.
+    """Residual prediction for a [B, H, W, 1] input.
 
     Given a tape, the parameters become its trainable leaves and the output is
     a differentiable node; without one it is a plain array. In training mode
@@ -140,12 +154,8 @@ def denoiser_forward(x: np.ndarray, dp: DenoiserParams, training: bool,
     return ad.conv2d(h, w[f"conv{cfg.layers - 1}_w"])
 
 
-def _to_channels(C: np.ndarray) -> np.ndarray:
-    return np.stack([C.real, C.imag], axis=-1)
-
-
 def _unit_scale(C: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each [N_G, L] image of a batch, 1 where it is zero.
+    """Frobenius norm of each [N_G, 1] image of a batch, 1 where it is zero.
 
     The network sees every image at unit norm; its output is scaled back.
     """
@@ -154,21 +164,19 @@ def _unit_scale(C: np.ndarray) -> np.ndarray:
 
 
 def denoise(C: np.ndarray, dp: DenoiserParams):
-    """Cleaned copy of a batch of [N_G, L] inputs.
+    """Cleaned copy of a batch of [N_G, 1] row-energy images.
 
     Returns (residual, cleaned) with cleaned computed as input - residual.
     """
     alpha = _unit_scale(C)
-    out = denoiser_forward(_to_channels(C / alpha), dp, training=False)
-    R = (out[..., 0] + 1j * out[..., 1]) * alpha
+    R = denoiser_forward((C / alpha)[..., None], dp, training=False)[..., 0] * alpha
     return R, C - R
 
 
 def _residual_pairs(dataset: Stage1Dataset):
     """Network inputs and residual targets, both on the unit-norm scale."""
     alpha = _unit_scale(dataset.C)
-    return (_to_channels(dataset.C / alpha),
-            _to_channels((dataset.C - dataset.X) / alpha))
+    return (dataset.C / alpha)[..., None], ((dataset.C - dataset.X) / alpha)[..., None]
 
 
 def _residual_loss(out, target: np.ndarray):
@@ -181,27 +189,22 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
                         rng: np.random.Generator) -> Stage1Dataset:
     """Draw pilot observations and grid-coded clean targets for given scenes.
 
-    Target column l carries the complex amplitude the l-th path contributes to
-    the clean row-compressed vector, at that path's nearest grid row. Columns
-    follow ascending grid index.
+    The target is the row energy of the noiseless block with each path moved
+    onto its nearest grid row: sqrt(p) ||E^H x_l|| there. Paths that share a
+    row add their slot responses sqrt(p) x_l^H E before the norm, as they
+    would in the block itself.
     """
-    n = len(scenes)
     n_rows = bs.F.shape[1]
-    L = config.paths_bs
-    C = np.zeros((n, n_rows, L), dtype=np.complex128)
-    X = np.zeros((n, n_rows, L), dtype=np.complex128)
-    e_bar = E @ np.ones(E.shape[1]) / E.shape[1]
+    C = np.zeros((len(scenes), n_rows, 1))
+    X = np.zeros_like(C)
     for i, scene in enumerate(scenes):
         blk = simulate_pilots(scene, config, E, noise_vars[i], rng)
-        cr = row_energy(blk.Y, bs)
-        rows = ris_side_rows(scene, config)
-        gi = np.array([nearest_grid_index(bs.grid, p.angle, p.distance)
-                       for p in scene.bridge_bs])
-        amp = math.sqrt(config.power) * (rows.conj().T @ e_bar)
-        order = np.argsort(gi, kind="stable")
-        for l, src in enumerate(order):
-            X[i, gi[src], l] = amp[src]
-        C[i] = cr[:, None]
+        C[i, :, 0] = row_energy(blk.Y, bs)
+        slots = np.zeros((n_rows, E.shape[1]), dtype=np.complex128)
+        resp = math.sqrt(config.power) * (ris_side_rows(scene, config).conj().T @ E)
+        for p, r in zip(scene.bridge_bs, resp):
+            slots[nearest_grid_index(bs.grid, p.angle, p.distance)] += r
+        X[i, :, 0] = np.linalg.norm(slots, axis=1)
     return Stage1Dataset(C=C, X=X)
 
 
@@ -253,6 +256,6 @@ def _greedy_rows(scores: np.ndarray, count: int, guard: int) -> np.ndarray:
 
 def select_support(C_hat: np.ndarray, count: int, bs: PolarDictionary,
                    guard: int = 0) -> SupportEstimate:
-    """Top rows of a cleaned [N_G, L] image by aggregate magnitude."""
+    """Top rows of a cleaned [N_G, W] image by aggregate magnitude."""
     idx = _greedy_rows(np.abs(C_hat).sum(axis=1), count, guard)
     return SupportEstimate(indices=idx, A_hat=bs.F[:, idx])

@@ -28,7 +28,7 @@ from .channel import (PHASE_KINDS, SNR_CONVENTIONS, PathParams, PilotBlock,
                       SceneRealization, SystemConfig, build_channels, draw_scene,
                       make_phase_matrix, noise_var_for_snr, simulate_pilots,
                       steering_vector)
-from .denoiser import (DenoiserParams, Stage1Config,
+from .denoiser import (STAGE1_FORM, DenoiserParams, Stage1Config,
                        make_stage1_dataset, row_energy, stage1_loss,
                        train_stage1)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
@@ -65,7 +65,7 @@ class SweepConfig:
     eval_snr_db: float = 40.0              # pilot sweep operating point
     loss_snr_db: float = 20.0              # loss-curve operating point
     depths: tuple[int, ...] = (4, 6)
-    support_guard: int = 0
+    support_guard: int = 2
     phase_kind: str = "random"
     snr_convention: str = "receive"
 
@@ -169,6 +169,16 @@ def _json_type_ok(value, hint) -> bool:
     return isinstance(value, list) and all(_json_type_ok(v, args[0]) for v in value)
 
 
+def _coerce(value, hint):
+    """A checked JSON value as its field holds it: a float for a float field,
+    given an int too, and a tuple of such items for a list."""
+    if isinstance(value, list):
+        return tuple(_coerce(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, int) and float in (hint, *typing.get_args(hint)):
+        return float(value)
+    return value
+
+
 def _merge_section(base, cls, data: dict, name: str):
     hints = _type_hints(cls)
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
@@ -178,8 +188,7 @@ def _merge_section(base, cls, data: dict, name: str):
         if not _json_type_ok(v, hints[k]):
             kind = hints[k] if typing.get_origin(hints[k]) else hints[k].__name__
             raise ValueError(f"{name}.{k} must be of type {kind}, got {json.dumps(v)}")
-    coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-    return dataclasses.replace(base, **coerced)
+    return dataclasses.replace(base, **{k: _coerce(v, hints[k]) for k, v in data.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -261,12 +270,12 @@ def _fingerprint(**arrays: np.ndarray) -> dict:
             for name, a in arrays.items()}
 
 
-def _read_checkpoint(path, stage: int, want: dict):
+def _read_checkpoint(path, stage: int, want: dict, form: str):
     """Arrays and meta of a stage checkpoint bound to the arrays fingerprinted in want.
 
     A network only fits the dictionaries and phase schedule it was trained
-    against, so a checkpoint without a fingerprint, or with another one, is
-    rejected.
+    against, and the input and forward form it was trained for, so a
+    checkpoint without a fingerprint or form, or with another one, is rejected.
     """
     arrays, meta = container.load_container(path)
     if meta.get("kind") != f"stage{stage}":
@@ -281,6 +290,10 @@ def _read_checkpoint(path, stage: int, want: dict):
                 f"trained against {name} of shape {g.get('shape')} and sha256 "
                 f"{str(g.get('sha256'))[:12]}, but this run has {name} of shape "
                 f"{w['shape']} and sha256 {w['sha256'][:12]}")
+    if meta.get("forward") != form:
+        raise ValueError(
+            f"trained for the {meta.get('forward') or 'untagged'} forward form, but this "
+            f"version runs {form}; retrain it with `polarce train stage{stage}`")
     return arrays, meta
 
 
@@ -288,13 +301,13 @@ def save_stage1(path, dp: DenoiserParams, F_bs: np.ndarray, E: np.ndarray) -> st
     """Write a stage-1 network bound to the BS dictionary and phase schedule."""
     arrays = {f"p.{k}": v for k, v in dp.params.items()}
     arrays.update({f"b.{k}": v for k, v in dp.buffers.items()})
-    meta = {"kind": "stage1", "config": dataclasses.asdict(dp.config),
+    meta = {"kind": "stage1", "forward": STAGE1_FORM, "config": dataclasses.asdict(dp.config),
             "fingerprint": _fingerprint(F_bs=F_bs, E=E)}
     return container.save_container(path, arrays, meta=meta)
 
 
 def load_stage1(path, F_bs: np.ndarray, E: np.ndarray) -> DenoiserParams:
-    arrays, meta = _read_checkpoint(path, 1, _fingerprint(F_bs=F_bs, E=E))
+    arrays, meta = _read_checkpoint(path, 1, _fingerprint(F_bs=F_bs, E=E), STAGE1_FORM)
     cfg = Stage1Config(**meta["config"])
     params = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
     buffers = {k[2:]: v for k, v in arrays.items() if k.startswith("b.")}
@@ -309,13 +322,7 @@ def save_stage2(path, lp: ListaParams, E: np.ndarray, F_cas: np.ndarray) -> str:
 
 
 def load_stage2(path, E: np.ndarray, F_cas: np.ndarray) -> ListaParams:
-    """A stage-2 network, rejected unless it was trained for this forward form."""
-    arrays, meta = _read_checkpoint(path, 2, _fingerprint(E=E, F_cas=F_cas))
-    form = meta.get("forward")
-    if form != FORWARD_FORM:
-        raise ValueError(
-            f"trained for the {form or 'untagged'} forward form, but this version runs "
-            f"{FORWARD_FORM}; retrain it with `polarce train stage2`")
+    arrays, _ = _read_checkpoint(path, 2, _fingerprint(E=E, F_cas=F_cas), FORWARD_FORM)
     return ListaParams(**arrays)
 
 
@@ -515,13 +522,13 @@ def run_pilot_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
 
 def _single_path_profile(sys_: SystemConfig, bs: PolarDictionary, E: np.ndarray,
                          theta: float, r: float) -> np.ndarray:
-    """|c_r| over grid rows for a noiseless one-bridge-path pilot block."""
+    """Row energy over grid rows for a noiseless one-bridge-path pilot block."""
     H, h, G = build_channels(sys_,
                              (PathParams(theta, r, 1.0 + 0.0j),),
                              (PathParams(-0.2, 8.0),),
                              ((PathParams(0.3, 10.0, 1.0 + 0.0j),),))
     Y = np.sqrt(sys_.power) * (G[0] @ E)
-    return np.abs(row_energy(Y, bs))
+    return row_energy(Y, bs)
 
 
 def _top1_power(profile: np.ndarray) -> float:

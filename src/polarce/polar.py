@@ -150,11 +150,21 @@ def sample_polar_grid(size: int, wavelength: float, spacing: float,
 
 def build_dictionary(size: int, wavelength: float, spacing: float,
                      config: GridConfig) -> PolarDictionary:
+    """Steering columns of the whole grid in one broadcast.
+
+    Column j equals steering_vector(size, asin(sin_j), distance_j, ...) bit
+    for bit: the same sine round trip, the same operation order, and the
+    curvature term added on the near-field columns only.
+    """
     grid = sample_polar_grid(size, wavelength, spacing, config)
-    F = np.empty((size, len(grid)), dtype=np.complex128)
-    for j in range(len(grid)):
-        F[:, j] = steering_vector(size, math.asin(grid.sin_angles[j]),
-                                  grid.distances[j], wavelength, spacing)
+    u = np.array([math.sin(math.asin(s)) for s in grid.sin_angles])
+    m = element_offsets(size)[:, None]
+    path_delta = -m * spacing * u
+    near = np.isfinite(grid.distances)
+    path_delta[:, near] += ((m * spacing) ** 2 * (1.0 - u[near] * u[near])
+                            / (2.0 * grid.distances[near]))
+    k = 2.0 * math.pi / wavelength
+    F = np.exp(-1j * k * path_delta) / math.sqrt(size)
     return PolarDictionary(F=F, grid=grid, size=size,
                            wavelength=wavelength, spacing=spacing)
 

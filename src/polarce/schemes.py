@@ -46,10 +46,7 @@ def estimate_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
 def _stage1_project(pilots: list[PilotBlock], ctx: PipelineContext):
     """Shared front end: denoise row images in one batch, pick supports, project."""
     L = ctx.config.paths_bs
-    n = len(pilots)
-    C = np.zeros((n, ctx.bs.F.shape[1], L), dtype=np.complex128)
-    for i, blk in enumerate(pilots):
-        C[i] = row_energy(blk.Y, ctx.bs)[:, None]
+    C = np.stack([row_energy(blk.Y, ctx.bs) for blk in pilots])[..., None]
     if ctx.stage1 is not None:
         _, C_hat = denoise(C, ctx.stage1)
     else:

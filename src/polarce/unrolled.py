@@ -14,11 +14,12 @@ coefficients b, in the weight-coupled LISTA-CP form (Chen et al., 2018):
 with per-layer thresholds/steps and shared V, F trained end to end. Every
 per-layer product has tau rows, not M. F is initialized from the dictionary
 and V from E, so W = Psi and layer t of an untrained net is iteration t of
-ISTA on Psi (`ista_core`) for any dictionary, overcomplete or not; the tests
-check this at every depth up to 8. A safe step therefore keeps the untrained
-net convergent: at 20 dB its mean relative error ||x_hat - x||^2 / ||x||^2 at
-1, 2, 4, 6 and 8 layers is 0.81, 0.72, 0.63, 0.58 and 0.54 on 180 desk
-training paths, and 0.89, 0.85, 0.81, 0.78 and 0.77 on 90 paper ones.
+ISTA on Psi for any dictionary, overcomplete or not; the tests check this
+against plain proximal gradient at every depth up to 8. A safe step
+therefore keeps the untrained net convergent: at 20 dB its mean relative
+error ||x_hat - x||^2 / ||x||^2 at 1, 2, 4, 6 and 8 layers is 0.81, 0.72,
+0.63, 0.58 and 0.54 on 180 desk training paths, and 0.89, 0.85, 0.81, 0.78
+and 0.77 on 90 paper ones.
 
 Training runs in single precision (complex64 V, F, E and batches, float32
 thresholds and steps, Adam moments to match) and returns complex128/float64
@@ -37,8 +38,8 @@ from .optim import train
 from .rng import complex_normal, substream
 
 __all__ = [
-    "Stage2Config", "ListaParams", "Stage2Dataset", "IstaResult",
-    "project_to_bs_subspace", "ista_core", "lista_init", "lista_forward",
+    "Stage2Config", "ListaParams", "Stage2Dataset",
+    "project_to_bs_subspace", "lista_init", "lista_forward",
     "make_stage2_dataset", "train_stage2", "stage2_loss", "reconstruct", "FORWARD_FORM",
 ]
 
@@ -85,38 +86,10 @@ class Stage2Dataset:
     Xl: np.ndarray                    # [M, n] true per-path composite vectors
 
 
-@dataclass
-class IstaResult:
-    coeffs: np.ndarray
-    objective: np.ndarray
-    diverged: bool
-
-
 def project_to_bs_subspace(Y: np.ndarray, A_hat: np.ndarray, power: float) -> np.ndarray:
     """Per-path observations: conjugated rows of A_hat^H Y / sqrt(p), as columns."""
     P = A_hat.conj().T @ Y / math.sqrt(power)
     return P.conj().T                 # [tau, L]
-
-
-def ista_core(p: np.ndarray, Psi: np.ndarray, lam: float, kappa: float,
-              iters: int, tol: float = 1e-12) -> IstaResult:
-    """Proximal gradient on 0.5||Psi b - p||^2 + lam ||b||_1."""
-    b = np.zeros(Psi.shape[1], dtype=np.complex128)
-    objective = np.empty(iters)
-    diverged = False
-    prev = np.inf
-    for t in range(iters):
-        r = Psi @ b - p
-        b = ad.soft_threshold(b - kappa * (Psi.conj().T @ r), lam)
-        obj = 0.5 * np.linalg.norm(Psi @ b - p) ** 2 + lam * np.abs(b).sum()
-        objective[t] = obj
-        if obj > prev * (1.0 + 1e-9) + 1e-12:
-            diverged = True
-        prev = obj
-        if obj < tol:
-            objective = objective[:t + 1]
-            break
-    return IstaResult(coeffs=b, objective=objective, diverged=diverged)
 
 
 def spectral_norm_sq(Psi: np.ndarray) -> float:

@@ -5,13 +5,18 @@ gradient tests do not reuse the code under test. Complex parameters are
 perturbed along the real and imaginary axes separately and reported as
 dL/dRe + 1j dL/dIm, the same layout the tape produces.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 import polarce.autodiff as ad
 from polarce.autodiff import _unbroadcast
+from polarce.channel import steering_vector
 from polarce.denoiser import (DenoiserParams, _residual_loss, _residual_pairs,
                               init_denoiser, stage1_loss)
 from polarce.optim import adam_init, adam_step, with_precision
+from polarce.polar import sample_polar_grid
 from polarce.rng import substream
 from polarce.unrolled import ListaParams, _path_loss, lista_init
 
@@ -117,6 +122,46 @@ def count_lattice_peaks_reference(cas, corr: np.ndarray, within_db: float = 3.0)
                 break
         peaks += int(best)
     return peaks
+
+
+def build_dictionary_reference(size, wavelength, spacing, config) -> np.ndarray:
+    """Dictionary matrix built one `steering_vector` call per grid atom, the
+    oracle that the broadcast `build_dictionary` matches byte for byte."""
+    grid = sample_polar_grid(size, wavelength, spacing, config)
+    F = np.empty((size, len(grid)), dtype=np.complex128)
+    for j in range(len(grid)):
+        F[:, j] = steering_vector(size, math.asin(grid.sin_angles[j]),
+                                  grid.distances[j], wavelength, spacing)
+    return F
+
+
+@dataclass
+class IstaResult:
+    coeffs: np.ndarray
+    objective: np.ndarray
+    diverged: bool
+
+
+def ista_core(p: np.ndarray, Psi: np.ndarray, lam: float, kappa: float,
+              iters: int, tol: float = 1e-12) -> IstaResult:
+    """Proximal gradient on 0.5||Psi b - p||^2 + lam ||b||_1, the oracle
+    that layer t of an untrained unrolled net is held to."""
+    b = np.zeros(Psi.shape[1], dtype=np.complex128)
+    objective = np.empty(iters)
+    diverged = False
+    prev = np.inf
+    for t in range(iters):
+        r = Psi @ b - p
+        b = ad.soft_threshold(b - kappa * (Psi.conj().T @ r), lam)
+        obj = 0.5 * np.linalg.norm(Psi @ b - p) ** 2 + lam * np.abs(b).sum()
+        objective[t] = obj
+        if obj > prev * (1.0 + 1e-9) + 1e-12:
+            diverged = True
+        prev = obj
+        if obj < tol:
+            objective = objective[:t + 1]
+            break
+    return IstaResult(coeffs=b, objective=objective, diverged=diverged)
 
 
 # Byte-level oracles: the training kernels as they were written before they

@@ -216,17 +216,25 @@ class TestConfigErrors:
         assert rc == 2 and out == ""
         assert field in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("section, value", [
-        ("ris_grid", {"ring_limit": None}), ("system", {"spacing_m": None}),
-        ("system", {"power": 2}),
+    @pytest.mark.parametrize("section, value, want", [
+        ("ris_grid", {"ring_limit": None}, None), ("system", {"spacing_m": None}, None),
+        ("system", {"power": 2}, 2.0),
     ], ids=["null-ring-limit", "null-spacing", "int-for-float"])
-    def test_typed_values_accepted(self, capsys, tmp_path, section, value):
-        path = tmp_path / "typed.json"
-        path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO.get(section, {}), **value)})))
-        rc, out, _ = run(capsys, ["info", "--config", str(path)])
-        assert rc == 0
+    def test_typed_values_accepted(self, capsys, tmp_path, section, value, want):
         key, v = next(iter(value.items()))
+        paths = []
+        for name, given in (("typed", v), ("as-held", want)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(
+                dict(MICRO, **{section: dict(MICRO.get(section, {}), **{key: given})})))
+        rc, out, _ = run(capsys, ["info", "--config", str(paths[0])])
+        assert rc == 0
         assert json.loads(out)["config"][section][key] == v
+        # a float field holds a float, so 2 and 2.0 name the same experiment
+        cfg = load_config(paths[0])
+        got = getattr(getattr(cfg, section), key)
+        assert type(got) is type(want) and got == want
+        assert harness._config_hash(cfg) == harness._config_hash(load_config(paths[1]))
 
     def test_training_divergence(self, capsys, tmp_path):
         path = tmp_path / "wild.json"
@@ -522,6 +530,23 @@ class TestEval:
         assert (rc, out) == (2, "")
         msg = json.loads(err)["error"]
         assert "bad stage-2 checkpoint" in msg and "forward form" in msg
+
+    @pytest.mark.parametrize("form", [None, "slot-average-Lcol"])
+    def test_stage1_checkpoint_of_another_input_form(self, capsys, cfg_file,
+                                                     stage1_ckpt, tmp_path, form):
+        # same shapes and fingerprint, but another network: an untagged
+        # checkpoint predates the one-column row-energy input
+        arrays, meta = load_container(stage1_ckpt)
+        del meta["forward"]
+        if form is not None:
+            meta["forward"] = form
+        old = tmp_path / "old1.plce"
+        save_container(old, arrays, meta=meta)
+        rc, out, err = run(capsys, ["eval", "--config", cfg_file, "--stage1", str(old),
+                                    "--no-train", "--out", str(tmp_path)])
+        assert (rc, out) == (2, "")
+        msg = json.loads(err)["error"]
+        assert "bad stage-1 checkpoint" in msg and "forward form" in msg
 
 
 class TestSweep:

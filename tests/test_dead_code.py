@@ -24,9 +24,6 @@ DOTTED = re.compile(r"\w+(\.\w+)+")
 
 # reached only from tests, and kept for what the tests compare against
 ALLOWED = {
-    "unrolled.ista_core": "plain proximal gradient; the oracle that "
-                          "test_orthonormal_synthesis_reduces_to_ista holds "
-                          "the unrolled solver to",
     "polar.encode_sparse_truth": "grid coding of a scene's true channel and "
                                  "its projection floor; the oracle for the "
                                  "polar dictionaries and for error-attribution "
@@ -37,7 +34,6 @@ ALLOWED = {
 # defaulted parameters that only tests set
 ALLOWED_DEFAULTS = {
     "cli.main(argv)": "the command line when None; tests pass their argv",
-    "unrolled.ista_core(tol)": "stopping tolerance of the test oracle",
 }
 
 

@@ -1,4 +1,5 @@
-"""Row-compression, the residual CNN, support selection, and stage-1 training."""
+"""Row energy, the residual CNN, support selection, and stage-1 training."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import polarce.autodiff as ad
 import polarce.optim as optim_mod
-from polarce.channel import draw_scene, simulate_pilots
+from polarce.channel import draw_scene, noise_var_for_snr, ris_side_rows, simulate_pilots
 from polarce.denoiser import (
     Stage1Config, _residual_loss, denoise, denoiser_forward, init_denoiser,
     make_stage1_dataset, row_energy, select_support, stage1_loss, train_stage1,
@@ -35,29 +36,62 @@ class TestRowEnergy:
     def test_single_snapshot(self, small_bs_dict, rng):
         y = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
         got = row_energy(y, small_bs_dict)
-        np.testing.assert_allclose(got, small_bs_dict.F.conj().T @ y[:, 0],
+        np.testing.assert_allclose(got, np.abs(small_bs_dict.F.conj().T @ y[:, 0]),
                                    atol=1e-14)
 
-    def test_linearity(self, small_bs_dict, rng):
-        y1 = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        y2 = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        a, b = 0.7 - 0.2j, -1.1 + 0.4j
-        got = row_energy(a * y1 + b * y2, small_bs_dict)
-        want = a * row_energy(y1, small_bs_dict) + b * row_energy(y2, small_bs_dict)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    def test_row_norms(self, small_bs_dict, rng):
+        Y = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+        want = [math.sqrt(sum(abs(np.vdot(small_bs_dict.F[:, g], Y[:, t])) ** 2
+                              for t in range(5)))
+                for g in range(small_bs_dict.F.shape[1])]
+        np.testing.assert_allclose(row_energy(Y, small_bs_dict), want, rtol=1e-12)
+
+    def test_scales_by_modulus(self, small_bs_dict, rng):
+        Y = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+        a = -1.1 + 0.4j
+        np.testing.assert_allclose(row_energy(a * Y, small_bs_dict),
+                                   abs(a) * row_energy(Y, small_bs_dict), rtol=1e-12)
+
+    def test_blind_to_slot_phases(self, small_bs_dict, rng):
+        """A phase per pilot slot, e.g. a path weight x_l^H e_t, leaves it unchanged."""
+        Y = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, 5))
+        np.testing.assert_allclose(row_energy(Y * phases, small_bs_dict),
+                                   row_energy(Y, small_bs_dict), rtol=1e-12)
 
     def test_on_grid_path_peaks_at_its_row(self, small_bs_dict):
         j = 5
         Y = np.outer(small_bs_dict.F[:, j], np.ones(12))
         c = row_energy(Y, small_bs_dict)
-        assert int(np.argmax(np.abs(c))) == j
-        assert abs(c[j]) == pytest.approx(1.0, abs=1e-12)
+        assert int(np.argmax(c)) == j
+        assert c[j] == pytest.approx(math.sqrt(12), rel=1e-12)
+
+    def test_peak_pick_hits_more_often_than_slot_average(self, small_system,
+                                                         small_bs_dict, small_E):
+        """Peak-pick on the row energy finds each path's nearest grid row more
+        often than peak-pick on the coherent slot average F^H Y 1/tau, which
+        weights path l by x_l^H e_bar and so fades some paths at any SNR."""
+        hits = {"energy": 0, "average": 0}
+        L = small_system.paths_bs
+        for t in range(150):
+            scene = draw_scene(small_system, substream(41, "hit", t))
+            nv = noise_var_for_snr(scene, small_system, small_E, 20.0)
+            Y = simulate_pilots(scene, small_system, small_E, nv,
+                                substream(41, "hit-noise", t)).Y
+            want = {nearest_grid_index(small_bs_dict.grid, p.angle, p.distance)
+                    for p in scene.bridge_bs}
+            stats = {"energy": row_energy(Y, small_bs_dict),
+                     "average": small_bs_dict.F.conj().T @ Y.mean(axis=1)}
+            for name, c in stats.items():
+                got = select_support(c[:, None], L, small_bs_dict, guard=2).indices
+                hits[name] += len(want & set(got.tolist()))
+        assert hits["energy"] > hits["average"] + 0.05 * 150 * L
 
 
 class TestDenoise:
     def test_fresh_network_is_identity(self, rng):
         dp = init_denoiser(TINY, substream(0, "init"))
-        C = rng.standard_normal((2, 16, 2)) + 1j * rng.standard_normal((2, 16, 2))
+        C = np.abs(rng.standard_normal((2, 16, 1)))
         R, C_hat = denoise(C, dp)
         np.testing.assert_array_equal(R, np.zeros_like(C))
         np.testing.assert_array_equal(C_hat, C)
@@ -67,7 +101,7 @@ class TestDenoise:
         # force a nonzero residual head
         dp.params[f"conv{TINY.layers - 1}_w"] = 0.05 * substream(
             1, "head").standard_normal(dp.params[f"conv{TINY.layers - 1}_w"].shape)
-        C = rng.standard_normal((2, 16, 2)) + 1j * rng.standard_normal((2, 16, 2))
+        C = np.abs(rng.standard_normal((2, 16, 1)))
         R, C_hat = denoise(C, dp)
         assert np.any(R != 0)
         np.testing.assert_array_equal(C_hat, C - R)
@@ -76,7 +110,7 @@ class TestDenoise:
         dp = init_denoiser(TINY, substream(0, "init"))
         dp.params[f"conv{TINY.layers - 1}_w"] = 0.05 * substream(
             1, "head").standard_normal(dp.params[f"conv{TINY.layers - 1}_w"].shape)
-        Cb = rng.standard_normal((3, 16, 2)) + 1j * rng.standard_normal((3, 16, 2))
+        Cb = np.abs(rng.standard_normal((3, 16, 1)))
         Rb, Cb_hat = denoise(Cb, dp)
         for i in range(3):
             R, C_hat = denoise(Cb[i:i + 1], dp)
@@ -87,20 +121,20 @@ class TestDenoise:
         dp = init_denoiser(TINY, substream(0, "init"))
         dp.params[f"conv{TINY.layers - 1}_w"] = 0.05 * substream(
             1, "head").standard_normal(dp.params[f"conv{TINY.layers - 1}_w"].shape)
-        one = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        one = np.abs(rng.standard_normal((16, 1)))
         Rb, _ = denoise(np.stack([one, one]), dp)
         np.testing.assert_array_equal(Rb[0], Rb[1])
 
     def test_inference_is_deterministic(self, rng):
         dp = init_denoiser(TINY, substream(0, "init"))
-        C = rng.standard_normal((2, 16, 2)) + 1j * rng.standard_normal((2, 16, 2))
+        C = np.abs(rng.standard_normal((2, 16, 1)))
         R1, _ = denoise(C, dp)
         R2, _ = denoise(C, dp)
         np.testing.assert_array_equal(R1, R2)
 
     def test_zero_input_survives_normalization(self):
         dp = init_denoiser(TINY, substream(0, "init"))
-        R, C_hat = denoise(np.zeros((2, 16, 2), dtype=complex), dp)
+        R, C_hat = denoise(np.zeros((2, 16, 1)), dp)
         assert np.all(np.isfinite(R)) and np.all(C_hat == 0)
 
     def test_too_few_layers_rejected(self):
@@ -113,8 +147,8 @@ class TestDenoiserGradients:
         cfg = Stage1Config(layers=4, width=4, kernel=3, bn_eps=1e-3)
         dp = init_denoiser(cfg, substream(2, "init"))
         params = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in dp.params.items()}
-        x = rng.standard_normal((2, 6, 3, 2))
-        target = rng.standard_normal((2, 6, 3, 2))
+        x = rng.standard_normal((2, 6, 3, 1))
+        target = rng.standard_normal((2, 6, 3, 1))
 
         def forward(v):
             # conv, batch-stat BN and ReLU written out, independent of the tape;
@@ -202,37 +236,38 @@ class TestSupportSelection:
 
 class TestStage1Dataset:
     def test_structure_and_targets(self, small_system, small_bs_dict, small_E):
-        from polarce.channel import ris_side_rows
         scenes = [draw_scene(small_system, substream(31, "sc", t)) for t in range(4)]
         ds = make_stage1_dataset(small_system, small_bs_dict, small_E, scenes,
                                  [0.0] * 4, substream(31, "nz"))
         n_grid = small_bs_dict.F.shape[1]
-        L = small_system.paths_bs
-        assert ds.C.shape == (4, n_grid, L)
-        assert ds.X.shape == (4, n_grid, L)
-        e_bar = small_E.mean(axis=1)
+        assert ds.C.shape == ds.X.shape == (4, n_grid, 1)
         for i, scene in enumerate(scenes):
-            # every input column replicates the same compressed row vector
-            for l in range(1, L):
-                np.testing.assert_array_equal(ds.C[i, :, l], ds.C[i, :, 0])
-            # noiseless input equals the compression of sqrt(p) G e_bar
-            want_cr = small_bs_dict.F.conj().T @ (
-                math.sqrt(small_system.power) * scene.G[0] @ e_bar)
-            np.testing.assert_allclose(ds.C[i, :, 0], want_cr, atol=1e-12)
-            rows = ris_side_rows(scene, small_system)
-            amps = math.sqrt(small_system.power) * (rows.conj().T @ e_bar)
-            # one nonzero per target column, at the paths' nearest grid rows
-            # in ascending order
-            hits = []
-            for l in range(L):
-                col = ds.X[i, :, l]
-                nz = np.flatnonzero(np.abs(col) > 0)
-                assert nz.size == 1
-                hits.append(int(nz[0]))
-                assert complex(col[nz[0]]) in [pytest.approx(a, rel=1e-12)
-                                               for a in amps]
-            assert hits == sorted(nearest_grid_index(small_bs_dict.grid, p.angle, p.distance)
-                                  for p in scene.bridge_bs)
+            # noiseless input is the row energy of sqrt(p) G E
+            Y = math.sqrt(small_system.power) * scene.G[0] @ small_E
+            np.testing.assert_allclose(ds.C[i, :, 0],
+                                       np.linalg.norm(small_bs_dict.F.conj().T @ Y, axis=1),
+                                       rtol=1e-12)
+            # sqrt(p) ||E^H x_l|| at each path's nearest grid row, zero elsewhere
+            norms = math.sqrt(small_system.power) * np.linalg.norm(
+                small_E.conj().T @ ris_side_rows(scene, small_system), axis=0)
+            rows = [nearest_grid_index(small_bs_dict.grid, p.angle, p.distance)
+                    for p in scene.bridge_bs]
+            assert set(np.flatnonzero(ds.X[i, :, 0]).tolist()) == set(rows)
+            if len(set(rows)) == len(rows):
+                np.testing.assert_allclose(ds.X[i, rows, 0], norms, rtol=1e-12)
+
+    def test_paths_on_one_row_add_their_slot_responses(self, small_system,
+                                                       small_bs_dict, small_E):
+        scene = draw_scene(small_system, substream(32, "sc", 0))
+        twin = dataclasses.replace(scene, bridge_bs=(scene.bridge_bs[0],) * 2)
+        ds = make_stage1_dataset(small_system, small_bs_dict, small_E, [twin],
+                                 [0.0], substream(32, "nz"))
+        g = nearest_grid_index(small_bs_dict.grid, twin.bridge_bs[0].angle,
+                               twin.bridge_bs[0].distance)
+        resp = small_E.conj().T @ ris_side_rows(twin, small_system).sum(axis=1)
+        assert np.flatnonzero(ds.X[0, :, 0]).tolist() == [g]
+        assert ds.X[0, g, 0] == pytest.approx(
+            math.sqrt(small_system.power) * np.linalg.norm(resp), rel=1e-12)
 
     def test_deterministic(self, small_system, small_bs_dict, small_E):
         a = _noisy_dataset(small_system, small_bs_dict, small_E, 3, 0.01, 5, "d")

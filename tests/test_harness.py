@@ -8,7 +8,7 @@ import pytest
 
 from polarce import container
 from polarce.channel import make_phase_matrix
-from polarce.denoiser import Stage1Config, init_denoiser
+from polarce.denoiser import STAGE1_FORM, Stage1Config, init_denoiser
 from polarce.harness import (ExperimentConfig, SweepConfig, _top1_power,
                              build_bs_dictionary, build_ris_dictionaries,
                              config_from_dict, config_to_dict,
@@ -20,7 +20,7 @@ from polarce.harness import (ExperimentConfig, SweepConfig, _top1_power,
 from polarce.polar import GridConfig, build_cascaded_dictionary, build_dictionary
 from polarce.rng import substream
 from polarce.schemes import PipelineContext
-from polarce.unrolled import ListaParams
+from polarce.unrolled import FORWARD_FORM, ListaParams
 
 from helpers import count_lattice_peaks_reference, crandn
 
@@ -178,6 +178,25 @@ class TestCheckpoints:
         assert digest == container.content_hash(
             {f"p.{k}": v for k, v in dp.params.items()}
             | {f"b.{k}": v for k, v in dp.buffers.items()})
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_other_form_rejected(self, tmp_path, rng, stage):
+        F, E = crandn(rng, 4, 5), crandn(rng, 4, 3)
+        path = tmp_path / "net.plce"
+        if stage == 1:
+            save_stage1(path, init_denoiser(Stage1Config(layers=3, width=4), rng), F, E)
+            load = lambda: load_stage1(path, F, E)
+        else:
+            save_stage2(path, ListaParams(lam=np.zeros(2), kappa=np.ones(2),
+                                          V=crandn(rng, 4, 3), F=crandn(rng, 4, 5)), E, F)
+            load = lambda: load_stage2(path, E, F)
+        arrays, meta = container.load_container(path)
+        assert meta["forward"] == (STAGE1_FORM if stage == 1 else FORWARD_FORM)
+        for form in (None, "another"):
+            meta["forward"] = form
+            container.save_container(path, arrays, meta=meta)
+            with pytest.raises(ValueError, match=f"{form or 'untagged'} forward form"):
+                load()
 
     def test_stage2_round_trip(self, tmp_path, rng):
         lp = ListaParams(lam=np.array([0.1, 0.2]), kappa=np.array([0.5, 0.4]),

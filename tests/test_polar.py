@@ -1,6 +1,7 @@
 """Polar grids, steering dictionaries, cascaded dedup, and scene coding."""
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from polarce.polar import (
     coherence_profile, encode_sparse_truth, nearest_grid_index,
     sample_polar_grid, synthesize_cascaded,
 )
+from polarce.harness import load_config
 from polarce.rng import substream
 
+from helpers import build_dictionary_reference
+
 LAM = C_LIGHT / 30e9
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # the cascaded lattice's edge cases: aliasing on a full-range sin grid, angles
@@ -143,6 +148,21 @@ class TestDictionary:
             np.testing.assert_allclose(ringed_dict.F[:, j], want, atol=1e-12)
             corr = abs(np.vdot(ringed_dict.F[:, j], want))
             assert corr == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("profile, side", [(p, s) for p in ("desk", "paper")
+                                               for s in ("bs", "ris")])
+    def test_profile_dictionaries_match_per_atom_loop(self, profile, side):
+        cfg = load_config(ROOT / "configs" / f"{profile}.json")
+        sys_ = cfg.system
+        size, grid = (sys_.n_bs, cfg.bs_grid) if side == "bs" else (sys_.n_ris, cfg.ris_grid)
+        got = build_dictionary(size, sys_.wavelength, sys_.spacing, grid).F
+        assert got.tobytes() == build_dictionary_reference(
+            size, sys_.wavelength, sys_.spacing, grid).tobytes()
+
+    @pytest.mark.parametrize("size, cfg", LATTICE_GRIDS.values(), ids=LATTICE_GRIDS.keys())
+    def test_lattice_dictionaries_match_per_atom_loop(self, size, cfg):
+        got = build_dictionary(size, LAM, LAM / 2, cfg).F
+        assert got.tobytes() == build_dictionary_reference(size, LAM, LAM / 2, cfg).tobytes()
 
     def test_full_range_far_grid_is_orthonormal(self):
         size = 16

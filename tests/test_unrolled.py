@@ -13,12 +13,12 @@ from polarce.channel import (
 )
 from polarce.rng import complex_normal, substream
 from polarce.unrolled import (
-    ListaParams, Stage2Config, _path_loss, ista_core, lista_forward, lista_init,
+    ListaParams, Stage2Config, _path_loss, lista_forward, lista_init,
     make_stage2_dataset, project_to_bs_subspace, reconstruct, spectral_norm_sq,
     stage2_loss, train_stage2,
 )
 
-from helpers import assert_grads_close, crandn, numeric_grads
+from helpers import assert_grads_close, crandn, ista_core, numeric_grads
 
 
 class TestProjection:
