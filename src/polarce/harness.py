@@ -9,6 +9,11 @@ The SNR sweep, the pilot sweep and `polarce eval` run one evaluation body
 (`_sweep`); they differ only in the points they list. A point's label names
 its scene, noise and stage-2 substreams, so `polarce eval --snr s` is the SNR
 sweep's row at s and `polarce simulate --snr s` writes that row's pilot blocks.
+Once stage 1 is trained, `_sweep` runs its points on one process per usable
+CPU, forked so they share the dictionaries and networks, and merges their
+records in point order; the CSV bytes are the same for any worker count. Pin
+BLAS to one thread per process (OPENBLAS_NUM_THREADS=1), as the benchmark
+does, so the workers do not oversubscribe the cores.
 """
 from __future__ import annotations
 
@@ -16,6 +21,10 @@ import dataclasses
 import functools
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 import time
 import typing
 from dataclasses import dataclass
@@ -35,7 +44,7 @@ from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
                     build_cascaded_dictionary, build_dictionary,
                     coherence_profile)
 from .rng import substream
-from .schemes import SCHEME_FUNCS, PipelineContext
+from .schemes import SCHEME_FUNCS, SUPPORT_GUARD, PipelineContext
 from .unrolled import (FORWARD_FORM, ListaParams, Stage2Config, make_stage2_dataset,
                        stage2_loss, train_stage2)
 
@@ -65,7 +74,7 @@ class SweepConfig:
     eval_snr_db: float = 40.0              # pilot sweep operating point
     loss_snr_db: float = 20.0              # loss-curve operating point
     depths: tuple[int, ...] = (4, 6)
-    support_guard: int = 2
+    support_guard: int = SUPPORT_GUARD
     phase_kind: str = "random"
     snr_convention: str = "receive"
 
@@ -427,6 +436,112 @@ def _write_outputs(outdir, stem: str, header, rows, meta: dict):
         json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _exit_with_parent() -> None:
+    """Watch of a forked worker: end it once the process that forked it is gone,
+    as after a signal that skips that process's clean-up."""
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
+def _worker(fn, items: list, conn) -> None:
+    """Forked side of `_map_points`: send ("ok", fn(item)) per item, or stop at
+    the first error and send it, so the parent raises it with its type and message."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    try:
+        for item in items:
+            conn.send(("ok", fn(item)))
+    except Exception as e:
+        try:
+            conn.send(("error", e))
+        except Exception:                 # an exception that does not pickle
+            conn.send(("error", RuntimeError(f"{type(e).__name__}: {e}")))
+    finally:
+        conn.close()
+
+
+def _map_points(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], item i run by worker i % workers.
+
+    Worker 0 is this process. The others are forked on entry, so they share
+    everything fn reads copy-on-write, and send back fn's plain results over
+    a pipe. An error in any worker is raised here once every child is
+    stopped and reaped, and a child exits by itself if this process dies.
+    One worker forks nothing.
+    """
+    results = [None] * len(items)
+    children = []
+    try:
+        if workers > 1:
+            mp = multiprocessing.get_context("fork")
+            for w in range(1, workers):
+                recv, send = mp.Pipe(duplex=False)
+                proc = mp.Process(target=_worker, args=(fn, items[w::workers], send))
+                proc.start()
+                send.close()
+                children.append((w, proc, recv))
+        for i in range(0, len(items), workers):
+            results[i] = fn(items[i])
+        for w, proc, recv in children:
+            for i in range(w, len(items), workers):
+                try:
+                    status, value = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"sweep worker {w} exited with code "
+                                       f"{proc.exitcode}") from None
+                if status == "error":
+                    raise value
+                results[i] = value
+    except BaseException:
+        for _, proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for _, proc, recv in children:
+            proc.join()
+            recv.close()
+    return results
+
+
+def _sweep_point(cfg: ExperimentConfig, axis: str, bs: PolarDictionary,
+                 cas: CascadedDictionary, dp: DenoiserParams | None,
+                 stage2: ListaParams | None, train2_scenes, progress, point) -> dict:
+    """One point of `_sweep`: its records, timing entries, stage-2 trace and
+    stage-2 checkpoint hash, all plain values a worker can send back."""
+    sw = cfg.sweep
+    value, label, system, E, snr = point
+    tp = time.perf_counter()
+    timing, trace2 = {}, None
+    scenes = draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", sw.trials)
+    lp = stage2
+    if train2_scenes is not None:
+        ts = time.perf_counter()
+        lp, trace2 = train_stage2_model(cfg, cas, E, snr, label, system=system,
+                                        scenes=train2_scenes)
+        timing[f"stage2_train_{label}_s"] = time.perf_counter() - ts
+    ctx = PipelineContext(config=system, bs=bs, cas=cas, E=E,
+                          stage1=dp, stage2=lp, support_guard=sw.support_guard)
+    errs, secs = evaluate_point(scenes, ctx, snr, sw.seed, label,
+                                sw.schemes, convention=sw.snr_convention)
+    records = [{"scheme": name, axis: value,
+                "nmse_mean": float(errs[name].mean()), "nmse_std": float(errs[name].std()),
+                "trials": sw.trials, "wall_time_s": secs[name]} for name in sw.schemes]
+    timing.update({f"{name}_{label}_s": secs[name] for name in sw.schemes})
+    timing[f"point_{label}_s"] = time.perf_counter() - tp
+    if progress:
+        progress(f"{label} done")
+    return {"records": records, "timing": timing, "trace": trace2,
+            "checkpoint": container.content_hash(vars(lp)) if lp is not None else None}
+
+
 def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
            progress=None, stage1: DenoiserParams | None = None,
            stage2: ListaParams | None = None) -> list[dict]:
@@ -437,6 +552,15 @@ def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
     per point, on one shared scene draw, because its mixing matrix is tied to
     the point's schedule. A given network replaces the training. Writes
     <stem>.csv and <stem>.meta.json and returns one record per scheme and point.
+
+    After stage 1 and the shared stage-2 scene draw the points are
+    independent, so they run round-robin on one process per usable CPU (at
+    most one per point): this process takes points 0, W, 2W, ... and forks
+    the other W-1. Every random stream is keyed by the point's label, so the
+    CSV bytes do not depend on W; the meta's timing records W ("workers") and
+    the worker that ran each point ("worker_<label>"). Pin BLAS to one thread
+    per process (OPENBLAS_NUM_THREADS=1) so the workers do not oversubscribe
+    the cores.
     """
     sw = cfg.sweep
     t0 = time.perf_counter()
@@ -460,38 +584,24 @@ def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
                                  cfg.stage2.train_size)
                      if needs2 and stage2 is None else None)
 
-    rows, records = [], []
-    for value, label, system, E, snr in points:
-        tp = time.perf_counter()
-        scenes = draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", sw.trials)
-        lp = stage2
-        if needs2 and lp is None:
-            ts = time.perf_counter()
-            lp, trace2 = train_stage2_model(cfg, cas, E, snr, label, system=system,
-                                            scenes=train2_scenes)
-            meta["timing"][f"stage2_train_{label}_s"] = time.perf_counter() - ts
-            meta.setdefault("stage2_traces", {})[_fmt(value)] = trace2
-        if lp is not None:
-            meta["checkpoints"][f"stage2_{label}"] = container.content_hash(vars(lp))
-        ctx = PipelineContext(config=system, bs=bs, cas=cas, E=E,
-                              stage1=dp, stage2=lp,
-                              support_guard=sw.support_guard)
-        errs, secs = evaluate_point(scenes, ctx, snr, sw.seed, label,
-                                    sw.schemes, convention=sw.snr_convention)
-        for name in sw.schemes:
-            e = errs[name]
-            rec = {"scheme": name, axis: value,
-                   "nmse_mean": float(e.mean()), "nmse_std": float(e.std()),
-                   "trials": sw.trials, "wall_time_s": secs[name]}
-            records.append(rec)
-            rows.append([name, value, rec["nmse_mean"], rec["nmse_std"], sw.trials])
-            meta["timing"][f"{name}_{label}_s"] = secs[name]
-        meta["timing"][f"point_{label}_s"] = time.perf_counter() - tp
-        if progress:
-            progress(f"{label} done")
+    workers = min(len(points), _usable_cpus())
+    run = functools.partial(_sweep_point, cfg, axis, bs, cas, dp, stage2,
+                            train2_scenes, progress)
+    records = []
+    for i, ((value, label, *_), out) in enumerate(
+            zip(points, _map_points(run, points, workers))):
+        records.extend(out["records"])
+        meta["timing"].update(out["timing"])
+        meta["timing"][f"worker_{label}"] = i % workers
+        if out["trace"] is not None:
+            meta.setdefault("stage2_traces", {})[_fmt(value)] = out["trace"]
+        if out["checkpoint"] is not None:
+            meta["checkpoints"][f"stage2_{label}"] = out["checkpoint"]
+    meta["timing"]["workers"] = workers
     meta["timing"]["total_s"] = time.perf_counter() - t0
     _write_outputs(outdir, stem, ["scheme", axis, "nmse_mean", "nmse_std", "trials"],
-                   rows, meta)
+                   [[r["scheme"], r[axis], r["nmse_mean"], r["nmse_std"], r["trials"]]
+                    for r in records], meta)
     return records
 
 
@@ -654,10 +764,9 @@ def count_lattice_peaks(cas: CascadedDictionary, corr: np.ndarray,
 # --------------------------------------------------------------- loss curves
 
 def run_loss_curves(cfg: ExperimentConfig, outdir) -> dict:
-    """Training curves for both networks at each depth, each run twice.
+    """Training curves for both networks at each depth.
 
-    The duplicate run checks that a fixed seed reproduces the trace bit for
-    bit. Episode 0 rows hold the full-dataset loss of the untrained model.
+    Episode 0 rows hold the full-dataset loss of the untrained model.
     """
     sw = cfg.sweep
     t0 = time.perf_counter()
@@ -668,29 +777,26 @@ def run_loss_curves(cfg: ExperimentConfig, outdir) -> dict:
                           (sw.loss_snr_db,))
     ds2 = _stage2_dataset(cfg, E, sw.loss_snr_db, "loss", cfg.system)
 
-    # (network, config, train, full-dataset loss, arrays compared across reruns)
+    # (network, config, train, full-dataset loss)
     stages = (("stage1", cfg.stage1, lambda c: train_stage1(ds1, c, sw.seed),
-               lambda dp: stage1_loss(ds1, dp), lambda dp: {**dp.params, **dp.buffers}),
+               lambda dp: stage1_loss(ds1, dp)),
               ("stage2", cfg.stage2, lambda c: train_stage2(ds2, E, cas.F, c, sw.seed),
-               lambda lp: stage2_loss(ds2, lp, E), vars))
+               lambda lp: stage2_loss(ds2, lp, E)))
     rows, report = [], {"stage1": {}, "stage2": {}}
     for depth in sw.depths:
-        for name, base, train, loss, arrays in stages:
+        for name, base, train, loss in stages:
             c = dataclasses.replace(base, layers=int(depth))
             # zero episodes return the network at its initialization
             init = loss(train(dataclasses.replace(c, episodes=0))[0])
-            (net_a, tr_a), (net_b, tr_b) = train(c), train(c)
-            other = arrays(net_b)
-            same = tr_a == tr_b and all(np.array_equal(v, other[k])
-                                        for k, v in arrays(net_a).items())
-            final = loss(net_a)
+            net, trace = train(c)
+            final = loss(net)
             report[name][int(depth)] = {
                 "init_loss": init, "final_loss": final,
                 "drop_factor": init / final if final > 0 else float("inf"),
-                "rerun_identical": bool(same), "trace": tr_a,
+                "trace": trace,
             }
             rows.append([name, int(depth), 0, init])
-            rows.extend([name, int(depth), r["episode"] + 1, r["loss"]] for r in tr_a)
+            rows.extend([name, int(depth), r["episode"] + 1, r["loss"]] for r in trace)
 
     meta = {"config": config_to_dict(cfg), "report": report,
             "timing": {"total_s": time.perf_counter() - t0}}

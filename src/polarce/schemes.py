@@ -17,8 +17,14 @@ from .omp import DenseProblem, VectorizedProblem, cascaded_estimate, omp, omp_de
 from .polar import CascadedDictionary, PolarDictionary
 from .unrolled import ListaParams, lista_forward, project_to_bs_subspace, reconstruct
 
-__all__ = ["PipelineContext", "estimate_omp", "estimate_dncnn_omp",
+__all__ = ["SUPPORT_GUARD", "PipelineContext", "estimate_omp", "estimate_dncnn_omp",
            "estimate_dncnn_istanet", "SCHEME_FUNCS"]
+
+
+# rows on each side of a picked stage-1 row that the next pick skips: the BS
+# grid oversamples angle 3x by default, so one path's main lobe covers its
+# neighbour rows
+SUPPORT_GUARD = 2
 
 
 @dataclass
@@ -29,7 +35,7 @@ class PipelineContext:
     E: np.ndarray
     stage1: DenoiserParams | None = None
     stage2: ListaParams | None = None
-    support_guard: int = 0
+    support_guard: int = SUPPORT_GUARD
 
 
 def estimate_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:

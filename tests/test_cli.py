@@ -1,5 +1,7 @@
 """Command line surface: exit codes, JSON output, artifact round trips."""
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -246,6 +248,21 @@ class TestConfigErrors:
         assert rc == 2 and out == "" and "Traceback" not in err
         assert "stage-2 training diverged" in json.loads(err.splitlines()[-1])["error"]
         assert not (tmp_path / "s2.plce").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_divergence(self, capsys, monkeypatch, tmp_path, cpus):
+        # with two usable CPUs the second point trains in a forked worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = tmp_path / "wild.json"
+        path.write_text(json.dumps(dict(
+            MICRO, stage2=dict(MICRO["stage2"], lr=1e6),
+            sweep=dict(MICRO["sweep"], schemes=["omp", "dncnn-istanet"]))))
+        with np.errstate(all="ignore"):
+            rc, out, err = run(capsys, ["sweep", "snr", "--config", str(path),
+                                        "--out", str(tmp_path / "out")])
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert "stage-2 training diverged" in json.loads(err.splitlines()[-1])["error"]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", [["eval"], ["simulate"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):

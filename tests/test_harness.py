@@ -1,13 +1,19 @@
 """Orchestration layer: configs, error metric, checkpoints, paired sweeps."""
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polarce import container
-from polarce.channel import make_phase_matrix
+from polarce import container, harness
+from polarce.channel import make_phase_matrix, noise_var_for_snr, simulate_pilots
 from polarce.denoiser import STAGE1_FORM, Stage1Config, init_denoiser
 from polarce.harness import (ExperimentConfig, SweepConfig, _top1_power,
                              build_bs_dictionary, build_ris_dictionaries,
@@ -19,7 +25,7 @@ from polarce.harness import (ExperimentConfig, SweepConfig, _top1_power,
                              save_stage1, save_stage2, snr_label, write_csv)
 from polarce.polar import GridConfig, build_cascaded_dictionary, build_dictionary
 from polarce.rng import substream
-from polarce.schemes import PipelineContext
+from polarce.schemes import PipelineContext, _stage1_project
 from polarce.unrolled import FORWARD_FORM, ListaParams
 
 from helpers import count_lattice_peaks_reference, crandn
@@ -286,6 +292,11 @@ class TestEvaluatePoint:
         assert len(set(out["omp"].tolist())) == 3
 
 
+def usable_cpus(monkeypatch, count: int) -> None:
+    """Make the sweep see `count` usable CPUs through its affinity lookup."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestSnrSweep:
     @pytest.mark.parametrize("schemes", [
         ("omp",),
@@ -295,13 +306,20 @@ class TestSnrSweep:
         (run_snr_sweep, "snr_sweep", "snr_db"),
         (run_pilot_sweep, "pilot_sweep", "tau"),
     ], ids=["snr", "tau"])
-    def test_csv_bytes_are_stable(self, tmp_path, run, stem, axis, schemes):
+    def test_csv_bytes_are_stable(self, monkeypatch, tmp_path, run, stem, axis, schemes):
+        """Two runs write the same bytes, the first on two workers, the second on one."""
         cfg = config_from_dict({**MICRO, "stage1": LOSS_MICRO["stage1"],
                                 "stage2": LOSS_MICRO["stage2"],
                                 "sweep": {**MICRO["sweep"], "schemes": list(schemes)}})
         d1, d2 = tmp_path / "a", tmp_path / "b"
+        usable_cpus(monkeypatch, 2)
         records = run(cfg, d1)
+        usable_cpus(monkeypatch, 1)
         run(cfg, d2)
+        for d, workers in ((d1, [0, 1]), (d2, [0, 0])):
+            timing = json.loads((d / f"{stem}.meta.json").read_text())["timing"]
+            assert timing["workers"] == max(workers) + 1
+            assert sorted(v for k, v in timing.items() if k.startswith("worker_")) == workers
         b1 = (d1 / f"{stem}.csv").read_bytes()
         assert b1 == (d2 / f"{stem}.csv").read_bytes()
         lines = b1.decode().splitlines()
@@ -333,6 +351,141 @@ class TestSnrSweep:
         assert meta["config"] == config_to_dict(micro_cfg)
         assert "config_hash" in meta
         assert "total_s" in meta["timing"]
+
+
+def running(pid: int) -> bool:
+    """Whether a process exists and has not exited (a zombie has)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+TRAINED = {**MICRO, "stage1": LOSS_MICRO["stage1"], "stage2": LOSS_MICRO["stage2"],
+           "sweep": {**MICRO["sweep"], "schemes": ["omp", "dncnn-omp", "dncnn-istanet"]}}
+
+
+class TestSweepWorkers:
+    """Points run round-robin on one process per usable CPU, same bytes out."""
+
+    @pytest.mark.parametrize("axis", ["snr_db", "tau"])
+    def test_rows_match_one_point_sweeps(self, monkeypatch, tmp_path, axis):
+        """Each row of a two-worker sweep is the row of that point swept alone.
+
+        Stage 1 trains on the longest pilot block of the listed points, so a
+        one-point pilot sweep at the shorter tau trains another stage 1; the
+        pilot axis compares the rows that need no stage 1.
+        """
+        usable_cpus(monkeypatch, 2)
+        if axis == "snr_db":
+            cfg, run, stem = config_from_dict(TRAINED), run_snr_sweep, "snr_sweep"
+            one = lambda v: dataclasses.replace(cfg.sweep, snr_db=(v,),
+                                                train_snr_db=cfg.sweep.stage1_snr_db)
+        else:
+            cfg, run, stem = config_from_dict(MICRO), run_pilot_sweep, "pilot_sweep"
+            one = lambda v: dataclasses.replace(cfg.sweep, tau=(v,))
+        lines = lambda d: (d / f"{stem}.csv").read_text().splitlines()
+        run(cfg, tmp_path / "all")
+        rows = lines(tmp_path / "all")
+        assert len(rows) == 1 + 2 * len(cfg.sweep.schemes)
+        for v in getattr(cfg.sweep, axis):
+            outdir = tmp_path / str(v)
+            run(dataclasses.replace(cfg, sweep=one(v)), outdir)
+            alone = lines(outdir)
+            assert alone[0] == rows[0]
+            assert alone[1:] == [r for r in rows[1:] if float(r.split(",")[1]) == v]
+
+    @pytest.mark.parametrize("label", ["snr0", "snr20"], ids=["parent", "child"])
+    def test_error_reaches_caller_and_reaps_workers(self, monkeypatch, tmp_path, label):
+        usable_cpus(monkeypatch, 2)
+        evaluate = harness.evaluate_point
+
+        def failing(scenes, ctx, snr_db, seed, point, *args, **kwargs):
+            if point == label:
+                raise ValueError(f"no estimate at {point}")
+            return evaluate(scenes, ctx, snr_db, seed, point, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_point", failing)
+        with pytest.raises(ValueError, match=f"no estimate at {label}"):
+            run_snr_sweep(config_from_dict(MICRO), tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "snr_sweep.csv").exists()
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        evaluate = harness.evaluate_point
+
+        def dying(scenes, ctx, snr_db, seed, point, *args, **kwargs):
+            if point == "snr20":
+                os._exit(3)
+            return evaluate(scenes, ctx, snr_db, seed, point, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_point", dying)
+        with pytest.raises(RuntimeError, match="worker 1 exited with code 3"):
+            run_snr_sweep(config_from_dict(MICRO), tmp_path)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_workers_end_with_a_killed_sweep(self, tmp_path):
+        """A sweep process killed by a signal, which skips its clean-up, takes
+        its worker with it instead of leaving it to finish its points."""
+        script = (
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "from polarce import harness\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def hang(scenes, ctx, snr_db, seed, label, *args, **kwargs):\n"
+            "    Path(sys.argv[1], label).write_text(str(os.getpid()))\n"
+            "    time.sleep(60)\n"
+            "harness.evaluate_point = hang\n"
+            f"harness.run_snr_sweep(harness.config_from_dict({MICRO!r}), sys.argv[1])\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        sweep = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
+                                 env={**os.environ, "PYTHONPATH": src})
+        pid_file, worker = tmp_path / "snr20", None
+        try:
+            deadline = time.monotonic() + 60
+            while not (pid_file.exists() and pid_file.read_text()):
+                assert time.monotonic() < deadline and sweep.poll() is None
+                time.sleep(0.05)
+            worker = int(pid_file.read_text())
+            sweep.kill()
+            sweep.wait()
+            deadline = time.monotonic() + 10
+            while running(worker):
+                assert time.monotonic() < deadline, "worker outlived its sweep"
+                time.sleep(0.05)
+        finally:
+            sweep.kill()
+            sweep.wait()
+            if worker is not None and running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+    def test_one_point_runs_in_process(self, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_context", None)   # any fork fails
+        cfg = config_from_dict(MICRO)
+        run_snr_sweep(dataclasses.replace(
+            cfg, sweep=dataclasses.replace(cfg.sweep, snr_db=(20.0,))), tmp_path)
+        timing = json.loads((tmp_path / "snr_sweep.meta.json").read_text())["timing"]
+        assert timing["workers"] == 1 and timing["worker_snr20"] == 0
+
+
+def test_default_context_picks_the_sweep_supports(small_system, small_bs_dict,
+                                                  small_cas_dict, small_E):
+    """A context built without support_guard picks at the sweep's guard."""
+    scenes = draw_scenes(small_system, 4, "guard", 40)
+    pilots = [simulate_pilots(sc, small_system, small_E,
+                              noise_var_for_snr(sc, small_system, small_E, 10.0),
+                              substream(4, "guard-noise", str(t)))
+              for t, sc in enumerate(scenes)]
+    ctx = PipelineContext(config=small_system, bs=small_bs_dict, cas=small_cas_dict,
+                          E=small_E)
+    picks = lambda c: [sup.indices.tolist() for sup in _stage1_project(pilots, c)[0]]
+    guard = SweepConfig().support_guard
+    assert ctx.support_guard == guard
+    assert picks(ctx) == picks(dataclasses.replace(ctx, support_guard=guard))
+    assert picks(ctx) != picks(dataclasses.replace(ctx, support_guard=0))
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +623,6 @@ class TestLossCurves:
         assert set(report) == {"stage1", "stage2"}
         for net in ("stage1", "stage2"):
             entry = report[net][3]
-            assert entry["rerun_identical"]
             assert len(entry["trace"]) == 2
             assert entry["init_loss"] > 0
             assert entry["final_loss"] > 0
