@@ -16,6 +16,12 @@ point and the pick is the full scan's. Ties go to the lowest row-major flat
 index, as `np.argmax` over the full scan resolves them. The rows split into
 near-equal chunks, so no chunk is a single row unless N_G is 1: numpy sends a
 one-row product to gemv, whose rounding differs from the full scan's gemm.
+
+Both OMPs run one pursuit body, `_pursuit`, on the columns of an [m, n]
+observation in lockstep, so `omp_dense` scores a batch by one A^H R product
+per step. A column refits by a QR update of its picks, not a least-squares
+solve (the QR form of OMP: Sturm & Christensen, EUSIPCO 2012), and by ridge
+once a pick is numerically dependent on the earlier ones.
 """
 from __future__ import annotations
 
@@ -39,13 +45,15 @@ class VectorizedProblem:
     """Implicit Kronecker design for one BS dictionary / cascaded dictionary / E."""
 
     F_bs: np.ndarray                  # [N, N_G] unit columns
+    F_bsH: np.ndarray                 # [N_G, N] = F_bs^H, C-contiguous
     Psi: np.ndarray                   # [tau, Gc] = E^H F_cas
     col_norms: np.ndarray             # [Gc] atom norms ||Psi[:, j]||, 1 where zero
 
     @classmethod
     def build(cls, F_bs: np.ndarray, F_cas: np.ndarray, E: np.ndarray):
         Psi = E.conj().T @ F_cas
-        return cls(F_bs=F_bs, Psi=Psi, col_norms=_atom_norms(Psi))
+        return cls(F_bs=F_bs, F_bsH=np.ascontiguousarray(F_bs.conj().T), Psi=Psi,
+                   col_norms=_atom_norms(Psi))
 
     def column(self, i: int, j: int) -> np.ndarray:
         """Explicit atom for pair (i, j), column-major vec."""
@@ -54,7 +62,7 @@ class VectorizedProblem:
 
     def correlate(self, R: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """A^H vec(R) for the atoms of the BS rows `rows`, shaped [len(rows), Gc]."""
-        return (self.F_bs[:, rows].conj().T @ R) @ self.Psi
+        return (self.F_bsH[rows] @ R) @ self.Psi
 
 
 @dataclass
@@ -79,41 +87,74 @@ class OmpResult:
 
 
 _RESID_RTOL = 1e-8        # pursuit stops once ||r|| <= _RESID_RTOL * ||y||
+_RANK_RTOL = 1e-10        # remainder / norm at or below which a pick is dependent
 _RIDGE = 1e-10            # Tikhonov weight of the rank-deficient refit
 _ROW_CHUNK = 8            # BS rows correlated per product of the pruned scan
 _BOUND_SLACK = 1e-9       # relative headroom of the row bound over rounding
 
 
-def _pursuit(y: np.ndarray, best, atom, steps: int):
-    """Greedy pursuit shared by both OMPs; returns (atoms, coeffs, ||r||, ridge used).
+def _pursuit(Y: np.ndarray, best, atoms, steps: int):
+    """Greedy pursuit of every column of Y [m, n] in lockstep, shared by both OMPs.
 
-    best(r, picked) is the index of the unpicked atom of largest |correlation|
-    / atom norm with the residual r, ties to the lowest index; atom(k) is the
-    column of atom k. Each step picks that atom and refits all picked atoms by
-    least squares, by ridge when rank deficient. Runs at most `steps` steps, no
-    more than there are atoms, and stops early on a small residual.
+    best(R, picked) gives, for the residuals R [m, c] of the running columns
+    and their picks so far [c, t], the unpicked atom of largest |correlation|
+    / atom norm in each column, ties to the lowest index; atoms(k) stacks the
+    atoms k as columns. A column's picks factor as Q T, with orthonormal
+    columns q_1 .. q_t and T upper triangular. A new atom is orthogonalized
+    against Q by classical Gram-Schmidt, run twice so that rounding leaves q_t
+    orthogonal to working precision; the residual loses its part along q_t,
+    and T c = Q^H y gives the coefficients once the column stops. A remainder
+    at most _RANK_RTOL of the atom's norm marks the picks rank deficient: the
+    column then refits by ridge, at this and every later step. Runs at most
+    `steps` steps, no more than there are atoms; a column stops early on a
+    small residual. Returns per column (atoms, coeffs, ||r||, ridge used).
     """
-    ynorm = float(np.linalg.norm(y))
-    r, rnorm = y, ynorm
-    support: list[int] = []
-    cols: list[np.ndarray] = []
-    coeffs = np.zeros(0, dtype=np.complex128)
-    ridge_used = False
-    for _ in range(steps):
-        if rnorm <= _RESID_RTOL * ynorm:
+    m, n = Y.shape
+    ynorm = np.linalg.norm(Y, axis=0)
+    R = np.array(Y.T, dtype=np.complex128)            # residuals as rows
+    rnorm = ynorm.copy()
+    picked = np.zeros((n, steps), dtype=np.intp)
+    Q = np.zeros((n, steps, m), dtype=np.complex128)  # q_t as rows
+    T = np.tile(np.eye(steps, dtype=np.complex128), (n, 1, 1))  # identity past the picks
+    z = np.zeros((n, steps), dtype=np.complex128)     # Q^H y, zero past the picks
+    count = np.zeros(n, dtype=np.intp)
+    ridge = np.zeros(n, dtype=bool)
+    ridge_coeffs = {}
+    for t in range(steps):
+        live = np.flatnonzero(rnorm > _RESID_RTOL * ynorm)
+        if live.size == 0:
             break
-        k = best(r, support)
-        support.append(k)
-        cols.append(atom(k))
-        A = np.stack(cols, axis=1)
-        coeffs, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-        if rank < len(cols):
-            ridge_used = True
-            gram = A.conj().T @ A + _RIDGE * np.eye(len(cols))
-            coeffs = np.linalg.solve(gram, A.conj().T @ y)
-        r = y - A @ coeffs
-        rnorm = float(np.linalg.norm(r))
-    return support, coeffs, rnorm, ridge_used
+        picked[live, t] = best(R[live].T, picked[live, :t])
+        count[live] = t + 1
+        qr = live[~ridge[live]]
+        a = atoms(picked[qr, t]).T
+        Qt = Q[qr, :t]
+        QtH = Qt.conj().transpose(0, 2, 1)
+        w, h = a, 0
+        for _ in range(2):
+            g = (w[:, None] @ QtH)[:, 0]
+            w = w - (g[:, None] @ Qt)[:, 0]
+            h = h + g
+        wnorm = np.linalg.norm(w, axis=1)
+        dep = wnorm <= _RANK_RTOL * np.linalg.norm(a, axis=1)
+        if dep.any():
+            ridge[qr[dep]] = True
+            qr, w, h, wnorm = qr[~dep], w[~dep], h[~dep], wnorm[~dep]
+        q = w / wnorm[:, None]
+        zt = (q.conj()[:, None] @ R[qr][..., None])[:, 0, 0]
+        Q[qr, t], T[qr, :t, t], T[qr, t, t], z[qr, t] = q, h, wnorm, zt
+        R[qr] -= zt[:, None] * q
+        for c in live[ridge[live]]:
+            A = atoms(picked[c, :t + 1])
+            gram = A.conj().T @ A + _RIDGE * np.eye(t + 1)
+            ridge_coeffs[c] = np.linalg.solve(gram, A.conj().T @ Y[:, c])
+            R[c] = Y[:, c] - A @ ridge_coeffs[c]
+        rnorm[live] = np.linalg.norm(R[live], axis=1)
+    # T is upper triangular with a nonzero diagonal, so LU keeps it as it is
+    # and the solve is back substitution
+    coeffs = np.linalg.solve(T, z[..., None])[..., 0]
+    return [(picked[c, :count[c]].tolist(), ridge_coeffs.get(c, coeffs[c, :count[c]]),
+             float(rnorm[c]), bool(ridge[c])) for c in range(n)]
 
 
 def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int) -> OmpResult:
@@ -124,9 +165,10 @@ def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int) -> OmpResult:
     edges = [n_g * c // chunks for c in range(chunks + 1)]
 
     def best(r, picked):
-        R = r.reshape(Y.shape, order="F")
-        bound = np.linalg.norm(problem.F_bs.conj().T @ R, axis=1)
+        R = r[:, 0].reshape(Y.shape, order="F")
+        bound = np.linalg.norm(problem.F_bsH @ R, axis=1)
         order = np.argsort(-bound, kind="stable")
+        picked_i, picked_j = np.divmod(picked[0], gc)
         top, top_k = -np.inf, -1
         for lo, hi in zip(edges, edges[1:]):
             if bound[order[lo]] * (1.0 + _BOUND_SLACK) < top:
@@ -134,18 +176,19 @@ def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int) -> OmpResult:
             rows = np.sort(order[lo:hi])
             score = np.abs(problem.correlate(R, rows))
             np.divide(score, problem.col_norms, out=score)
-            for k in picked:
-                i, j = divmod(k, gc)
-                score[rows == i, j] = -1.0
+            p, q = np.nonzero(rows[:, None] == picked_i)
+            score[p, picked_j[q]] = -1.0
             p, j = divmod(int(np.argmax(score)), gc)
             k = int(rows[p]) * gc + j
             if score[p, j] > top or (score[p, j] == top and k < top_k):
                 top, top_k = score[p, j], k
         return top_k
 
-    support, coeffs, rnorm, ridge_used = _pursuit(
-        Y.reshape(-1, order="F"), best,
-        lambda k: problem.column(*divmod(k, gc)), min(sparsity, n_g * gc))
+    def atoms(ks):
+        return np.stack([problem.column(*divmod(k, gc)) for k in ks], axis=1)
+
+    [(support, coeffs, rnorm, ridge_used)] = _pursuit(
+        Y.reshape(-1, 1, order="F"), best, atoms, min(sparsity, n_g * gc))
     return OmpResult(support=[divmod(k, gc) for k in support], coeffs=coeffs,
                      residual_norm=rnorm, ridge_fallback=ridge_used)
 
@@ -167,17 +210,13 @@ def cascaded_estimate(result: OmpResult, problem: VectorizedProblem,
     return G / math.sqrt(power)
 
 
-def omp_dense(y: np.ndarray, problem: DenseProblem, sparsity: int):
-    """Dense-matrix OMP; returns (coeffs over all atoms, support list)."""
-    A = problem.A
+def omp_dense(Y: np.ndarray, problem: DenseProblem, sparsity: int):
+    """Dense-matrix OMP of each column of Y [m, n], as `_pursuit` returns it."""
 
-    def best(r, picked):
-        score = np.abs(problem.AH @ r) / problem.col_norms
-        score[picked] = -1.0
-        return int(np.argmax(score))
+    def best(R, picked):
+        score = np.abs(problem.AH @ R)
+        score /= problem.col_norms[:, None]
+        score[picked.T, np.arange(R.shape[1])] = -1.0
+        return np.argmax(score, axis=0)
 
-    support, coeffs, _, _ = _pursuit(y, best, lambda k: A[:, k],
-                                     min(sparsity, A.shape[1]))
-    x = np.zeros(A.shape[1], dtype=np.complex128)
-    x[support] = coeffs
-    return x, support
+    return _pursuit(Y, best, lambda k: problem.A[:, k], min(sparsity, problem.A.shape[1]))

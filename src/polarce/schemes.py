@@ -78,12 +78,12 @@ def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.nda
     """Learned support + per-path greedy pursuit on the cascaded dictionary."""
     prob = DenseProblem.build(ctx.E.conj().T @ ctx.cas.F)
 
-    def synthesize(p):
-        """F x from the picked columns only; x has at most paths_ris nonzeros."""
-        x, sup = omp_dense(p, prob, ctx.config.paths_ris)
-        return ctx.cas.F[:, sup] @ x[sup]
+    def solve(P):
+        """F x per path from the picked columns only: x has at most paths_ris nonzeros."""
+        return np.stack([ctx.cas.F[:, sup] @ c for sup, c, _, _ in
+                         omp_dense(P, prob, ctx.config.paths_ris)], axis=1)
 
-    return _two_stage(pilots, ctx, lambda P: np.stack([synthesize(p) for p in P.T], axis=1))
+    return _two_stage(pilots, ctx, solve)
 
 
 def estimate_dncnn_istanet(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:

@@ -16,7 +16,8 @@ from polarce.omp import (_ROW_CHUNK, DenseProblem, VectorizedProblem,
                          cascaded_estimate, omp, omp_dense)
 from polarce.rng import substream
 
-DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DESK = CONFIGS / "desk.json"
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +43,24 @@ def scene_case(small_system, small_bs_dict, small_cas_dict):
     return Y, prob, system.paths_bs * system.paths_ris
 
 
-@pytest.fixture(scope="module")
-def desk():
-    """Desk-profile system and dictionaries: 96 BS atoms, 785 cascaded columns."""
-    cfg = load_config(DESK)
+def profile(path):
+    cfg = load_config(path)
     return cfg.system, build_bs_dictionary(cfg).F, build_ris_dictionaries(cfg)[1].F
 
 
-def desk_pilots(system, E, snr_db, seed):
+@pytest.fixture(scope="module")
+def desk():
+    """Desk-profile system and dictionaries: 96 BS atoms, 785 cascaded columns."""
+    return profile(DESK)
+
+
+@pytest.fixture(scope="module")
+def paper():
+    """Paper-profile system and dictionaries: 192 BS atoms, 6,419 cascaded columns."""
+    return profile(CONFIGS / "paper.json")
+
+
+def scene_pilots(system, E, snr_db, seed):
     scene = draw_scene(system, substream(seed, "scene"))
     nv = noise_var_for_snr(scene, system, E, snr_db)
     return simulate_pilots(scene, system, E, nv, substream(seed, "noise")).Y
@@ -80,8 +91,20 @@ def assert_matches_full_scan(Y, problem, sparsity):
     res = omp(Y, problem, sparsity)
     support, coeffs = full_scan_omp(Y, problem, sparsity)
     assert res.support == support
-    np.testing.assert_array_equal(res.coeffs, coeffs)
+    # the QR refit rounds differently from the reference's lstsq
+    np.testing.assert_allclose(res.coeffs, coeffs, rtol=1e-12)
     return res
+
+
+def lstsq_rank_deficient(atoms, y):
+    """The reference's rank test: lstsq's default cutoff on the picked atoms."""
+    return np.linalg.lstsq(atoms, y, rcond=None)[2] < atoms.shape[1]
+
+
+def assert_full_rank_picks(Y, problem, res):
+    atoms = np.stack([problem.column(i, j) for i, j in res.support], axis=1)
+    assert not res.ridge_fallback
+    assert not lstsq_rank_deficient(atoms, Y.reshape(-1, order="F"))
 
 
 def densify(problem: VectorizedProblem) -> np.ndarray:
@@ -187,6 +210,22 @@ class TestOmp:
         Y = crandn(rng, 8, 12)
         assert not omp(Y, problem, 4).ridge_fallback
 
+    @pytest.mark.parametrize("delta", [0.0, 1e-6], ids=["duplicate", "1e-6-apart"])
+    def test_rank_test_agrees_with_lstsq(self, delta, rng):
+        # two BS atoms and one cascaded atom; a generic observation keeps the
+        # residual alive, so the second pick is the other, (near-)equal atom
+        F_bs = np.array([[1.0, 1.0], [0.0, delta]], dtype=complex)
+        F_bs /= np.linalg.norm(F_bs, axis=0)
+        E = np.exp(2j * np.pi * rng.uniform(size=(2, 3)))
+        prob = VectorizedProblem.build(F_bs, np.array([[1.0], [0.0]], dtype=complex), E)
+        Y = crandn(rng, 2, 3)
+        res = omp(Y, prob, 2)
+        assert sorted(res.support) == [(0, 0), (1, 0)]
+        atoms = np.stack([prob.column(i, j) for i, j in res.support], axis=1)
+        assert res.ridge_fallback == (delta == 0.0)
+        assert res.ridge_fallback == lstsq_rank_deficient(atoms, Y.reshape(-1, order="F"))
+        assert np.all(np.isfinite(res.coeffs))
+
     def test_estimate_reassembles_single_atom_channel(self, problem,
                                                       small_bs_dict,
                                                       small_cas_dict, small_E):
@@ -212,9 +251,21 @@ class TestPrunedScan:
         E = make_phase_matrix(system.n_ris, system.tau, substream(5, "phase"))
         prob = VectorizedProblem.build(F_bs, F_cas, E)
         for seed in range(3):
-            Y = desk_pilots(system, E, snr_db, seed)
+            Y = scene_pilots(system, E, snr_db, seed)
             res = assert_matches_full_scan(Y, prob, 9)
             assert len(res.support) == 9
+            assert_full_rank_picks(Y, prob, res)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
+    def test_paper_three_by_three_paths(self, paper, snr_db):
+        system, F_bs, F_cas = paper
+        assert (system.paths_bs, system.paths_ris) == (3, 3)
+        E = make_phase_matrix(system.n_ris, system.tau, substream(5, "phase"))
+        prob = VectorizedProblem.build(F_bs, F_cas, E)
+        Y = scene_pilots(system, E, snr_db, 0)
+        res = assert_matches_full_scan(Y, prob, 9)
+        assert len(res.support) == 9
+        assert_full_rank_picks(Y, prob, res)
 
     def test_tie_goes_to_lower_flat_index(self, small_bs_dict, small_cas_dict,
                                           small_E, rng):
@@ -279,7 +330,7 @@ class TestPrunedScan:
     def test_peak_memory_below_one_full_scan(self, desk):
         system, F_bs, F_cas = desk
         E = make_phase_matrix(system.n_ris, system.tau, substream(5, "phase"))
-        Y = desk_pilots(system, E, 20.0, 0)
+        Y = scene_pilots(system, E, 20.0, 0)
         full_scan_bytes = F_bs.shape[1] * F_cas.shape[1] * 16
         tracemalloc.start()
         try:
@@ -291,6 +342,14 @@ class TestPrunedScan:
         assert peak < full_scan_bytes
 
 
+def dense_one(y, A, sparsity):
+    """omp_dense on the single observation y: (support, coeffs over all atoms, ridge)."""
+    [(support, coeffs, _, ridge)] = omp_dense(y[:, None], DenseProblem.build(A), sparsity)
+    x = np.zeros(A.shape[1], dtype=np.complex128)
+    x[support] = coeffs
+    return support, x, ridge
+
+
 class TestOmpDense:
     @pytest.mark.parametrize("case", ["random_case", "scene_case"],
                              ids=["random", "scene"])
@@ -298,8 +357,7 @@ class TestOmpDense:
         Y, problem, sparsity = request.getfixturevalue(case)
         A = densify(problem)
         res = omp(Y, problem, sparsity)
-        x, support = omp_dense(Y.reshape(-1, order="F"), DenseProblem.build(A),
-                               sparsity)
+        support, x, _ = dense_one(Y.reshape(-1, order="F"), A, sparsity)
         gc = problem.Psi.shape[1]
         flat = [i * gc + j for i, j in res.support]
         assert len(flat) == sparsity
@@ -309,13 +367,13 @@ class TestOmpDense:
     def test_full_rank_square_reproduces_solve(self, rng):
         A = crandn(rng, 4, 4)
         y = crandn(rng, 4)
-        x, support = omp_dense(y, DenseProblem.build(A), 4)
+        support, x, _ = dense_one(y, A, 4)
         np.testing.assert_allclose(x, np.linalg.solve(A, y), rtol=1e-8)
         assert sorted(support) == [0, 1, 2, 3]
 
     def test_zero_observation(self, rng):
         A = crandn(rng, 4, 6)
-        x, support = omp_dense(np.zeros(4, dtype=complex), DenseProblem.build(A), 3)
+        support, x, _ = dense_one(np.zeros(4, dtype=complex), A, 3)
         assert support == []
         assert np.all(x == 0)
 
@@ -323,20 +381,78 @@ class TestOmpDense:
         A = crandn(rng, 4, 3)
         A[:, 1] = 0.0
         y = A[:, 0] * 2.0
-        x, support = omp_dense(y, DenseProblem.build(A), 1)
+        support, x, _ = dense_one(y, A, 1)
         assert support == [0]
         assert x[0] == pytest.approx(2.0 + 0j, rel=1e-10)
+
+    @staticmethod
+    def pursue_near_duplicates(delta):
+        """Atoms a, a + delta e and d on y = a + 0.5 d + 0.3 e, all three picked."""
+        a, d, e = np.eye(3, dtype=complex)
+        A = np.stack([a, a + delta * e, d], axis=1)
+        y = a + 0.5 * d + 0.3 * e      # e keeps the residual alive
+        support, x, ridge = dense_one(y, A, 3)
+        assert sorted(support) == [0, 1, 2]
+        assert ridge == lstsq_rank_deficient(A[:, support], y)
+        assert np.all(np.isfinite(x))
+        return A, x, y, ridge
 
     def test_duplicate_atoms_take_ridge_path(self):
         # exact duplicate columns make the picked subdesign rank deficient;
         # the regularised solve must still return finite coefficients that
-        # reproduce the observation
-        a = np.array([1.0, 0.0, 0.0], dtype=complex)
-        d = np.array([0.0, 1.0, 0.0], dtype=complex)
-        e = np.array([0.0, 0.0, 1.0], dtype=complex)
-        A = np.stack([a, a, d], axis=1)
-        y = a + 0.5 * d + 0.3 * e      # e keeps the residual alive
-        x, support = omp_dense(y, DenseProblem.build(A), 3)
-        assert sorted(support) == [0, 1, 2]
-        assert np.all(np.isfinite(x))
-        np.testing.assert_allclose(A @ x, a + 0.5 * d, atol=1e-4)
+        # reproduce the observation's part in their span
+        A, x, _, ridge = self.pursue_near_duplicates(0.0)
+        assert ridge
+        np.testing.assert_allclose(A @ x, A[:, 0] + 0.5 * A[:, 2], atol=1e-4)
+
+    def test_atoms_1e6_apart_are_full_rank(self):
+        A, x, y, ridge = self.pursue_near_duplicates(1e-6)
+        assert not ridge
+        np.testing.assert_allclose(x, np.linalg.solve(A, y), rtol=1e-6)
+
+    def test_ill_conditioned_atoms_refit_as_accurately_as_lstsq(self):
+        # Vandermonde atoms with condition number 3.5e6: a single Gram-Schmidt
+        # pass leaves errors near cond^2 * eps in the coefficients (9e-8 here),
+        # the re-orthogonalized factor near cond * eps, as lstsq (1e-11)
+        A = np.vander(np.linspace(0.0, 1.0, 30), 10, increasing=True).astype(complex)
+        x = np.arange(1, 11) * (1.0 + 0.5j)
+        support, x_hat, ridge = dense_one(A @ x, A, 10)
+        assert sorted(support) == list(range(10))
+        assert not ridge
+        np.testing.assert_allclose(x_hat, x, rtol=0, atol=1e-9 * np.abs(x).max())
+
+    def test_batch_matches_one_column_at_a_time(self, desk):
+        # desk cascaded atoms on the first tau rows; two extra rows hold an
+        # exactly duplicated pair of atoms in front, which a column on those
+        # rows picks in turn and so takes the ridge path
+        system, F_bs, F_cas = desk
+        E = make_phase_matrix(system.n_ris, system.tau, substream(5, "phase"))
+        Psi = E.conj().T @ F_cas
+        tau, gc = Psi.shape
+        A = np.zeros((tau + 2, gc + 2), dtype=complex)
+        A[:tau, 2:] = Psi
+        A[tau, :2] = 1.0
+        paths = []
+        for seed in range(3):
+            Y = scene_pilots(system, E, 20.0, seed)
+            rows = np.argsort(-np.linalg.norm(F_bs.conj().T @ Y, axis=1))
+            paths.append(F_bs[:, rows[:system.paths_bs]].conj().T @ Y)
+        P = np.zeros((tau + 2, 2 + 3 * system.paths_bs), dtype=complex)
+        P[tau, 1], P[tau + 1, 1] = 1.0, 0.3
+        P[:tau, 2:] = np.concatenate(paths).T
+        batch = omp_dense(P, DenseProblem.build(A), system.paths_ris)
+        assert len(batch) == P.shape[1]
+        support, coeffs, rnorm, ridge = batch[0]
+        assert (support, coeffs.size, rnorm, ridge) == ([], 0, 0.0, False)
+        support, _, _, ridge = batch[1]
+        assert support[:2] == [0, 1] and ridge
+        for c, (support, coeffs, rnorm, ridge) in enumerate(batch):
+            [(support1, coeffs1, rnorm1, ridge1)] = omp_dense(P[:, [c]],
+                                                             DenseProblem.build(A),
+                                                             system.paths_ris)
+            assert support == support1
+            assert ridge == ridge1
+            np.testing.assert_allclose(coeffs, coeffs1, rtol=1e-12)
+            assert rnorm == pytest.approx(rnorm1, rel=1e-12, abs=1e-300)
+            if c >= 2:
+                assert len(support) == system.paths_ris and not ridge
