@@ -44,14 +44,12 @@ shrinks as the backward pass proceeds. A tape therefore runs `backward` once:
 a second call, or any read of a freed `Node.value`, raises a ValueError
 saying the tape is used up.
 
-Convolution layout. Images are [B, H, W, C] with same zero padding. The image,
-padded on the H axis only, is read as rows [B*(H+k-1), W*Ci], and the kernel
-is laid out as a block-Toeplitz matrix [W*Ci, k*W*Co] whose block di maps a
-padded row to its contribution through kernel row di. Taps that would read
-the W padding are left out of the matrix, so no product multiplies a padding
-zero. The convolution is one GEMM of the two plus k shifted row sums; its
-backward is two GEMMs against the same Toeplitz matrix. The matrix grows with
-W^2, which suits the narrow images the denoiser sees (W = paths_bs).
+Convolution layout. Images are [B, H, W, C] and kernels [k, 1, Ci, Co], k
+odd, with same zero padding; a k x 1 kernel convolves each image column on its
+own. The image, padded on the H axis only, is read as rows [B*(H+k-1)*W, Ci]
+and the kernel as the tap matrix [Ci, k*Co]. The convolution is one GEMM of
+the two plus k shifted row sums; its backward is two GEMMs against the same
+tap matrix.
 """
 from __future__ import annotations
 
@@ -188,47 +186,32 @@ def _hermitian_copy(a: np.ndarray) -> np.ndarray:
 
 
 def _conv_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """x zero-padded by k//2 on the H axis, as rows [B*Hp, W*Ci]."""
+    """x zero-padded by k//2 on the H axis, as rows [B*Hp*W, Ci]."""
     b, h, w, c = x.shape
     pad = k // 2
     xp = np.zeros((b, h + 2 * pad, w, c), dtype=x.dtype)
     xp[:, pad:pad + h] = x
-    return xp.reshape(b * (h + 2 * pad), w * c)
+    return xp.reshape(-1, c)
 
 
-def _conv_columns(width: int, k: int):
-    """(output column j, image columns it reads, their taps dj) as slices."""
-    pad = k // 2
-    for j in range(width):
-        lo, hi = max(j - pad, 0), min(j + pad + 1, width)
-        yield j, slice(lo, hi), slice(lo - j + pad, hi - j + pad)
-
-
-def _conv_toeplitz(w: np.ndarray, width: int) -> np.ndarray:
-    """Kernel [k, k, Ci, Co] as the block-Toeplitz matrix [W*Ci, k*W*Co].
-
-    Entry [(j+dj-k//2)*Ci + c, (di*W + j)*Co + o] is w[di, dj, c, o]; taps
-    that fall outside the image are dropped.
-    """
+def _conv_taps(w: np.ndarray) -> np.ndarray:
+    """Kernel [k, 1, Ci, Co] as the C-contiguous tap matrix [Ci, k*Co]."""
     k, _, ci, co = w.shape
-    t = np.zeros((width, ci, k, width, co), dtype=w.dtype)
-    taps = w.transpose(1, 2, 0, 3)                      # [dj, c, di, o]
-    for j, cols, dj in _conv_columns(width, k):
-        t[cols, :, :, j] = taps[dj]
-    return t.reshape(width * ci, k * width * co)
+    # a copy: for Co = 1 the transpose reshapes to a strided view, and a
+    # strided GEMM operand rounds differently
+    return np.ascontiguousarray(w[:, 0].transpose(1, 0, 2)).reshape(ci, k * co)
 
 
 def _conv2d_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     k = w.shape[0]
-    if w.shape[1] != k or k % 2 != 1:
-        raise ValueError("conv kernels must be square with odd side")
+    if w.shape[1] != 1 or k % 2 != 1:
+        raise ValueError("conv kernels must be k x 1 with odd k")
     b, h, width, _ = x.shape
-    co = w.shape[3]
-    y = (_conv_rows(x, k) @ _conv_toeplitz(w, width)).reshape(b, h + k - 1, k, width * co)
-    out = y[:, :h, 0].copy()
+    y = (_conv_rows(x, k) @ _conv_taps(w)).reshape(b, h + k - 1, width, k, w.shape[3])
+    out = y[:, :h, :, 0].copy()
     for di in range(1, k):
-        out += y[:, di:di + h, di]
-    return out.reshape(b, h, width, co)
+        out += y[:, di:di + h, :, di]
+    return out
 
 
 def _soft_threshold_fwd(x, lam):
@@ -325,26 +308,21 @@ def _bwd_soft_threshold(g, ins, out, aux, need):
 
 def _bwd_conv2d(g, ins, out, aux, need):
     x, w = ins
-    k = w.shape[0]
+    k, _, ci, co = w.shape
     pad = k // 2
-    b, h, width, ci = x.shape
-    co = w.shape[3]
-    # gs[b, h', di] is the gradient padded row h' receives through kernel row di
-    gs = np.zeros((b, h + 2 * pad, k, width * co), dtype=g.dtype)
-    g_rows = g.reshape(b, h, width * co)
+    b, h, width, _ = x.shape
+    # gs[b, h', j, di] is the gradient padded row h' receives through tap di
+    gs = np.zeros((b, h + 2 * pad, width, k, co), dtype=g.dtype)
     for di in range(k):
-        gs[:, di:di + h, di] = g_rows
-    gs = gs.reshape(b * (h + 2 * pad), k * width * co)
+        gs[:, di:di + h, :, di] = g
+    gs = gs.reshape(-1, k * co)
     gx = gw = None
     if need[0]:
-        gxp = (gs @ _conv_toeplitz(w, width).T).reshape(b, h + 2 * pad, width, ci)
+        gxp = (gs @ _conv_taps(w).T).reshape(b, h + 2 * pad, width, ci)
         gx = np.ascontiguousarray(gxp[:, pad:pad + h])
     if need[1]:
-        gt = (_conv_rows(x, k).T @ gs).reshape(width, ci, k, width, co)
-        gw = np.zeros((k, ci, k, co), dtype=gt.dtype)   # [dj, c, di, o]
-        for j, cols, dj in _conv_columns(width, k):
-            gw[dj] += gt[cols, :, :, j]
-        gw = np.ascontiguousarray(gw.transpose(2, 0, 1, 3))
+        gt = (_conv_rows(x, k).T @ gs).reshape(ci, k, co)
+        gw = np.ascontiguousarray(gt.transpose(1, 0, 2))[:, None]
     return [gx, gw]
 
 

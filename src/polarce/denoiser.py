@@ -4,7 +4,9 @@ The pilot block is compressed to its row energy s_g = ||[F_bs^H Y]_{g,:}||,
 which peaks at the BS-side grid rows of the active paths. A small residual
 CNN (first conv+ReLU, middle conv+BN+ReLU, last conv) sees it as a one-column
 real image and learns to output everything that is not signal: noise plus
-off-grid leakage. Support = largest cleaned rows.
+off-grid leakage. Support = largest cleaned rows. Its kernels are k x 1,
+[k, 1, Ci, Co]: on a one-column image a wider kernel would only add taps that
+read the zero padding and never train.
 
 This departs from the paper's coherent slot average c_r = F_bs^H Y 1/tau,
 which weights path l by the random x_l^H e_bar and so fades some paths at
@@ -39,9 +41,9 @@ __all__ = [
 
 _CHANNELS = 1            # the row energy is real
 
-# Names the input the network reads; stage-1 checkpoints carry it, since the
-# same parameter shapes on another input mean another network.
-STAGE1_FORM = "row-energy-1col"
+# Names the input the network reads and its kernel layout; stage-1 checkpoints
+# carry it, since the same parameter shapes on another input mean another network.
+STAGE1_FORM = "row-energy-1col-kx1"
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,11 @@ def init_denoiser(cfg: Stage1Config, rng: np.random.Generator) -> DenoiserParams
     buffers: dict[str, np.ndarray] = {}
 
     def conv_init(cin, cout):
+        # the middle column of a k x k draw at the k x k fan-in scale: the same
+        # draw and scale as the square kernels this layout replaced, whose
+        # other columns only read padding, so every trained byte stays the same
         std = math.sqrt(2.0 / (k * k * cin))
-        return rng.standard_normal((k, k, cin, cout)) * std
+        return rng.standard_normal((k, k, cin, cout))[:, k // 2:k // 2 + 1] * std
 
     params["conv0_w"] = conv_init(_CHANNELS, w)
     params["conv0_b"] = np.zeros(w)
@@ -119,7 +124,7 @@ def init_denoiser(cfg: Stage1Config, rng: np.random.Generator) -> DenoiserParams
         params[f"bn{i}_beta"] = np.zeros(w)
         buffers[f"bn{i}_mean"] = np.zeros(w)
         buffers[f"bn{i}_var"] = np.ones(w)
-    params[f"conv{cfg.layers - 1}_w"] = np.zeros((k, k, w, _CHANNELS))
+    params[f"conv{cfg.layers - 1}_w"] = np.zeros((k, 1, w, _CHANNELS))
     return DenoiserParams(config=cfg, params=params, buffers=buffers)
 
 
@@ -255,7 +260,8 @@ def _greedy_rows(scores: np.ndarray, count: int, guard: int) -> np.ndarray:
 
 
 def select_support(C_hat: np.ndarray, count: int, bs: PolarDictionary,
-                   guard: int = 0) -> SupportEstimate:
-    """Top rows of a cleaned [N_G, W] image by aggregate magnitude."""
+                   guard: int) -> SupportEstimate:
+    """Top rows of a cleaned [N_G, W] image by aggregate magnitude; a pick
+    bars the `guard` rows on each side of it from later picks."""
     idx = _greedy_rows(np.abs(C_hat).sum(axis=1), count, guard)
     return SupportEstimate(indices=idx, A_hat=bs.F[:, idx])

@@ -18,8 +18,9 @@ near-equal chunks, so no chunk is a single row unless N_G is 1: numpy sends a
 one-row product to gemv, whose rounding differs from the full scan's gemm.
 
 Both OMPs run one pursuit body, `_pursuit`, on the columns of an [m, n]
-observation in lockstep, so `omp_dense` scores a batch by one A^H R product
-per step. A column refits by a QR update of its picks, not a least-squares
+observation in lockstep. `omp_dense` pursues the cascaded part alone, on the
+atoms Psi of the same problem, and scores a batch by one Psi^H R product per
+step. A column refits by a QR update of its picks, not a least-squares
 solve (the QR form of OMP: Sturm & Christensen, EUSIPCO 2012), and by ridge
 once a pick is numerically dependent on the earlier ones.
 """
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VectorizedProblem", "DenseProblem", "OmpResult", "omp", "omp_dense",
-           "cascaded_estimate"]
+__all__ = ["VectorizedProblem", "OmpResult", "omp", "omp_dense", "cascaded_estimate"]
 
 
 def _atom_norms(A: np.ndarray) -> np.ndarray:
@@ -63,19 +63,6 @@ class VectorizedProblem:
     def correlate(self, R: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """A^H vec(R) for the atoms of the BS rows `rows`, shaped [len(rows), Gc]."""
         return (self.F_bsH[rows] @ R) @ self.Psi
-
-
-@dataclass
-class DenseProblem:
-    """Explicit design with the adjoint and atom norms that pursuit reuses."""
-
-    A: np.ndarray                     # [m, n] atoms as columns
-    AH: np.ndarray                    # [n, m] = A^H
-    col_norms: np.ndarray             # [n] ||A[:, k]||, 1 where zero
-
-    @classmethod
-    def build(cls, A: np.ndarray):
-        return cls(A=A, AH=A.conj().T, col_norms=_atom_norms(A))
 
 
 @dataclass
@@ -210,13 +197,15 @@ def cascaded_estimate(result: OmpResult, problem: VectorizedProblem,
     return G / math.sqrt(power)
 
 
-def omp_dense(Y: np.ndarray, problem: DenseProblem, sparsity: int):
-    """Dense-matrix OMP of each column of Y [m, n], as `_pursuit` returns it."""
+def omp_dense(Y: np.ndarray, problem: VectorizedProblem, sparsity: int):
+    """OMP of each column of Y [tau, n] over the atoms Psi of the problem, as
+    `_pursuit` returns it."""
+    PsiH = problem.Psi.conj().T
 
     def best(R, picked):
-        score = np.abs(problem.AH @ R)
+        score = np.abs(PsiH @ R)
         score /= problem.col_norms[:, None]
         score[picked.T, np.arange(R.shape[1])] = -1.0
         return np.argmax(score, axis=0)
 
-    return _pursuit(Y, best, lambda k: problem.A[:, k], min(sparsity, problem.A.shape[1]))
+    return _pursuit(Y, best, lambda k: problem.Psi[:, k], min(sparsity, PsiH.shape[0]))

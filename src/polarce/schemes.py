@@ -8,12 +8,13 @@ batches are denoised jointly across trials so evaluation stays paired and fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import PilotBlock, SystemConfig
 from .denoiser import DenoiserParams, denoise, row_energy, select_support
-from .omp import DenseProblem, VectorizedProblem, cascaded_estimate, omp, omp_dense
+from .omp import VectorizedProblem, cascaded_estimate, omp, omp_dense
 from .polar import CascadedDictionary, PolarDictionary
 from .unrolled import ListaParams, lista_forward, project_to_bs_subspace, reconstruct
 
@@ -37,15 +38,19 @@ class PipelineContext:
     stage2: ListaParams | None = None
     support_guard: int = SUPPORT_GUARD
 
+    @cached_property
+    def problem(self) -> VectorizedProblem:
+        """The design both greedy schemes share, with its E^H F_cas, built once."""
+        return VectorizedProblem.build(self.bs.F, self.cas.F, self.E)
+
 
 def estimate_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Joint pursuit over the implicit Kronecker design."""
-    prob = VectorizedProblem.build(ctx.bs.F, ctx.cas.F, ctx.E)
     sparsity = ctx.config.paths_bs * ctx.config.paths_ris
     out = np.zeros((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
     for i, blk in enumerate(pilots):
-        res = omp(blk.Y, prob, sparsity)
-        out[i] = cascaded_estimate(res, prob, ctx.cas.F, ctx.config.power)
+        res = omp(blk.Y, ctx.problem, sparsity)
+        out[i] = cascaded_estimate(res, ctx.problem, ctx.cas.F, ctx.config.power)
     return out
 
 
@@ -76,12 +81,10 @@ def _two_stage(pilots: list[PilotBlock], ctx: PipelineContext, solve) -> np.ndar
 
 def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
     """Learned support + per-path greedy pursuit on the cascaded dictionary."""
-    prob = DenseProblem.build(ctx.E.conj().T @ ctx.cas.F)
-
     def solve(P):
         """F x per path from the picked columns only: x has at most paths_ris nonzeros."""
         return np.stack([ctx.cas.F[:, sup] @ c for sup, c, _, _ in
-                         omp_dense(P, prob, ctx.config.paths_ris)], axis=1)
+                         omp_dense(P, ctx.problem, ctx.config.paths_ris)], axis=1)
 
     return _two_stage(pilots, ctx, solve)
 

@@ -73,15 +73,16 @@ def rel_err(a, b) -> float:
 
 
 def conv2d_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same-padded cross-correlation, summed tap by tap over shifted images."""
+    """Same-padded cross-correlation with a [kh, kw, Ci, Co] kernel, both sides
+    odd, summed tap by tap over shifted images."""
     b, hh, ww, ci = x.shape
-    k = w.shape[0]
-    pad = k // 2
-    xp = np.zeros((b, hh + 2 * pad, ww + 2 * pad, ci), dtype=x.dtype)
-    xp[:, pad:pad + hh, pad:pad + ww, :] = x
+    kh, kw = w.shape[:2]
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((b, hh + 2 * ph, ww + 2 * pw, ci), dtype=x.dtype)
+    xp[:, ph:ph + hh, pw:pw + ww, :] = x
     out = np.zeros((b, hh, ww, w.shape[3]), dtype=np.result_type(x, w))
-    for di in range(k):
-        for dj in range(k):
+    for di in range(kh):
+        for dj in range(kw):
             out += xp[:, di:di + hh, dj:dj + ww, :] @ w[di, dj]
     return out
 
@@ -165,34 +166,48 @@ def ista_core(p: np.ndarray, Psi: np.ndarray, lam: float, kappa: float,
 
 
 # Byte-level oracles: the training kernels as they were written before they
-# were trimmed to the work whose result is used. The kernels in
+# were trimmed to the work whose result is used, or before the convolution
+# took k x 1 kernels. The kernels in
 # `polarce.autodiff` and `polarce.optim` must match them byte for byte.
 
-def _padded_conv_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """x zero-padded by k//2 on both image axes, as rows [B*Hp, Wp*Ci]."""
+def _conv_rows_square(x: np.ndarray, k: int) -> np.ndarray:
+    """x zero-padded by k//2 on the H axis, as rows [B*Hp, W*Ci]."""
     b, h, w, c = x.shape
     pad = k // 2
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x
-    return xp.reshape(b * (h + 2 * pad), (w + 2 * pad) * c)
+    xp = np.zeros((b, h + 2 * pad, w, c), dtype=x.dtype)
+    xp[:, pad:pad + h] = x
+    return xp.reshape(b * (h + 2 * pad), w * c)
 
 
-def _padded_conv_toeplitz(w: np.ndarray, width: int) -> np.ndarray:
-    """Kernel [k, k, Ci, Co] as the block-Toeplitz matrix [Wp*Ci, k*W*Co]."""
-    k, _, ci, co = w.shape
-    t = np.zeros((width + k - 1, ci, k, width, co), dtype=w.dtype)
-    taps = w.transpose(1, 2, 0, 3)                      # [dj, c, di, o]
+def _conv_columns(width: int, k: int):
+    """(output column j, image columns it reads, their taps dj) as slices."""
+    pad = k // 2
     for j in range(width):
-        t[j:j + k, :, :, j] = taps
-    return t.reshape((width + k - 1) * ci, k * width * co)
+        lo, hi = max(j - pad, 0), min(j + pad + 1, width)
+        yield j, slice(lo, hi), slice(lo - j + pad, hi - j + pad)
 
 
-def conv2d_padded_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same-padded convolution as one GEMM over the image padded on both axes."""
+def _conv_toeplitz(w: np.ndarray, width: int) -> np.ndarray:
+    """Kernel [k, k, Ci, Co] as the block-Toeplitz matrix [W*Ci, k*W*Co].
+
+    Entry [(j+dj-k//2)*Ci + c, (di*W + j)*Co + o] is w[di, dj, c, o]; taps
+    that fall outside the image are dropped.
+    """
+    k, _, ci, co = w.shape
+    t = np.zeros((width, ci, k, width, co), dtype=w.dtype)
+    taps = w.transpose(1, 2, 0, 3)                      # [dj, c, di, o]
+    for j, cols, dj in _conv_columns(width, k):
+        t[cols, :, :, j] = taps[dj]
+    return t.reshape(width * ci, k * width * co)
+
+
+def conv2d_square_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded convolution with a square [k, k, Ci, Co] kernel, as one GEMM
+    against its block-Toeplitz matrix plus k shifted row sums."""
     k = w.shape[0]
     b, h, width, _ = x.shape
     co = w.shape[3]
-    y = (_padded_conv_rows(x, k) @ _padded_conv_toeplitz(w, width)).reshape(
+    y = (_conv_rows_square(x, k) @ _conv_toeplitz(w, width)).reshape(
         b, h + k - 1, k, width * co)
     out = y[:, :h, 0].copy()
     for di in range(1, k):
@@ -200,23 +215,24 @@ def conv2d_padded_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(b, h, width, co)
 
 
-def conv2d_backward_reference(g: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """(dx, dw) of `conv2d_padded_reference`, with GEMMs over the padded width."""
+def conv2d_square_backward_reference(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw) of `conv2d_square_reference`, two GEMMs against the same matrix."""
     k = w.shape[0]
     pad = k // 2
     b, h, width, ci = x.shape
     co = w.shape[3]
+    # gs[b, h', di] is the gradient padded row h' receives through kernel row di
     gs = np.zeros((b, h + 2 * pad, k, width * co), dtype=g.dtype)
     g_rows = g.reshape(b, h, width * co)
     for di in range(k):
         gs[:, di:di + h, di] = g_rows
     gs = gs.reshape(b * (h + 2 * pad), k * width * co)
-    gxp = (gs @ _padded_conv_toeplitz(w, width).T).reshape(b, h + 2 * pad, width + 2 * pad, ci)
-    gx = np.ascontiguousarray(gxp[:, pad:pad + h, pad:pad + width])
-    gt = (_padded_conv_rows(x, k).T @ gs).reshape(width + 2 * pad, ci, k, width, co)
-    gw = gt[0:k, :, :, 0].copy()                        # [dj, c, di, o]
-    for j in range(1, width):
-        gw += gt[j:j + k, :, :, j]
+    gxp = (gs @ _conv_toeplitz(w, width).T).reshape(b, h + 2 * pad, width, ci)
+    gx = np.ascontiguousarray(gxp[:, pad:pad + h])
+    gt = (_conv_rows_square(x, k).T @ gs).reshape(width, ci, k, width, co)
+    gw = np.zeros((k, ci, k, co), dtype=gt.dtype)       # [dj, c, di, o]
+    for j, cols, dj in _conv_columns(width, k):
+        gw[dj] += gt[cols, :, :, j]
     return gx, np.ascontiguousarray(gw.transpose(2, 0, 1, 3))
 
 

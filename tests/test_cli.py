@@ -548,15 +548,22 @@ class TestEval:
         msg = json.loads(err)["error"]
         assert "bad stage-2 checkpoint" in msg and "forward form" in msg
 
-    @pytest.mark.parametrize("form", [None, "slot-average-Lcol"])
+    @pytest.mark.parametrize("form", [None, "slot-average-Lcol", "row-energy-1col"])
     def test_stage1_checkpoint_of_another_input_form(self, capsys, cfg_file,
                                                      stage1_ckpt, tmp_path, form):
-        # same shapes and fingerprint, but another network: an untagged
-        # checkpoint predates the one-column row-energy input
+        # same fingerprint, but another network: an untagged checkpoint
+        # predates the one-column row-energy input, and a row-energy-1col one
+        # holds square k x k kernels
         arrays, meta = load_container(stage1_ckpt)
         del meta["forward"]
         if form is not None:
             meta["forward"] = form
+        if form == "row-energy-1col":
+            for name, w in arrays.items():
+                if name.endswith("_w"):
+                    k = w.shape[0]
+                    arrays[name] = np.zeros((k, k) + w.shape[2:])
+                    arrays[name][:, k // 2:k // 2 + 1] = w
         old = tmp_path / "old1.plce"
         save_container(old, arrays, meta=meta)
         rc, out, err = run(capsys, ["eval", "--config", cfg_file, "--stage1", str(old),
@@ -564,6 +571,7 @@ class TestEval:
         assert (rc, out) == (2, "")
         msg = json.loads(err)["error"]
         assert "bad stage-1 checkpoint" in msg and "forward form" in msg
+        assert (form or "untagged") in msg
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Row energy, the residual CNN, support selection, and stage-1 training."""
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from polarce.denoiser import (
     Stage1Config, _residual_loss, denoise, denoiser_forward, init_denoiser,
     make_stage1_dataset, row_energy, select_support, stage1_loss, train_stage1,
 )
+from polarce.harness import load_config
 from polarce.polar import nearest_grid_index
 from polarce.rng import substream
 
 from helpers import assert_grads_close, conv2d_reference, numeric_grads
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TINY = Stage1Config(layers=3, width=4, kernel=3, lr=1e-3, batch=8, episodes=4,
                     train_size=32, val_size=8)
 
@@ -141,6 +144,23 @@ class TestDenoise:
         with pytest.raises(ValueError):
             init_denoiser(Stage1Config(layers=1), substream(0, "x"))
 
+    @pytest.mark.parametrize("profile, entries", [("desk", 3168), ("paper", 6240)])
+    def test_kernels_are_k_by_1(self, profile, entries):
+        cfg = load_config(CONFIGS / f"{profile}.json").stage1
+        kernels = [v for name, v in init_denoiser(cfg, substream(0, "init")).params.items()
+                   if name.endswith("_w")]
+        assert all(v.shape[:2] == (cfg.kernel, 1) for v in kernels)
+        assert sum(v.size for v in kernels) == entries
+
+    def test_init_is_the_middle_column_of_the_square_draw(self):
+        # the draws and scale of the square kernels, so trained bytes stay put
+        k, width = 5, 4
+        dp = init_denoiser(Stage1Config(layers=3, width=width, kernel=k), substream(0, "init"))
+        rng = substream(0, "init")
+        for name, cin in (("conv0_w", 1), ("conv1_w", width)):
+            square = rng.standard_normal((k, k, cin, width)) * math.sqrt(2.0 / (k * k * cin))
+            assert dp.params[name].tobytes() == square[:, k // 2:k // 2 + 1].tobytes()
+
 
 class TestDenoiserGradients:
     def test_training_loss_matches_finite_differences(self, rng):
@@ -196,7 +216,7 @@ class TestSupportSelection:
         C = np.zeros((16, 2), dtype=complex)
         C[3] = 1.0
         C[7] = 0.75
-        est = select_support(C, 2, small_bs_dict)
+        est = select_support(C, 2, small_bs_dict, guard=0)
         np.testing.assert_array_equal(est.indices, [3, 7])
         np.testing.assert_allclose(est.A_hat, small_bs_dict.F[:, [3, 7]])
 
@@ -204,7 +224,7 @@ class TestSupportSelection:
         C = np.zeros((16, 1), dtype=complex)
         C[2] = 0.5
         C[5] = 0.5
-        est = select_support(C, 1, small_bs_dict)
+        est = select_support(C, 1, small_bs_dict, guard=0)
         np.testing.assert_array_equal(est.indices, [2])
 
     def test_guard_band_excludes_neighbors(self, small_bs_dict):
@@ -217,14 +237,14 @@ class TestSupportSelection:
 
     def test_indices_sorted_distinct(self, small_bs_dict, rng):
         C = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-        est = select_support(C, 4, small_bs_dict)
+        est = select_support(C, 4, small_bs_dict, guard=0)
         assert est.indices.size == 4
         assert np.all(np.diff(est.indices) > 0)
 
     def test_peak_pick_on_grid(self, small_bs_dict):
         j = 11
         Y = np.outer(small_bs_dict.F[:, j], np.ones(12))
-        est = select_support(row_energy(Y, small_bs_dict)[:, None], 1, small_bs_dict)
+        est = select_support(row_energy(Y, small_bs_dict)[:, None], 1, small_bs_dict, guard=0)
         np.testing.assert_array_equal(est.indices, [j])
 
     def test_peak_pick_noise_only(self, small_bs_dict, rng):

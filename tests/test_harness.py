@@ -23,9 +23,11 @@ from polarce.harness import (ExperimentConfig, SweepConfig, _top1_power,
                              load_stage1, load_stage2, nmse, run_leakage_report,
                              run_loss_curves, run_pilot_sweep, run_snr_sweep,
                              save_stage1, save_stage2, snr_label, write_csv)
+from polarce.omp import VectorizedProblem
 from polarce.polar import GridConfig, build_cascaded_dictionary, build_dictionary
 from polarce.rng import substream
-from polarce.schemes import PipelineContext, _stage1_project
+from polarce.schemes import (PipelineContext, _stage1_project, estimate_dncnn_omp,
+                             estimate_omp)
 from polarce.unrolled import FORWARD_FORM, ListaParams
 
 from helpers import count_lattice_peaks_reference, crandn
@@ -486,6 +488,26 @@ def test_default_context_picks_the_sweep_supports(small_system, small_bs_dict,
     assert ctx.support_guard == guard
     assert picks(ctx) == picks(dataclasses.replace(ctx, support_guard=guard))
     assert picks(ctx) != picks(dataclasses.replace(ctx, support_guard=0))
+
+
+def test_greedy_schemes_share_one_design_per_context(monkeypatch, small_system,
+                                                     small_bs_dict, small_cas_dict, small_E):
+    """omp and dncnn-omp form E^H F_cas once per context, not once per call."""
+    built = []
+    build = VectorizedProblem.build
+    monkeypatch.setattr(VectorizedProblem, "build", lambda *a: built.append(a) or build(*a))
+    scenes = draw_scenes(small_system, 41, "share", 2)
+    pilots = [simulate_pilots(sc, small_system, small_E,
+                              noise_var_for_snr(sc, small_system, small_E, 10.0),
+                              substream(4, "share-noise", str(t)))
+              for t, sc in enumerate(scenes)]
+    ctx = PipelineContext(config=small_system, bs=small_bs_dict, cas=small_cas_dict,
+                          E=small_E)
+    for _ in range(2):
+        estimate_omp(pilots, ctx)
+        estimate_dncnn_omp(pilots, ctx)
+    assert len(built) == 1
+    assert ctx.problem.Psi.tobytes() == (small_E.conj().T @ small_cas_dict.F).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -18,20 +18,31 @@ from polarce.rng import substream
 from polarce.unrolled import Stage2Config, make_stage2_dataset, train_stage2
 
 from helpers import (adam_step_reference, batch_norm_backward_reference,
-                     batch_norm_reference, conv2d_backward_reference,
-                     conv2d_padded_reference, crandn, soft_threshold_backward_reference,
+                     batch_norm_reference, conv2d_square_backward_reference,
+                     conv2d_square_reference, crandn, soft_threshold_backward_reference,
                      soft_threshold_reference, train_stage1_reference,
                      train_stage2_reference)
 
-# (batch, H, W, k, Ci, Co): the denoiser's first, middle and last layers at
-# the training batch, the paper (H 192) and desk (H 96) BS grids and W =
-# paths_bs = 3, and a middle layer with W = 5 and k = 5. Byte identity rests on
-# OpenBLAS summing each GEMM entry the same way with and without the padding
-# terms. Its blocked kernel does; its small-matrix kernel, which it takes
-# for some products below about 1e6 multiply-adds, does not, so much smaller
-# images (batch 4, H 24, W 5, k 5) differ from the padded form in the last bit.
-CONV_SHAPES = [(32, h, 3, 3, ci, co) for h in (192, 96)
-               for ci, co in ((2, 16), (16, 16), (16, 2))] + [(32, 96, 5, 5, 16, 16)]
+# (dtype, batch, H, W, k, Ci, Co): the denoiser's first, middle and last
+# layers on its one-column image at the training batch, on the paper (H 192)
+# and desk (H 96) BS grids, in float32 (training) and float64 (inference).
+# With W = 1 the oracle's block-Toeplitz matrix is the tap matrix, so both run
+# the same GEMMs on the same operands and the bytes agree whatever the BLAS.
+CONV_SHAPES = [(dt, 32, h, 1, 3, ci, co) for dt in ("f32", "f64") for h in (192, 96)
+               for ci, co in ((1, 16), (16, 16), (16, 1))]
+# Wider float64 images, each column convolved on its own. The oracle's GEMM
+# then also sums the zero taps of the other columns; byte identity rests on
+# OpenBLAS's blocked kernel leaving each sum unchanged by those zero products.
+# The backward pass sums dw over the columns in another order than the oracle,
+# so only the forward pass is compared here. Their ids name no dtype.
+WIDE_SHAPES = [("f64", 32, h, 3, 3, ci, co) for h in (192, 96)
+               for ci, co in ((2, 16), (16, 16), (16, 2))] + [("f64", 32, 96, 5, 5, 16, 16)]
+
+
+def conv_id(shape):
+    dt, *dims = shape
+    name = "b{}h{}w{}k{}ci{}co{}".format(*dims)
+    return name if shape in WIDE_SHAPES else f"{dt}-{name}"
 
 
 def same_bytes(got, want) -> bool:
@@ -44,27 +55,36 @@ def sparse(rng, shape, keep=0.5):
     return rng.standard_normal(shape) * (rng.random(shape) < keep)
 
 
-@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "b{}h{}w{}k{}ci{}co{}".format(*s))
 class TestConv2dBytes:
+    """The k x 1 convolution against the square-kernel form it replaced, fed the
+    kernel as the middle column of an otherwise zero k x k kernel."""
+
     @staticmethod
     def operands(shape):
-        b, h, width, k, ci, co = shape
+        dt, b, h, width, k, ci, co = shape
         rng = np.random.default_rng(h * 100 + ci * 10 + co)
+        real = np.float32 if dt == "f32" else np.float64
         x = np.maximum(rng.standard_normal((b, h, width, ci)), 0.0)     # ReLU-sparse
-        w = 0.1 * rng.standard_normal((k, k, ci, co))
+        w = 0.1 * rng.standard_normal((k, 1, ci, co))
         g = sparse(rng, (b, h, width, co))
-        return x, w, g
+        square = np.zeros((k, k, ci, co))
+        square[:, k // 2:k // 2 + 1] = w
+        return (a.astype(real) for a in (x, w, g, square))
 
+    @pytest.mark.parametrize("shape", CONV_SHAPES + WIDE_SHAPES, ids=conv_id)
     def test_forward(self, shape):
-        x, w, _ = self.operands(shape)
-        assert same_bytes(ad._conv2d_fwd(x, w), conv2d_padded_reference(x, w))
+        x, w, _, square = self.operands(shape)
+        assert same_bytes(ad._conv2d_fwd(x, w), conv2d_square_reference(x, square))
 
+    @pytest.mark.parametrize("shape", CONV_SHAPES, ids=conv_id)
     def test_backward(self, shape):
-        x, w, g = self.operands(shape)
+        x, w, g, square = self.operands(shape)
         gx, gw = ad._bwd_conv2d(g, [x, w], None, None, [True, True])
-        want_gx, want_gw = conv2d_backward_reference(g, x, w)
+        want_gx, want_gw = conv2d_square_backward_reference(g, x, square)
+        mid = w.shape[0] // 2
+        assert not np.delete(want_gw, mid, axis=1).any()
         assert same_bytes(gx, want_gx)
-        assert same_bytes(gw, want_gw)
+        assert same_bytes(gw, np.ascontiguousarray(want_gw[:, mid:mid + 1]))
 
 
 @pytest.mark.parametrize("h", [192, 96])

@@ -12,8 +12,7 @@ import pytest
 from polarce.channel import (draw_scene, make_phase_matrix, noise_var_for_snr,
                              simulate_pilots)
 from polarce.harness import build_bs_dictionary, build_ris_dictionaries, load_config
-from polarce.omp import (_ROW_CHUNK, DenseProblem, VectorizedProblem,
-                         cascaded_estimate, omp, omp_dense)
+from polarce.omp import _ROW_CHUNK, VectorizedProblem, cascaded_estimate, omp, omp_dense
 from polarce.rng import substream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -342,9 +341,15 @@ class TestPrunedScan:
         assert peak < full_scan_bytes
 
 
+def atoms_problem(A):
+    """A problem whose cascaded atoms Psi = E^H F_cas are the columns of A, E = I."""
+    return VectorizedProblem.build(np.eye(1), A, np.eye(A.shape[0]))
+
+
 def dense_one(y, A, sparsity):
-    """omp_dense on the single observation y: (support, coeffs over all atoms, ridge)."""
-    [(support, coeffs, _, ridge)] = omp_dense(y[:, None], DenseProblem.build(A), sparsity)
+    """omp_dense over the atoms A on the single observation y:
+    (support, coeffs over all atoms, ridge)."""
+    [(support, coeffs, _, ridge)] = omp_dense(y[:, None], atoms_problem(A), sparsity)
     x = np.zeros(A.shape[1], dtype=np.complex128)
     x[support] = coeffs
     return support, x, ridge
@@ -440,15 +445,14 @@ class TestOmpDense:
         P = np.zeros((tau + 2, 2 + 3 * system.paths_bs), dtype=complex)
         P[tau, 1], P[tau + 1, 1] = 1.0, 0.3
         P[:tau, 2:] = np.concatenate(paths).T
-        batch = omp_dense(P, DenseProblem.build(A), system.paths_ris)
+        batch = omp_dense(P, atoms_problem(A), system.paths_ris)
         assert len(batch) == P.shape[1]
         support, coeffs, rnorm, ridge = batch[0]
         assert (support, coeffs.size, rnorm, ridge) == ([], 0, 0.0, False)
         support, _, _, ridge = batch[1]
         assert support[:2] == [0, 1] and ridge
         for c, (support, coeffs, rnorm, ridge) in enumerate(batch):
-            [(support1, coeffs1, rnorm1, ridge1)] = omp_dense(P[:, [c]],
-                                                             DenseProblem.build(A),
+            [(support1, coeffs1, rnorm1, ridge1)] = omp_dense(P[:, [c]], atoms_problem(A),
                                                              system.paths_ris)
             assert support == support1
             assert ridge == ridge1
