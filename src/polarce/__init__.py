@@ -12,12 +12,11 @@ from .channel import (PathParams, PilotBlock, SceneRealization, SystemConfig,
                       noise_var_for_snr, ris_side_rows, simulate_pilots,
                       steering_vector)
 from .harness import (ExperimentConfig, SweepConfig, default_config,
-                      load_config, nmse, run_leakage_report, run_loss_curves,
-                      run_pilot_sweep, run_snr_sweep)
+                      load_config, nmse, run_loss_curves, run_pilot_sweep,
+                      run_snr_sweep)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary, PolarGrid,
                     build_cascaded_dictionary, build_dictionary,
-                    coherence_profile, encode_sparse_truth, nearest_grid_index,
-                    sample_polar_grid)
+                    nearest_grid_index, sample_polar_grid)
 from .schemes import (PipelineContext, estimate_dncnn_istanet,
                       estimate_dncnn_omp, estimate_omp)
 
@@ -28,11 +27,10 @@ __all__ = [
     "build_channels", "draw_scene", "make_phase_matrix", "noise_var_for_snr",
     "ris_side_rows", "simulate_pilots", "steering_vector",
     "ExperimentConfig", "SweepConfig", "default_config", "load_config",
-    "nmse", "run_leakage_report", "run_loss_curves", "run_pilot_sweep",
-    "run_snr_sweep",
+    "nmse", "run_loss_curves", "run_pilot_sweep", "run_snr_sweep",
     "CascadedDictionary", "GridConfig", "PolarDictionary", "PolarGrid",
-    "build_cascaded_dictionary", "build_dictionary", "coherence_profile",
-    "encode_sparse_truth", "nearest_grid_index", "sample_polar_grid",
+    "build_cascaded_dictionary", "build_dictionary", "nearest_grid_index",
+    "sample_polar_grid",
     "PipelineContext", "estimate_dncnn_istanet", "estimate_dncnn_omp",
     "estimate_omp",
     "__version__",

@@ -1,13 +1,13 @@
 """Command line front end.
 
 Subcommands cover the full workflow: scene simulation, dictionary inspection,
-training both networks, single-point evaluation, the three sweep reports, and
-the grid leakage report. `eval --snr s` is one point of `sweep snr`: with no
-checkpoints it writes the sweep's row at s, and `simulate --snr s` writes
-that point's pilot blocks. Config files are JSON (see
-harness.config_from_dict); a missing or invalid config or option value, or a
-checkpoint that does not fit the config, exits with code 2 and a JSON error
-on stderr. So does a training run whose loss stops being finite.
+training both networks, single-point evaluation and the three sweep reports.
+`eval --snr s` is one point of `sweep snr`: with no checkpoints it writes the
+sweep's row at s, and `simulate --snr s` writes that point's pilot blocks.
+Config files are JSON (see harness.config_from_dict); a missing or invalid
+config or option value, or a checkpoint that does not fit the config, exits
+with code 2 and a JSON error on stderr. So does a training run whose loss
+stops being finite.
 """
 from __future__ import annotations
 
@@ -214,13 +214,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_leakage(args) -> int:
-    cfg = _resolve_config(args)
-    summary = harness.run_leakage_report(cfg, args.out or "runs/leakage")
-    _emit(summary)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarce",
@@ -264,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="run one sweep report")
     p.add_argument("axis", choices=["snr", "tau", "layers"])
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("leakage", parents=[common],
-                       help="grid leakage and cascaded drift report")
-    p.set_defaults(fn=cmd_leakage)
     return parser
 
 

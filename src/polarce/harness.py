@@ -33,16 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .channel import (PHASE_KINDS, SNR_CONVENTIONS, PathParams, PilotBlock,
-                      SceneRealization, SystemConfig, build_channels, draw_scene,
-                      make_phase_matrix, noise_var_for_snr, simulate_pilots,
-                      steering_vector)
+from .channel import (PHASE_KINDS, SNR_CONVENTIONS, PilotBlock, SceneRealization,
+                      SystemConfig, draw_scene, make_phase_matrix,
+                      noise_var_for_snr, simulate_pilots)
 from .denoiser import (STAGE1_FORM, DenoiserParams, Stage1Config,
-                       make_stage1_dataset, row_energy, stage1_loss,
-                       train_stage1)
+                       make_stage1_dataset, stage1_loss, train_stage1)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
-                    build_cascaded_dictionary, build_dictionary,
-                    coherence_profile)
+                    build_cascaded_dictionary, build_dictionary)
 from .rng import substream
 from .schemes import SCHEME_FUNCS, SUPPORT_GUARD, PipelineContext
 from .unrolled import (FORWARD_FORM, ListaParams, Stage2Config, make_stage2_dataset,
@@ -53,9 +50,8 @@ __all__ = [
     "config_from_dict", "load_config", "nmse",
     "build_bs_dictionary", "build_ris_dictionaries", "phase_schedule",
     "snr_label", "draw_scenes", "draw_pilots", "evaluate_point",
-    "run_snr_sweep", "run_pilot_sweep", "run_leakage_report", "run_loss_curves",
+    "run_snr_sweep", "run_pilot_sweep", "run_loss_curves",
     "save_stage1", "load_stage1", "save_stage2", "load_stage2", "write_csv",
-    "count_lattice_peaks",
 ]
 
 CONFIG_VERSION = 1
@@ -626,139 +622,6 @@ def run_pilot_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
                phase_schedule(cfg, int(t)), cfg.sweep.eval_snr_db)
               for t in cfg.sweep.tau]
     return _sweep(cfg, outdir, "pilot_sweep", "tau", points, progress)
-
-
-# -------------------------------------------------------------- grid reports
-
-def _single_path_profile(sys_: SystemConfig, bs: PolarDictionary, E: np.ndarray,
-                         theta: float, r: float) -> np.ndarray:
-    """Row energy over grid rows for a noiseless one-bridge-path pilot block."""
-    H, h, G = build_channels(sys_,
-                             (PathParams(theta, r, 1.0 + 0.0j),),
-                             (PathParams(-0.2, 8.0),),
-                             ((PathParams(0.3, 10.0, 1.0 + 0.0j),),))
-    Y = np.sqrt(sys_.power) * (G[0] @ E)
-    return row_energy(Y, bs)
-
-
-def _top1_power(profile: np.ndarray) -> float:
-    p = profile ** 2
-    return float(p.max() / p.sum())
-
-
-def run_leakage_report(cfg: ExperimentConfig, outdir) -> dict:
-    """Row-power leakage of the pilot statistic plus cascaded drift profile.
-
-    The single-hop probes use a full-coverage angle-only grid (cell-centered
-    sines spanning (-1, 1)), where on-grid far-field steering is exactly
-    orthogonal, so any spread is attributable to the placement and not the
-    grid. Placements: on grid at far range, halfway between grid sines, on
-    grid at the near range limit (curvature mismatch), and both combined.
-    """
-    sys_ = cfg.system
-    full = GridConfig(angle_count=sys_.n_bs, sin_lo=-1.0, sin_hi=1.0,
-                      ring_limit=0, distance_min=sys_.bs_dist[0])
-    bs_full = build_dictionary(sys_.n_bs, sys_.wavelength, sys_.spacing, full)
-    E = phase_schedule(cfg)
-    sins = bs_full.grid.sin_angles
-    far_r, near_r = sys_.bs_dist[1], sys_.bs_dist[0]
-    mids = 0.5 * (sins[:-1] + sins[1:])
-    placements = {"on": (sins, far_r), "off_angle": (mids, far_r),
-                  "off_dist": (sins, near_r), "off_both": (mids, near_r)}
-    rows, scan, middle = [], {}, {}
-    for kind, (placed, r) in placements.items():
-        profs = [_single_path_profile(sys_, bs_full, E, float(np.arcsin(u)), r)
-                 for u in placed]
-        scan[kind] = [_top1_power(prof) for prof in profs]
-        rows.extend([f"scan_{kind}", g, float(u), f]
-                    for g, (u, f) in enumerate(zip(placed, scan[kind])))
-        middle[kind] = profs[min(len(sins) // 2, len(placed) - 1)]
-    for kind, prof in middle.items():
-        rows.extend([f"profile_{kind}", g, float(sins[g]), float(v)]
-                    for g, v in enumerate(prof))
-
-    single, cas = build_ris_dictionaries(cfg)
-    prof_single = coherence_profile(single.F)
-    prof_cas = coherence_profile(cas.F)
-    probe = _drift_probe(single, cas)
-    corr = probe.pop("corr")
-    summary = {
-        "on_grid_min_top1": min(scan["on"]),
-        "off_angle_min_top1": min(scan["off_angle"]),
-        "off_dist_min_top1": min(scan["off_dist"]),
-        "off_both_min_top1": min(scan["off_both"]),
-        "worst_off_top1": min(min(scan[k]) for k in ("off_angle", "off_dist", "off_both")),
-        "single_mean_coherence": prof_single.mean_off,
-        "single_max_coherence": prof_single.max_off,
-        "cascaded_mean_coherence": prof_cas.mean_off,
-        "cascaded_max_coherence": prof_cas.max_off,
-        "drift_peaks_within_3db": probe["peaks"],
-        "drift_probe": probe,
-    }
-    _write_outputs(outdir, "leakage_profile", ["kind", "index", "sin_angle", "value"],
-                   rows, {"config": config_to_dict(cfg), "summary": summary})
-    write_csv(Path(outdir) / "drift_profile.csv", ["col", "delta_sin", "delta_curv", "corr"],
-              [[j, float(s), float(c), float(v)]
-               for j, (s, c, v) in enumerate(zip(cas.delta_sin, cas.delta_curv, corr))])
-    return summary
-
-
-def _drift_probe(single: PolarDictionary, cas: CascadedDictionary) -> dict:
-    """Construct a one-path cascade whose curvature falls between lattice rows.
-
-    The departure sits on a grid angle; the arrival distance is scanned over
-    a few near-field values and the bridge-side distance is solved so the true
-    curvature difference lands half a lattice step off, which is where the
-    drifted peaks of the cascaded profile are most pronounced. Returns the
-    winner's geometry, its peak count and its correlation |F_casᴴ x| ("corr").
-    """
-    sins = np.unique(np.round(single.grid.sin_angles, 12))
-    u_dep = float(sins[len(sins) // 2])
-    u_arr = float(sins[len(sins) // 4])
-    lam, delta = single.wavelength, single.spacing
-    m = single.F.shape[0]
-    best = None
-    for d_arr in (1.5, 2.0, 3.0, 5.0, 8.0):
-        a_arr = steering_vector(m, float(np.arcsin(u_arr)), d_arr, lam, delta)
-        for s_dep in (5.0, 6.5, 8.0, 11.0, 15.0, 22.0, 30.0):
-            a_dep = steering_vector(m, float(np.arcsin(u_dep)), s_dep, lam, delta)
-            corr = np.abs(cas.F.conj().T @ (a_dep * np.conj(a_arr)))
-            peaks = count_lattice_peaks(cas, corr, within_db=3.0)
-            if best is None or peaks > best["peaks"]:
-                best = {"corr": corr, "peaks": peaks, "s_dep": s_dep,
-                        "d_arr": d_arr, "u_dep": u_dep, "u_arr": u_arr}
-    return best
-
-
-def count_lattice_peaks(cas: CascadedDictionary, corr: np.ndarray,
-                        within_db: float = 3.0) -> int:
-    """Local maxima of |correlation| over the canonical offset classes.
-
-    Each column carries one (d_sin, d_curv) class. Classes are ranked along
-    each axis and a peak is a column not exceeded by any column within one
-    rank in both axes. Rank adjacency is used instead of integer step
-    arithmetic because the sin offsets live on a circle of period
-    wavelength/spacing: offsets reduced into the principal interval need not
-    stay on the step lattice, they only stay ordered. The extreme sin ranks
-    count as adjacent whenever their circular gap is no wider than the
-    largest in-range gap. Only peaks within within_db of the global maximum
-    are counted.
-
-    The count runs on a rank image: corr at (sin rank, curv rank), padded by
-    one cell, -inf where no column sits; when the sin axis wraps, the padding
-    rows copy the opposite edge rows, so the 8 neighbours are plain offsets.
-    """
-    period = cas.source.wavelength / cas.source.spacing
-    us, si = np.unique(np.round(cas.delta_sin, 9), return_inverse=True)
-    uc, ci = np.unique(np.round(cas.delta_curv, 9), return_inverse=True)
-    img = np.full((us.size + 2, uc.size + 2), -np.inf)
-    img[si + 1, ci + 1] = corr
-    if us.size > 2 and (us[0] + period - us[-1]) <= 1.5 * np.diff(us).max():
-        img[0], img[-1] = img[-2], img[1]
-    around = np.max([img[si + 1 + da, ci + 1 + db] for da in (-1, 0, 1)
-                     for db in (-1, 0, 1) if da or db], axis=0)
-    thresh = corr.max() * 10.0 ** (-within_db / 20.0)
-    return int(np.count_nonzero((corr >= thresh) & (corr >= around)))
 
 
 # --------------------------------------------------------------- loss curves

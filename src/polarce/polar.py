@@ -19,18 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SceneRealization, SystemConfig, element_offsets, steering_vector
+from .channel import element_offsets
 
 __all__ = [
     "GridConfig", "PolarGrid", "PolarDictionary", "CascadedDictionary",
-    "CoherenceProfile", "SparseTruth", "sample_polar_grid", "build_dictionary",
-    "build_cascaded_dictionary", "coherence_profile", "nearest_grid_index",
-    "encode_sparse_truth", "synthesize_cascaded",
+    "sample_polar_grid", "build_dictionary", "build_cascaded_dictionary",
+    "nearest_grid_index",
 ]
 
 SIN60 = math.sqrt(3.0) / 2.0
 _KEY_TOL = 1e-6                       # rounding step of the (d_sin, d_curv) class keys
-_GRAM_BLOCK = 512                     # gram columns per block; the full paper gram is 660 MB
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,9 @@ class CascadedDictionary:
 
     Column j is the unit-norm phase profile of the class (delta_sin[j],
     delta_curv[j]). Every steering entry has modulus 1/sqrt(size), so one
-    scalar restores every raw product:
-    F_dep[:, l] * conj(F_arr[:, p]) == col_scale * F[:, column(l, p)].
+    scalar restores every raw product: F_dep[:, l] * conj(F_arr[:, p]) ==
+    col_scale * F[:, j], where j is the class of the pair's sin and ring
+    differences.
     """
 
     F: np.ndarray                     # [size, Gc]
@@ -94,34 +93,6 @@ class CascadedDictionary:
     delta_sin: np.ndarray             # [Gc] canonical tuple, wrapped
     delta_curv: np.ndarray            # [Gc]
     source: PolarDictionary
-
-    def column(self, l: int, p: int) -> int:
-        """Column of the departure/arrival grid pair (l, p): its nearest class."""
-        grid = self.source.grid
-        ds = _wrap_delta_sin(self.delta_sin - grid.sin_angles[l] + grid.sin_angles[p], self.source)
-        dc = self.delta_curv - (grid.rings[l] - grid.rings[p]) / (2.0 * grid.z_delta)
-        return int(np.argmin(ds * ds + dc * dc))
-
-
-@dataclass
-class CoherenceProfile:
-    max_off: float
-    mean_off: float
-
-
-@dataclass
-class SparseTruth:
-    """Grid coding of one scene against a BS dictionary and a cascaded dictionary."""
-
-    bs_idx: np.ndarray                # [L_BR] nearest BS grid entries, path order
-    dep_idx: np.ndarray               # [L_BR] nearest RIS grid entries (departure)
-    arr_idx: np.ndarray               # [L_RU] nearest RIS grid entries (arrival)
-    X: np.ndarray                     # [N_G, L_BR], one unit nonzero per column
-    Lam: np.ndarray                   # [N_G, Gc] cascaded gains (raw-column scale)
-    B: np.ndarray                     # [Gc, L_BR] per-path coefficients, h_l = raw(F) @ B[:, l]
-    an_residual: float                # ||A_bs - F_bs X||_F / ||A_bs||_F
-    coding_residual: float            # ||G - synth(Lam)||_F / ||G||_F
-    projection_floor: float           # least-squares residual on the selected atoms
 
 
 def sample_polar_grid(size: int, wavelength: float, spacing: float,
@@ -208,26 +179,6 @@ def build_cascaded_dictionary(single: PolarDictionary) -> CascadedDictionary:
                               delta_curv=d_curv, source=single)
 
 
-def coherence_profile(F: np.ndarray) -> CoherenceProfile:
-    """Off-diagonal |gram| statistics of a column dictionary, gram built in blocks.
-
-    The gram is Hermitian, so each block row is formed only from its diagonal
-    block rightwards, and the pairs right of the diagonal block count twice.
-    """
-    Fn = F / np.linalg.norm(F, axis=0)
-    n = Fn.shape[1]
-    max_off, total = 0.0, 0.0
-    for lo in range(0, n, _GRAM_BLOCK):
-        hi = min(lo + _GRAM_BLOCK, n)
-        g = np.abs(Fn[:, lo:hi].conj().T @ Fn[:, lo:])
-        np.minimum(g, 1.0, out=g)                   # clip fp overshoot at duplicates
-        g[np.arange(hi - lo), np.arange(hi - lo)] = 0.0
-        max_off = max(max_off, float(g.max(initial=0.0)))
-        total += float(g[:, :hi - lo].sum()) + 2.0 * float(g[:, hi - lo:].sum())
-    mean_off = total / (n * (n - 1)) if n > 1 else 0.0
-    return CoherenceProfile(max_off=max_off, mean_off=mean_off)
-
-
 def nearest_grid_index(grid: PolarGrid, angle: float, distance: float) -> int:
     """Nearest grid entry in the (sin, 1/distance) Euclidean metric."""
     u = math.sin(angle)
@@ -237,57 +188,3 @@ def nearest_grid_index(grid: PolarGrid, angle: float, distance: float) -> int:
     d2 = (grid.sin_angles - u) ** 2 + (grid_inv - inv_d) ** 2
     return int(np.argmin(d2))
 
-
-def synthesize_cascaded(bs: PolarDictionary, cas: CascadedDictionary,
-                        Lam: np.ndarray) -> np.ndarray:
-    """G = F_bs @ Lam @ raw(F_cas)^H with Lam in the raw-column scale."""
-    return cas.col_scale * (bs.F @ Lam @ cas.F.conj().T)
-
-
-def encode_sparse_truth(scene: SceneRealization, config: SystemConfig,
-                        bs: PolarDictionary, cas: CascadedDictionary) -> SparseTruth:
-    """Code a scene on the grids; gains are the true cascaded products.
-
-    The reported projection floor re-fits the selected atoms by least squares,
-    which is the best any estimator confined to those atoms can do.
-    """
-    ris_grid = cas.source.grid
-    bs_idx = np.array([nearest_grid_index(bs.grid, p.angle, p.distance)
-                       for p in scene.bridge_bs], dtype=np.int64)
-    dep_idx = np.array([nearest_grid_index(ris_grid, p.angle, p.distance)
-                        for p in scene.bridge_ris], dtype=np.int64)
-    arr_idx = np.array([nearest_grid_index(ris_grid, p.angle, p.distance)
-                        for p in scene.users[0]], dtype=np.int64)
-
-    L = len(scene.bridge_bs)
-    X = np.zeros((bs.F.shape[1], L), dtype=np.complex128)
-    for l, gi in enumerate(bs_idx):
-        X[gi, l] = 1.0
-
-    Lam = np.zeros((bs.F.shape[1], cas.F.shape[1]), dtype=np.complex128)
-    B = np.zeros((cas.F.shape[1], L), dtype=np.complex128)
-    atoms = []                                   # (bs grid idx, cascaded col) pairs
-    for l, (pb, gi) in enumerate(zip(scene.bridge_bs, bs_idx)):
-        for p, pu in enumerate(scene.users[0]):
-            col = cas.column(dep_idx[l], arr_idx[p])
-            Lam[gi, col] += pb.gain * pu.gain
-            B[col, l] += np.conj(pu.gain) * np.conj(pb.gain)
-            atoms.append((gi, col))
-
-    A_true = np.stack([steering_vector(config.n_bs, p.angle, p.distance,
-                                       config.wavelength, config.spacing)
-                       for p in scene.bridge_bs], axis=1)
-    an_residual = float(np.linalg.norm(A_true - bs.F @ X) / np.linalg.norm(A_true))
-
-    G = scene.G[0]
-    coding = float(np.linalg.norm(G - synthesize_cascaded(bs, cas, Lam)) / np.linalg.norm(G))
-
-    atoms = sorted(set(atoms))
-    design = np.stack([np.outer(bs.F[:, gi], cas.col_scale * cas.F[:, col].conj()).reshape(-1)
-                       for gi, col in atoms], axis=1)
-    coeff, *_ = np.linalg.lstsq(design, G.reshape(-1), rcond=None)
-    floor = float(np.linalg.norm(G.reshape(-1) - design @ coeff) / np.linalg.norm(G))
-
-    return SparseTruth(bs_idx=bs_idx, dep_idx=dep_idx, arr_idx=arr_idx, X=X,
-                       Lam=Lam, B=B, an_residual=an_residual,
-                       coding_residual=coding, projection_floor=floor)

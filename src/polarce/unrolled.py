@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .channel import SceneRealization, SystemConfig, ris_side_rows
 from .optim import train
-from .rng import complex_normal, substream
+from .rng import complex_normal
 
 __all__ = [
     "Stage2Config", "ListaParams", "Stage2Dataset",

@@ -16,7 +16,7 @@ from polarce.channel import steering_vector
 from polarce.denoiser import (DenoiserParams, _residual_loss, _residual_pairs,
                               init_denoiser, stage1_loss)
 from polarce.optim import adam_init, adam_step, with_precision
-from polarce.polar import sample_polar_grid
+from polarce.polar import _wrap_delta_sin, sample_polar_grid
 from polarce.rng import substream
 from polarce.unrolled import ListaParams, _path_loss, lista_init
 
@@ -87,42 +87,13 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def count_lattice_peaks_reference(cas, corr: np.ndarray, within_db: float = 3.0) -> int:
-    """Loop-and-dict count of lattice peaks, the oracle for `count_lattice_peaks`.
-
-    Classes are ranked along each axis; a column within within_db of the
-    global maximum is a peak when no column within one rank in both axes
-    exceeds it. The extreme sin ranks are neighbours when their circular gap
-    (period wavelength/spacing) is no wider than 1.5 in-range gaps.
-    """
-    period = cas.source.wavelength / cas.source.spacing
-    ds = np.round(cas.delta_sin, 9)
-    dc = np.round(cas.delta_curv, 9)
-    us, uc = np.unique(ds), np.unique(dc)
-    si = np.searchsorted(us, ds)
-    ci = np.searchsorted(uc, dc)
-    ns = us.size
-    wrap = ns > 2 and (us[0] + period - us[-1]) <= 1.5 * np.diff(us).max()
-    index = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(si, ci))}
-    thresh = corr.max() * 10.0 ** (-within_db / 20.0)
-    peaks = 0
-    for k, (a, b) in enumerate(zip(si, ci)):
-        if corr[k] < thresh:
-            continue
-        best = True
-        for da in (-1, 0, 1):
-            aa = (a + da) % ns if wrap else a + da
-            for db in (-1, 0, 1):
-                if da == 0 and db == 0:
-                    continue
-                nb = index.get((int(aa), int(b + db)))
-                if nb is not None and corr[nb] > corr[k]:
-                    best = False
-                    break
-            if not best:
-                break
-        peaks += int(best)
-    return peaks
+def cascaded_column(cas, l: int, p: int) -> int:
+    """Column of the cascaded dictionary that holds the departure/arrival grid
+    pair (l, p): the class nearest the pair's sin and curvature differences."""
+    grid = cas.source.grid
+    ds = _wrap_delta_sin(cas.delta_sin - grid.sin_angles[l] + grid.sin_angles[p], cas.source)
+    dc = cas.delta_curv - (grid.rings[l] - grid.rings[p]) / (2.0 * grid.z_delta)
+    return int(np.argmin(ds * ds + dc * dc))
 
 
 def build_dictionary_reference(size, wavelength, spacing, config) -> np.ndarray:

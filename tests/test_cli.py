@@ -131,9 +131,10 @@ class TestConfigErrors:
         assert "top-level" in json.loads(err)["error"]
 
     def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        for command in ("frobnicate", "leakage"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
 
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -603,14 +604,3 @@ class TestSweep:
         lines = (out_dir / "loss_curves.csv").read_text().splitlines()
         assert lines[0] == "network,depth,episode,loss"
 
-
-class TestLeakage:
-    def test_summary_on_stdout(self, capsys, omp_cfg_file, tmp_path):
-        out_dir = tmp_path / "leak"
-        rc, out, _ = run(capsys, ["leakage", "--config", omp_cfg_file,
-                                  "--out", str(out_dir)])
-        assert rc == 0
-        summary = json.loads(out)
-        assert summary["on_grid_min_top1"] > 0.99
-        assert "drift_peaks_within_3db" in summary
-        assert (out_dir / "leakage_profile.csv").exists()

@@ -12,6 +12,9 @@ A parameter with a default counts as set when some call in the same sources
 to a function of that name passes it, by keyword or by position (a `*` or
 `**` argument passes everything it could reach). A default that no call
 overrides is a knob with one value in use.
+
+Every name a module imports is read in that module or listed in its
+`__all__`.
 """
 import ast
 import re
@@ -23,12 +26,7 @@ CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 DOTTED = re.compile(r"\w+(\.\w+)+")
 
 # reached only from tests, and kept for what the tests compare against
-ALLOWED = {
-    "polar.encode_sparse_truth": "grid coding of a scene's true channel and "
-                                 "its projection floor; the oracle for the "
-                                 "polar dictionaries and for error-attribution "
-                                 "diagnostics",
-}
+ALLOWED: dict[str, str] = {}
 
 
 # defaulted parameters that only tests set
@@ -133,3 +131,23 @@ def test_every_default_is_overridden_somewhere():
     unset = _unset_defaults()
     assert sorted(unset - set(ALLOWED_DEFAULTS)) == []
     assert sorted(set(ALLOWED_DEFAULTS) - unset) == []
+
+
+def _unused_imports(tree) -> set[str]:
+    """Names bound by the module's imports that it neither reads nor exports."""
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return bound - read - exported
+
+
+def test_every_import_is_used():
+    unused = {f"{path.stem}.{name}" for path in SOURCES
+              for name in _unused_imports(ast.parse(path.read_text(), str(path)))}
+    assert sorted(unused) == []

@@ -15,24 +15,20 @@ import pytest
 from polarce import container, harness
 from polarce.channel import make_phase_matrix, noise_var_for_snr, simulate_pilots
 from polarce.denoiser import STAGE1_FORM, Stage1Config, init_denoiser
-from polarce.harness import (ExperimentConfig, SweepConfig, _top1_power,
-                             build_bs_dictionary, build_ris_dictionaries,
-                             config_from_dict, config_to_dict,
-                             count_lattice_peaks, default_config,
-                             draw_scenes, evaluate_point, load_config,
-                             load_stage1, load_stage2, nmse, run_leakage_report,
-                             run_loss_curves, run_pilot_sweep, run_snr_sweep,
-                             save_stage1, save_stage2, snr_label, write_csv)
+from polarce.harness import (SweepConfig, build_bs_dictionary,
+                             build_ris_dictionaries, config_from_dict,
+                             config_to_dict, default_config, draw_scenes,
+                             evaluate_point, load_config, load_stage1,
+                             load_stage2, nmse, run_loss_curves, run_pilot_sweep,
+                             run_snr_sweep, save_stage1, save_stage2, snr_label,
+                             write_csv)
 from polarce.omp import VectorizedProblem
-from polarce.polar import GridConfig, build_cascaded_dictionary, build_dictionary
 from polarce.rng import substream
 from polarce.schemes import (PipelineContext, _stage1_project, estimate_dncnn_omp,
                              estimate_omp)
 from polarce.unrolled import FORWARD_FORM, ListaParams
 
-from helpers import count_lattice_peaks_reference, crandn
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from helpers import crandn
 
 MICRO = {
     "system": {"n_bs": 4, "n_ris": 8, "tau": 6, "paths_bs": 1, "paths_ris": 1},
@@ -508,128 +504,6 @@ def test_greedy_schemes_share_one_design_per_context(monkeypatch, small_system,
         estimate_dncnn_omp(pilots, ctx)
     assert len(built) == 1
     assert ctx.problem.Psi.tobytes() == (small_E.conj().T @ small_cas_dict.F).tobytes()
-
-
-@pytest.fixture(scope="module")
-def peaks_cas():
-    single = build_dictionary(
-        8, 0.01, 0.005,
-        GridConfig(angle_count=6, ring_limit=0, distance_min=5.0))
-    return build_cascaded_dictionary(single)
-
-
-# (cascaded dictionary, random draws); paper's loop oracle takes ~10 ms a draw
-LATTICES = {
-    "desk": (lambda: build_ris_dictionaries(load_config(CONFIGS / "desk.json"))[1], 40),
-    "paper": (lambda: build_ris_dictionaries(load_config(CONFIGS / "paper.json"))[1], 4),
-    # full-coverage 6-angle grid: the sin offsets wrap
-    "wrap-6-angle": (lambda: build_cascaded_dictionary(build_dictionary(
-        8, 0.01, 0.005, GridConfig(angle_count=6, ring_limit=0, distance_min=5.0))), 100),
-    # 9 sin x 5 curv ranks with two empty cells, no wrap
-    "asymmetric": (lambda: build_cascaded_dictionary(build_dictionary(
-        16, 0.01, 0.005, GridConfig(angle_count=5, sin_lo=-0.2, sin_hi=0.5,
-                                    distance_min=0.1))), 100),
-}
-
-
-def sin_ranks(cas):
-    vals = np.round(cas.delta_sin, 9)
-    return np.searchsorted(np.unique(vals), vals)
-
-
-class TestLatticePeaks:
-    def test_two_separated_peaks(self, peaks_cas):
-        ranks = sin_ranks(peaks_cas)
-        corr = np.zeros(peaks_cas.F.shape[1])
-        corr[np.flatnonzero(ranks == 0)[0]] = 1.0
-        corr[np.flatnonzero(ranks == ranks.max() // 2)[0]] = 0.9
-        assert count_lattice_peaks(peaks_cas, corr, within_db=3.0) == 2
-
-    def test_weak_peak_below_threshold_ignored(self, peaks_cas):
-        ranks = sin_ranks(peaks_cas)
-        corr = np.zeros(peaks_cas.F.shape[1])
-        corr[np.flatnonzero(ranks == 0)[0]] = 1.0
-        corr[np.flatnonzero(ranks == ranks.max() // 2)[0]] = 0.5
-        assert count_lattice_peaks(peaks_cas, corr, within_db=3.0) == 1
-
-    def test_shoulder_next_to_peak_not_counted(self, peaks_cas):
-        ranks = sin_ranks(peaks_cas)
-        corr = np.zeros(peaks_cas.F.shape[1])
-        corr[np.flatnonzero(ranks == 0)[0]] = 1.0
-        corr[np.flatnonzero(ranks == 1)[0]] = 0.95
-        assert count_lattice_peaks(peaks_cas, corr, within_db=3.0) == 1
-
-    def test_extreme_offsets_are_circular_neighbors(self, peaks_cas):
-        # the sin offset wraps at wavelength/spacing, so the first and last
-        # classes sit one lattice gap apart on the circle
-        ranks = sin_ranks(peaks_cas)
-        corr = np.zeros(peaks_cas.F.shape[1])
-        corr[np.flatnonzero(ranks == 0)[0]] = 1.0
-        corr[np.flatnonzero(ranks == ranks.max())[0]] = 0.9
-        assert count_lattice_peaks(peaks_cas, corr, within_db=3.0) == 1
-
-    @pytest.mark.parametrize("lattice", list(LATTICES))
-    @pytest.mark.parametrize("decimals", [None, 1], ids=["random", "tied"])
-    def test_matches_loop_reference(self, lattice, decimals):
-        build, draws = LATTICES[lattice]
-        cas = build()
-        rng = np.random.default_rng(17)
-        for _ in range(draws):
-            corr = rng.random(cas.F.shape[1])
-            if decimals is not None:
-                corr = np.round(corr, decimals)
-            assert (count_lattice_peaks(cas, corr, within_db=3.0)
-                    == count_lattice_peaks_reference(cas, corr, within_db=3.0))
-
-
-class TestTop1Fraction:
-    """Share of row power in the strongest row, the leakage report's metric."""
-
-    def test_even_split(self):
-        assert _top1_power(np.abs(np.array([1.0, 1.0]) / np.sqrt(2))) == pytest.approx(0.5)
-
-    def test_aligned(self):
-        assert _top1_power(np.array([0.0, 2.0, 0.0])) == 1.0
-
-
-@pytest.fixture(scope="module")
-def leakage_result(tmp_path_factory):
-    cfg = config_from_dict({
-        "system": {"n_bs": 8, "n_ris": 8, "tau": 6,
-                   "paths_bs": 1, "paths_ris": 1},
-        "ris_grid": {"angle_count": 4},
-    })
-    outdir = tmp_path_factory.mktemp("leak")
-    return cfg, outdir, run_leakage_report(cfg, outdir)
-
-
-class TestLeakageReport:
-    def test_on_grid_probes_are_clean(self, leakage_result):
-        _, _, summary = leakage_result
-        assert summary["on_grid_min_top1"] > 0.99
-
-    def test_off_grid_probes_leak(self, leakage_result):
-        _, _, summary = leakage_result
-        assert summary["worst_off_top1"] < summary["on_grid_min_top1"]
-
-    def test_cascaded_coherence_dominates_single(self, leakage_result):
-        _, _, summary = leakage_result
-        assert summary["cascaded_max_coherence"] >= summary["single_max_coherence"]
-
-    def test_drift_probe_found_peaks(self, leakage_result):
-        _, _, summary = leakage_result
-        assert summary["drift_peaks_within_3db"] >= 1
-        probe = summary["drift_probe"]
-        assert probe["peaks"] == summary["drift_peaks_within_3db"]
-
-    def test_output_files(self, leakage_result):
-        _, outdir, _ = leakage_result
-        prof = (outdir / "leakage_profile.csv").read_text().splitlines()
-        drift = (outdir / "drift_profile.csv").read_text().splitlines()
-        assert prof[0] == "kind,index,sin_angle,value"
-        assert drift[0] == "col,delta_sin,delta_curv,corr"
-        meta = json.loads((outdir / "leakage_profile.meta.json").read_text())
-        assert "summary" in meta
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Polar grids, steering dictionaries, cascaded dedup, and scene coding."""
+"""Polar grids, steering dictionaries, cascaded dedup, and on-grid coding."""
 import math
 import tracemalloc
 from pathlib import Path
@@ -8,17 +8,15 @@ import pytest
 
 from polarce.channel import (
     C_LIGHT, PathParams, SceneRealization, SystemConfig, build_channels,
-    draw_scene, ris_side_rows, steering_vector,
+    ris_side_rows, steering_vector,
 )
 from polarce.polar import (
-    CascadedDictionary, GridConfig, build_cascaded_dictionary, build_dictionary,
-    coherence_profile, encode_sparse_truth, nearest_grid_index,
-    sample_polar_grid, synthesize_cascaded,
+    GridConfig, build_cascaded_dictionary, build_dictionary, nearest_grid_index,
+    sample_polar_grid,
 )
 from polarce.harness import load_config
-from polarce.rng import substream
 
-from helpers import build_dictionary_reference
+from helpers import build_dictionary_reference, cascaded_column
 
 LAM = C_LIGHT / 30e9
 ROOT = Path(__file__).resolve().parents[1]
@@ -208,12 +206,12 @@ class TestCascadedDictionary:
         G = F.shape[1]
         for l in range(G):
             for p in range(G):
-                want = ringed_cas.col_scale * ringed_cas.F[:, ringed_cas.column(l, p)]
+                want = ringed_cas.col_scale * ringed_cas.F[:, cascaded_column(ringed_cas, l, p)]
                 assert np.max(np.abs(F[:, l] * np.conj(F[:, p]) - want)) < 1e-9
 
     def test_pair_map_shape_and_range(self, ringed_dict, ringed_cas):
         G = ringed_dict.F.shape[1]
-        cols = {ringed_cas.column(l, p) for l in range(G) for p in range(G)}
+        cols = {cascaded_column(ringed_cas, l, p) for l in range(G) for p in range(G)}
         # every canonical column is hit by at least one pair
         assert cols == set(range(ringed_cas.F.shape[1]))
 
@@ -226,7 +224,7 @@ class TestCascadedDictionary:
 
     def test_diagonal_pairs_share_the_dc_column(self, ringed_dict, ringed_cas):
         G = ringed_dict.F.shape[1]
-        cols = {ringed_cas.column(j, j) for j in range(G)}
+        cols = {cascaded_column(ringed_cas, j, j) for j in range(G)}
         assert len(cols) == 1
         j0 = cols.pop()
         assert ringed_cas.delta_sin[j0] == pytest.approx(0.0, abs=1e-12)
@@ -242,27 +240,6 @@ class TestCascadedDictionary:
         finally:
             tracemalloc.stop()
         assert peak < 3 * cas.F.nbytes
-
-
-class TestCoherenceProfile:
-    def test_orthonormal_dictionary(self):
-        F = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 8))
-                         + 1j * np.random.default_rng(1).standard_normal((12, 8)))[0]
-        prof = coherence_profile(F)
-        assert prof.max_off < 1e-9
-
-    def test_duplicate_column_clips_to_one(self, rng):
-        f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        f /= np.linalg.norm(f)
-        g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        g /= np.linalg.norm(g)
-        prof = coherence_profile(np.stack([f, f, g], axis=1))
-        assert prof.max_off == pytest.approx(1.0, abs=1e-12)
-
-    def test_cascaded_at_least_as_coherent_as_single(self, ringed_dict, ringed_cas):
-        single = coherence_profile(ringed_dict.F)
-        cas = coherence_profile(ringed_cas.F)
-        assert cas.max_off >= single.max_off - 1e-12
 
 
 class TestNearestGridIndex:
@@ -304,69 +281,19 @@ def coding_setup():
     return system, bs, ris, cas
 
 
-class TestEncodeSparseTruth:
-    def test_on_grid_scene_codes_exactly(self, coding_setup):
+class TestOnGridScene:
+    def test_ris_side_rows_code_exactly(self, coding_setup):
+        # stage 2's target x_l is the cascaded dictionary's coding of path l:
+        # sum_p conj(g_p) conj(rho_l) col_scale F[:, class of (dep_l, arr_p)]
         system, bs, ris, cas = coding_setup
         rho = np.array([0.9 - 0.4j, -0.3 + 1.1j])
         gains = np.array([1.2 + 0.1j, -0.7 + 0.6j])
-        scene = _on_grid_scene(system, bs, ris, bs_cols=(2, 9), dep_cols=(1, 7),
-                               arr_cols=(4, 12), rho=rho, gains=gains)
-        t = encode_sparse_truth(scene, system, bs, cas)
-        assert t.an_residual < 1e-12
-        assert t.coding_residual < 1e-10
-        assert t.projection_floor <= t.coding_residual + 1e-12
-        np.testing.assert_array_equal(t.bs_idx, [2, 9])
-        np.testing.assert_array_equal(t.dep_idx, [1, 7])
-        np.testing.assert_array_equal(t.arr_idx, [4, 12])
-        A_true = np.stack([steering_vector(8, p.angle, p.distance,
-                                           system.wavelength, system.spacing)
-                           for p in scene.bridge_bs], axis=1)
-        np.testing.assert_allclose(bs.F @ t.X, A_true, atol=1e-12)
-        np.testing.assert_allclose(synthesize_cascaded(bs, cas, t.Lam),
-                                   scene.G[0], atol=1e-12)
-        raw = cas.F * cas.col_scale
+        dep_cols, arr_cols = (1, 7), (4, 12)
+        scene = _on_grid_scene(system, bs, ris, bs_cols=(2, 9), dep_cols=dep_cols,
+                               arr_cols=arr_cols, rho=rho, gains=gains)
         rows = ris_side_rows(scene, system)
-        for l in range(2):
-            np.testing.assert_allclose(raw @ t.B[:, l], rows[:, l], atol=1e-10)
-
-    def test_single_pair_gain_lands_in_lambda(self, coding_setup):
-        _, bs, ris, cas = coding_setup
-        system = SystemConfig(n_bs=8, n_ris=16, tau=12, paths_bs=1, paths_ris=1)
-        rho = np.array([0.8 + 0.5j])
-        gains = np.array([-1.1 + 0.3j])
-        scene = _on_grid_scene(system, bs, ris, bs_cols=(5,), dep_cols=(3,),
-                               arr_cols=(8,), rho=rho, gains=gains)
-        t = encode_sparse_truth(scene, system, bs, cas)
-        nz = np.argwhere(np.abs(t.Lam) > 1e-12)
-        assert nz.shape[0] == 1
-        gi, col = nz[0]
-        assert gi == 5
-        assert col == cas.column(3, 8)
-        assert t.Lam[gi, col] == pytest.approx(rho[0] * gains[0], rel=1e-12)
-        assert t.B[col, 0] == pytest.approx(np.conj(gains[0]) * np.conj(rho[0]),
-                                            rel=1e-12)
-
-    def test_off_grid_residuals_ordered(self, coding_setup, small_system):
-        _, bs, _, cas = coding_setup
-        scene = draw_scene(small_system, substream(21, "offgrid"))
-        t = encode_sparse_truth(scene, small_system, bs, cas)
-        assert t.an_residual > 1e-6
-        assert 0.0 <= t.projection_floor <= t.coding_residual + 1e-12
-        assert t.coding_residual < 1.5
-
-
-class TestSynthesizeCascaded:
-    def test_matches_direct_sum(self, ringed_dict, ringed_cas, rng):
-        cfgbs = GridConfig(angle_count=6, ring_limit=0)
-        bs = build_dictionary(4, LAM, LAM / 2, cfgbs)
-        Lam = (rng.standard_normal((6, ringed_cas.F.shape[1]))
-               + 1j * rng.standard_normal((6, ringed_cas.F.shape[1])))
-        Lam[np.abs(Lam) < 1.2] = 0.0
-        raw = ringed_cas.F * ringed_cas.col_scale
-        want = np.zeros((4, 16), dtype=complex)
-        for i in range(6):
-            for j in range(ringed_cas.F.shape[1]):
-                if Lam[i, j] != 0:
-                    want += Lam[i, j] * np.outer(bs.F[:, i], np.conj(raw[:, j]))
-        got = synthesize_cascaded(bs, ringed_cas, Lam)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        for l, dep in enumerate(dep_cols):
+            want = sum(np.conj(g) * np.conj(rho[l]) * cas.col_scale
+                       * cas.F[:, cascaded_column(cas, dep, arr)]
+                       for g, arr in zip(gains, arr_cols))
+            np.testing.assert_allclose(rows[:, l], want, rtol=0, atol=1e-10)
