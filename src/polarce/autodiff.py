@@ -27,8 +27,9 @@ added into it in place only if it is a new ndarray (its `base` is None). A
 view is not: `add`, `sub` and `mul` hand views of the same g to several
 operands through `_unbroadcast`. Nor is a numpy scalar, which reductions and
 negations of 0-d arrays return and `np.add(..., out=)` cannot write into.
-Otherwise the second contribution allocates the sum, and the same rule
-applies to it.
+Otherwise the stored gradient is added into the contribution if that is a new
+ndarray, with the same bytes since floating-point addition commutes; only when
+neither is does the sum get a new array. The same rule applies to the sum.
 
 Precision. A gradient takes the dtype of its node: `backward` seeds the loss
 with ones of the loss's dtype, and each contribution is cast to the dtype of
@@ -42,7 +43,20 @@ Lifetime. `backward` frees each recorded value once its record has been
 processed, since every consumer of a value was recorded after it, so the tape
 shrinks as the backward pass proceeds. A tape therefore runs `backward` once:
 a second call, or any read of a freed `Node.value`, raises a ValueError
-saying the tape is used up.
+saying the tape is used up. The conjugate transpose a^H that a matmul's
+backward reads is made once per pass and dropped when the record that made a
+is reached, so the unrolled net's Psi^H is made once, not once per layer; for
+the output of `hermitian` it is that op's own input, and nothing is copied.
+`matmul(a, b, c)` records a @ b + c as one op, so the tape keeps no value of
+the product alone.
+
+Layout. `hermitian`, and the a^H of a matmul's backward, are C-contiguous.
+numpy hands BLAS a C-ordered operand as it is and an F-ordered one
+transposed. With two or more columns both give the same bytes, and a
+C-contiguous [6419, 30] W^H times a [30, 32] batch in complex64 runs in about
+two thirds of the time. A one-column product is a gemv instead, whose kernels
+for the two layouts sum in different orders: there the bytes differ from those
+of an F-ordered operand, within the rounding of the sums.
 
 Convolution layout. Images are [B, H, W, C] and kernels [k, 1, Ci, Co], k
 odd, with same zero padding; a k x 1 kernel convolves each image column on its
@@ -53,6 +67,7 @@ tap matrix.
 """
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -127,10 +142,14 @@ class Tape:
         if np.asarray(lval).size != 1 or np.iscomplexobj(lval):
             raise ValueError("loss must be a real scalar")
         grads: dict[int, np.ndarray] = {loss.id: np.ones_like(lval)}
+        # a hermitian output's conjugate transpose is the op's own input
+        adjoints = {rec.out: self.values[rec.ins[0]]
+                    for rec in self.records if rec.op == "hermitian"}
         for rec in reversed(self.records):
+            adjoints.pop(rec.out, None)         # every reader of rec.out has run
             g_out = grads.pop(rec.out, None)
             if g_out is not None:
-                self._backprop(rec, g_out, grads)
+                self._backprop(rec, g_out, grads, adjoints)
             self.values[rec.out] = None
         out = {}
         for node_id, name in self.trainable.items():
@@ -140,14 +159,24 @@ class Tape:
             out[name] = np.asarray(g)
         return out
 
-    def _backprop(self, rec: Record, g_out, grads: dict) -> None:
+    def _backprop(self, rec: Record, g_out, grads: dict, adjoints: dict) -> None:
         """Pass g_out through one record; its contributions die on return."""
         in_vals = [self.values[i] for i in rec.ins]
         need = [self.needs_grad[i] for i in rec.ins]
-        contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], rec.aux, need)
+        aux = rec.aux
+        if rec.op == "matmul":
+            aux = functools.partial(self._adjoint, rec.ins[0], adjoints)
+        contribs = _BACKWARD[rec.op](g_out, in_vals, self.values[rec.out], aux, need)
         for node_id, contrib in zip(rec.ins, contribs):
             if contrib is not None:
                 self._accumulate(grads, node_id, contrib)
+
+    def _adjoint(self, node_id: int, adjoints: dict) -> np.ndarray:
+        """node_id's value conjugate-transposed, C-contiguous, made once per pass."""
+        ah = adjoints.get(node_id)
+        if ah is None:
+            ah = adjoints[node_id] = _hermitian_copy(self.values[node_id])
+        return ah
 
     def _accumulate(self, grads: dict, node_id: int, contrib) -> None:
         """Add one gradient contribution to node_id (see the module docstring)."""
@@ -161,6 +190,8 @@ class Tape:
             grads[node_id] = contrib
         elif isinstance(cur, np.ndarray) and cur.base is None:
             np.add(cur, contrib, out=cur)
+        elif isinstance(contrib, np.ndarray) and contrib.base is None:
+            grads[node_id] = np.add(contrib, cur, out=contrib)
         else:
             grads[node_id] = cur + contrib
 
@@ -176,8 +207,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _bn_axes(x: np.ndarray) -> tuple:
-    return tuple(range(x.ndim - 1))
+def _channel_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over every axis but the last, in np.add.reduce's order.
+
+    With two or more channels that order is row after row, which einsum keeps
+    and runs faster; a single channel np.add.reduce sums pairwise.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    return np.einsum("ij->j", rows) if rows.shape[1] > 1 else np.add.reduce(rows, axis=0)
 
 
 def _hermitian_copy(a: np.ndarray) -> np.ndarray:
@@ -233,10 +270,10 @@ def _sum_abs2_fwd(x):
 
 def _batch_norm_fwd(x, gamma, beta, aux):
     """Batch-normalized x; leaves the per-channel mean, variance and 1/std in aux."""
-    axes = _bn_axes(x)
-    mu = x.mean(axis=axes)
+    n = x.size // x.shape[-1]
+    mu = _channel_sums(x) / n                           # as np.mean and np.var
     out = x - mu
-    var = np.add.reduce(np.square(out), axis=axes) / (x.size // x.shape[-1])  # as np.var
+    var = _channel_sums(np.square(out)) / n
     inv = 1.0 / np.sqrt(var + aux["eps"])
     aux["mu"], aux["var"], aux["inv"] = mu, var, inv
     out *= inv
@@ -263,14 +300,16 @@ def _bwd_mul(g, ins, out, aux, need):
             _unbroadcast(g * np.conj(a), b.shape) if need[1] else None]
 
 
-def _bwd_matmul(g, ins, out, aux, need):
-    """dA = g b^H and dB = a^H g, each from whichever form copies less.
+def _bwd_matmul(g, ins, out, adjoint, need):
+    """dA = g b^H, dB = a^H g and, for a @ b + c, dC = g, each from whichever
+    form copies less.
 
-    g b^H conjugates a copy of the smaller of g and b. a^H g copies a; (g^H a)^H
-    copies g and the b-sized product, which keeps a dictionary a from being
-    copied when only a few columns of b depend on it.
+    g b^H conjugates a copy of the smaller of g and b. a^H g reads adjoint(),
+    which makes a^H once per backward pass; (g^H a)^H copies g and the b-sized
+    product instead, which keeps a dictionary a from being copied when only a
+    few columns of b depend on it.
     """
-    a, b = ins
+    a, b = ins[:2]
     ga = gb = None
     if need[0] and g.size >= b.size:
         ga = g @ np.conj(b).T
@@ -278,9 +317,11 @@ def _bwd_matmul(g, ins, out, aux, need):
         ga = np.conj(g) @ b.T
         np.conj(ga, out=ga)
     if need[1]:
-        gb = (np.conj(a.T) @ g if a.size <= g.size + b.size
+        gb = (adjoint() @ g if a.size <= g.size + b.size
               else _hermitian_copy(np.conj(g).T @ a))
-    return [ga, gb]
+    if len(ins) == 2:
+        return [ga, gb]
+    return [ga, gb, _unbroadcast(g, ins[2].shape) if need[2] else None]
 
 
 def _bwd_soft_threshold(g, ins, out, aux, need):
@@ -328,14 +369,13 @@ def _bwd_conv2d(g, ins, out, aux, need):
 
 def _bwd_batch_norm(g, ins, out, aux, need):
     x, gamma, beta = ins
-    axes = _bn_axes(x)
     n = x.size // x.shape[-1]
     inv = aux["inv"]
     xh = x - aux["mu"]
     xh *= inv
-    gbeta = g.sum(axis=axes)
+    gbeta = _channel_sums(g)
     gx = g * xh
-    ggamma = gx.sum(axis=axes)
+    ggamma = _channel_sums(gx)
     if need[0]:             # gamma inv (g - gbeta/n - xh ggamma/n), in xh and gx
         np.subtract(g, gbeta / n, out=gx)
         xh *= ggamma / n
@@ -389,12 +429,21 @@ def mul(a, b):
     return _op("mul", np.multiply, (a, b))
 
 
-def matmul(a, b):
-    return _op("matmul", np.matmul, (a, b))
+def _matmul_add(a, b, c):
+    out = a @ b
+    return np.add(out, c, out=out if np.result_type(out, c) == out.dtype else None)
+
+
+def matmul(a, b, c=None):
+    """a @ b, plus c if given; the tape then keeps no value of the product alone."""
+    if c is None:
+        return _op("matmul", np.matmul, (a, b))
+    return _op("matmul", _matmul_add, (a, b, c))
 
 
 def hermitian(a):
-    return _op("hermitian", lambda x: np.conj(x.T), (a,))
+    """a^H as a new C-contiguous array (see Layout)."""
+    return _op("hermitian", _hermitian_copy, (a,))
 
 
 def relu(a):

@@ -425,9 +425,12 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_outputs(outdir, stem: str, header, rows, meta: dict):
+    """The CSV, and the meta with the process's OPENBLAS_NUM_THREADS (null when
+    unset): the trained stage-2 bytes depend on the BLAS thread count."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / f"{stem}.csv", header, rows)
+    meta = {**meta, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
     (outdir / f"{stem}.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
 

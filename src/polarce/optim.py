@@ -37,10 +37,12 @@ def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
 
 
 def with_precision(arrays: dict[str, np.ndarray], real) -> dict[str, np.ndarray]:
-    """Copies of named arrays in the real dtype `real`, complex ones in its
-    complex counterpart (float32 -> complex64, float64 -> complex128)."""
+    """Named arrays in the real dtype `real`, complex ones in its complex
+    counterpart (float32 -> complex64, float64 -> complex128); an array already
+    in its dtype is not copied."""
     cplx = np.promote_types(real, np.complex64)
-    return {k: v.astype(cplx if np.iscomplexobj(v) else real) for k, v in arrays.items()}
+    return {k: v.astype(cplx if np.iscomplexobj(v) else real, copy=False)
+            for k, v in arrays.items()}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import SceneRealization, SystemConfig, ris_side_rows
-from .optim import train
+from .optim import train, with_precision
 from .rng import complex_normal
 
 __all__ = [
@@ -116,8 +116,8 @@ def lista_init(E: np.ndarray, F_cas: np.ndarray, cfg: Stage2Config,
     return ListaParams(
         lam=np.full(cfg.layers, lam0),
         kappa=np.full(cfg.layers, kappa0),
-        V=E.astype(np.complex128).copy(),
-        F=F_cas.astype(np.complex128).copy(),
+        V=E.astype(np.complex128),
+        F=F_cas.astype(np.complex128),
     )
 
 
@@ -140,7 +140,7 @@ def lista_forward(P: np.ndarray, lp: ListaParams, E: np.ndarray,
     for t in range(1, lp.lam.size):
         r = ad.mul(ad.sub(P, ad.matmul(psi, b)), ad.take(w["kappa"], t))
         # two statements, so an untaped pass frees the old b before thresholding
-        b = ad.add(b, ad.matmul(wh, r))
+        b = ad.matmul(wh, r, b)                                      # b + W^H r
         b = ad.soft_threshold(b, ad.take(w["lam"], t))
     return ad.matmul(w["F"], b)
 
@@ -179,7 +179,9 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
     `optim.train` on the fields of ListaParams, with E and the batches in
     complex64 and the thresholds clamped to >= 0 after every step.
     """
-    lp = lista_init(E, F_cas, cfg, probe_P=dataset.P[:, :cfg.probe])
+    # narrowed here, so no complex128 copy outlives the initialization
+    params = with_precision(vars(lista_init(E, F_cas, cfg, probe_P=dataset.P[:, :cfg.probe])),
+                            np.float32)
     E = E.astype(np.complex64)
 
     def batch_loss(params, sel, tape):
@@ -187,7 +189,7 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
                             E, tape=tape)
         return _path_loss(out, dataset.Xl[:, sel].astype(np.complex64))
 
-    params, trace = train(vars(lp), batch_loss, dataset.P.shape[1], cfg, seed, 2,
+    params, trace = train(params, batch_loss, dataset.P.shape[1], cfg, seed, 2,
                           project=lambda p: np.maximum(p["lam"], 0.0, out=p["lam"]))
     return ListaParams(**params), trace
 

@@ -207,6 +207,25 @@ def conv2d_square_backward_reference(g: np.ndarray, x: np.ndarray, w: np.ndarray
     return gx, np.ascontiguousarray(gw.transpose(2, 0, 1, 3))
 
 
+def hermitian_reference(a: np.ndarray) -> np.ndarray:
+    """a^H as np.conj(a.T), which is F-ordered for a C-ordered a."""
+    return np.conj(a.T)
+
+
+def matmul_backward_reference(g, a, b, need):
+    """(dA, dB) of a @ b, with a conjugated and transposed afresh on each call."""
+    ga = gb = None
+    if need[0] and g.size >= b.size:
+        ga = g @ np.conj(b).T
+    elif need[0]:
+        ga = np.conj(g) @ b.T
+        np.conj(ga, out=ga)
+    if need[1]:
+        gb = (np.conj(a.T) @ g if a.size <= g.size + b.size
+              else np.conj((np.conj(g).T @ a).T).copy())
+    return ga, gb
+
+
 def batch_norm_reference(x, gamma, beta, eps):
     """(output, mean, variance, 1/std) with numpy's own mean and var."""
     axes = tuple(range(x.ndim - 1))

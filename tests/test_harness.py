@@ -350,6 +350,16 @@ class TestSnrSweep:
         assert "config_hash" in meta
         assert "total_s" in meta["timing"]
 
+    @pytest.mark.parametrize("threads", ["1", None], ids=["set", "unset"])
+    def test_meta_records_blas_threads(self, micro_cfg, tmp_path, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        run_snr_sweep(micro_cfg, tmp_path)
+        meta = json.loads((tmp_path / "snr_sweep.meta.json").read_text())
+        assert meta["openblas_num_threads"] == threads
+
 
 def running(pid: int) -> bool:
     """Whether a process exists and has not exited (a zombie has)."""
@@ -522,6 +532,11 @@ class TestLossCurves:
             assert len(entry["trace"]) == 2
             assert entry["init_loss"] > 0
             assert entry["final_loss"] > 0
+
+    def test_meta_records_blas_threads(self, loss_result):
+        _, outdir, _ = loss_result
+        meta = json.loads((outdir / "loss_curves.meta.json").read_text())
+        assert meta["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
     def test_csv_rows(self, loss_result):
         cfg, outdir, report = loss_result

@@ -1,7 +1,9 @@
 """The training kernels and loops against byte-level oracles.
 
 Each kernel of the tape and of Adam must give the same bytes as the wider
-form it replaced (copied into `helpers`), and so must each network's trainer
+form it replaced (copied into `helpers`), or, where a one-column product goes
+to another BLAS kernel, stay within the rounding bound of its sums. So must
+each network's trainer
 against the loop it ran before both ran `optim.train`. Outputs are compared with
 `tobytes()`, which tells -0 from +0 where `array_equal` does not. Inputs are
 seeded and hold exact zeros: ReLU-sparse images and gradients, entries with
@@ -19,7 +21,8 @@ from polarce.unrolled import Stage2Config, make_stage2_dataset, train_stage2
 
 from helpers import (adam_step_reference, batch_norm_backward_reference,
                      batch_norm_reference, conv2d_square_backward_reference,
-                     conv2d_square_reference, crandn, soft_threshold_backward_reference,
+                     conv2d_square_reference, crandn, hermitian_reference,
+                     matmul_backward_reference, soft_threshold_backward_reference,
                      soft_threshold_reference, train_stage1_reference,
                      train_stage2_reference)
 
@@ -87,20 +90,29 @@ class TestConv2dBytes:
         assert same_bytes(gw, np.ascontiguousarray(want_gw[:, mid:mid + 1]))
 
 
-@pytest.mark.parametrize("h", [192, 96])
+# (dtype, H, channels): the denoiser's middle layers on the paper and desk BS
+# grids, three columns wide. Two or more channels are summed row after row, as
+# np.add.reduce sums them; one channel np.add.reduce sums pairwise.
+BN_CASES = [pytest.param("f64", h, 16, id=str(h)) for h in (192, 96)] + [
+    pytest.param(dt, h, c, id=f"{dt}-h{h}-c{c}") for dt in ("f32", "f64") for h in (192, 96)
+    for c in (1, 3, 16) if (dt, c) != ("f64", 16)]
+
+
+@pytest.mark.parametrize("dt, h, channels", BN_CASES)
 class TestBatchNormBytes:
     @staticmethod
-    def operands(h):
-        rng = np.random.default_rng(h)
-        x = sparse(rng, (32, h, 3, 16), keep=0.8) + 0.3
+    def operands(dt, h, channels):
+        rng = np.random.default_rng(h * 100 + channels)
+        real = np.float32 if dt == "f32" else np.float64
+        x = sparse(rng, (32, h, 3, channels), keep=0.8) + 0.3
         x[rng.random(x.shape) < 0.1] = 0.0
-        gamma = 1.0 + 0.1 * rng.standard_normal(16)
-        beta = 0.1 * rng.standard_normal(16)
+        gamma = 1.0 + 0.1 * rng.standard_normal(channels)
+        beta = 0.1 * rng.standard_normal(channels)
         g = sparse(rng, x.shape)
-        return x, gamma, beta, g
+        return (a.astype(real) for a in (x, gamma, beta, g))
 
-    def test_forward(self, h):
-        x, gamma, beta, _ = self.operands(h)
+    def test_forward(self, dt, h, channels):
+        x, gamma, beta, _ = self.operands(dt, h, channels)
         aux = {"eps": 1e-5}
         out = ad._batch_norm_fwd(x, gamma, beta, aux)
         want, mu, var, inv = batch_norm_reference(x, gamma, beta, 1e-5)
@@ -109,13 +121,84 @@ class TestBatchNormBytes:
         assert same_bytes(aux["var"], var)
         assert same_bytes(aux["inv"], inv)
 
-    def test_backward(self, h):
-        x, gamma, beta, g = self.operands(h)
+    def test_backward(self, dt, h, channels):
+        x, gamma, beta, g = self.operands(dt, h, channels)
         out, mu, var, inv = batch_norm_reference(x, gamma, beta, 1e-5)
         aux = {"eps": 1e-5, "mu": mu, "var": var, "inv": inv}
         got = ad._bwd_batch_norm(g, [x, gamma, beta], out, aux, [True, True, True])
         for a, b in zip(got, batch_norm_backward_reference(g, x, gamma, mu, inv)):
             assert same_bytes(a, b)
+
+
+# (dtype, Gc, tau, batch): the unrolled net's layer products on the paper and
+# desk cascaded dictionaries, at the training batch, a short last batch, two
+# columns and one. A one-column product is a gemv, whose kernel for a
+# C-contiguous matrix sums in another order than the one for an F-ordered
+# matrix, so there the C-contiguous conjugate transposes give other bytes.
+PRODUCT_SHAPES = [(dt, gc, 30, batch) for dt in ("c64", "c128") for gc in (6419, 785)
+                  for batch in (32, 24, 2, 1)]
+
+
+def product_id(shape):
+    return "{}-gc{}-tau{}-b{}".format(*shape)
+
+
+def same_or_within_gemv_bound(got, want, a, b) -> bool:
+    """Same bytes, or for a one-column a @ b the rounding bound of two length-k
+    sums: |got - want| <= 2 (k + 2) eps (|a| @ |b|)."""
+    if b.shape[1] > 1:
+        return same_bytes(got, want)
+    eps = np.finfo(got.dtype).eps
+    bound = 2 * (a.shape[1] + 2) * eps * (np.abs(a) @ np.abs(b))
+    return got.dtype == want.dtype and bool(np.all(np.abs(got - want) <= bound))
+
+
+class TestStage2ProductBytes:
+    """`hermitian` and the layer products against np.conj(a.T) and a matmul
+    backward that conjugates its left operand on every call."""
+
+    @staticmethod
+    def operands(shape):
+        dt, gc, tau, batch = shape
+        rng = np.random.default_rng(gc + batch)
+        cplx = np.complex64 if dt == "c64" else np.complex128
+        vhf, psi = crandn(rng, tau, gc), crandn(rng, tau, gc)      # V^H F and Psi
+        r = crandn(rng, tau, batch)
+        b = crandn(rng, gc, batch) * (rng.random((gc, batch)) < 0.3)   # thresholded
+        g_wr = crandn(rng, gc, batch) * (rng.random((gc, batch)) < 0.3)
+        g_pb = crandn(rng, tau, batch)
+        return (a.astype(cplx) for a in (vhf, psi, r, b, g_wr, g_pb))
+
+    @pytest.mark.parametrize("shape", [s for s in PRODUCT_SHAPES if s[3] == 32], ids=product_id)
+    def test_hermitian(self, shape):
+        vhf, *_ = self.operands(shape)
+        wh = ad.hermitian(vhf)
+        assert wh.flags.c_contiguous
+        assert same_bytes(wh, hermitian_reference(vhf))
+
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=product_id)
+    def test_forward(self, shape):
+        vhf, _, r, b, _, _ = self.operands(shape)
+        wh = hermitian_reference(vhf)
+        want = wh @ r
+        assert same_or_within_gemv_bound(ad.matmul(ad.hermitian(vhf), r), want, wh, r)
+        assert same_or_within_gemv_bound(ad.matmul(ad.hermitian(vhf), r, b), b + want, wh, r)
+
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=product_id)
+    def test_backward(self, shape):
+        vhf, psi, r, b, g_wr, g_pb = self.operands(shape)
+        # b + W^H r: the tape's a^H of W^H is the hermitian's own input
+        got = ad._bwd_matmul(g_wr, [ad.hermitian(vhf), r, b], None, lambda: vhf,
+                             [True, True, True])
+        want = matmul_backward_reference(g_wr, hermitian_reference(vhf), r, (True, True))
+        assert same_bytes(got[0], want[0])
+        assert same_or_within_gemv_bound(got[1], want[1], vhf, g_wr)
+        assert same_bytes(got[2], g_wr)
+        # Psi b: the tape makes Psi^H once per backward pass
+        got = ad._bwd_matmul(g_pb, [psi, b], None, lambda: ad.hermitian(psi), [True, True])
+        want = matmul_backward_reference(g_pb, psi, b, (True, True))
+        assert same_bytes(got[0], want[0])
+        assert same_or_within_gemv_bound(got[1], want[1], hermitian_reference(psi), g_pb)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7])

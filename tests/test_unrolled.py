@@ -8,10 +8,9 @@ import pytest
 import polarce.autodiff as ad
 import polarce.optim as optim_mod
 from polarce.channel import (
-    SystemConfig, draw_scene, make_phase_matrix, noise_var_for_snr, ris_side_rows,
-    simulate_pilots, steering_vector,
+    SystemConfig, draw_scene, noise_var_for_snr, ris_side_rows, steering_vector,
 )
-from polarce.rng import complex_normal, substream
+from polarce.rng import substream
 from polarce.unrolled import (
     ListaParams, Stage2Config, _path_loss, lista_forward, lista_init,
     make_stage2_dataset, project_to_bs_subspace, reconstruct, spectral_norm_sq,
@@ -247,10 +246,13 @@ class TestListaForward:
 
 
     def test_backward_peak_memory(self):
-        # Measured: 3.26 F-sized buffers (the F gradient, the quarter-size
-        # Psi and W gradients, and the half-size [Gc, B] gradient of b plus one
-        # soft threshold's temporaries); 5.43 for the earlier synthesis form
-        # when every contribution was a new array and hermitian copied F.
+        # Measured: 3.35 F-sized buffers (the F gradient, the quarter-size
+        # Psi and W gradients, the quarter-size Psi^H made once per pass, and
+        # the half-size [Gc, B] gradient of b plus one soft threshold's
+        # temporaries); 3.26 when Psi^H was made afresh in each layer and a
+        # contribution added to a view allocated the sum, and 5.43 for the
+        # earlier synthesis form when every contribution was a new array and
+        # hermitian copied F.
         rng = np.random.default_rng(3)
         E, lp = _random_lista(rng, 64, 16, 2000, 6, lam=0.01)
         P, X = crandn(rng, 16, 32), crandn(rng, 64, 32)
@@ -264,6 +266,27 @@ class TestListaForward:
             tracemalloc.stop()
         assert grads["F"].shape == lp.F.shape
         assert peak <= 3.5 * lp.F.nbytes, f"peak {peak / lp.F.nbytes:.2f} F-sized buffers"
+
+    def test_backward_conjugates_psi_once(self, rng, monkeypatch):
+        # Psi^H is made once per backward pass, not once per layer, and W^H is
+        # never conjugated back: the hermitian op's input already is W
+        E, lp = _random_lista(rng, 12, 6, 40, 4, lam=0.01)
+        tape = ad.Tape()
+        loss = _path_loss(lista_forward(crandn(rng, 6, 8), lp, E, tape=tape),
+                          crandn(rng, 12, 8))
+        psi = tape.values[tape.records[0].out]
+        wh = tape.values[[r for r in tape.records if r.op == "hermitian"][-1].out]
+        made = []
+        copy = ad._hermitian_copy
+
+        def spy(a):
+            made.append(a)
+            return copy(a)
+
+        monkeypatch.setattr(ad, "_hermitian_copy", spy)
+        tape.backward(loss)
+        assert sum(a is psi for a in made) == 1
+        assert not any(a is wh for a in made)
 
     def test_backward_frees_every_recorded_value(self, rng, monkeypatch):
         # only leaves (parameters and constants) keep their values; every op
