@@ -251,8 +251,9 @@ def _conv2d_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soft_threshold_fwd(x, lam):
-    """x scaled by max(|x| - lam, 0) / |x|, in one real buffer besides |x|."""
+def _soft_threshold_fwd(x, lam, out=None):
+    """x scaled by max(|x| - lam, 0) / |x|, in one real buffer besides |x|;
+    written into out if given and of the result's dtype."""
     if np.any(np.asarray(lam) < 0):
         raise ValueError("threshold must be nonnegative")
     mag = np.abs(x)
@@ -260,7 +261,9 @@ def _soft_threshold_fwd(x, lam):
     np.maximum(shrink, 0.0, out=shrink)
     mag[mag == 0] = 1.0                 # shrink is 0 there
     shrink /= mag
-    return x * shrink
+    if out is not None and np.result_type(x, shrink) != out.dtype:
+        out = None
+    return np.multiply(x, shrink, out=out)
 
 
 def _sum_abs2_fwd(x):
@@ -450,8 +453,15 @@ def relu(a):
     return _op("relu", lambda x: np.maximum(x, 0.0), (a,))
 
 
-def soft_threshold(x, lam):
-    """Complex soft threshold max(|x| - lam, 0) e^{j arg x}; lam must be >= 0."""
+def soft_threshold(x, lam, overwrite_x: bool = False):
+    """Complex soft threshold max(|x| - lam, 0) e^{j arg x}; lam must be >= 0.
+
+    With overwrite_x, an untaped call may write the result into x, which the
+    caller then no longer reads. A taped call never does: the backward pass
+    reads x.
+    """
+    if overwrite_x and isinstance(x, np.ndarray) and not isinstance(lam, Node):
+        return _soft_threshold_fwd(x, lam, out=x)
     return _op("soft_threshold", _soft_threshold_fwd, (x, lam))
 
 

@@ -9,11 +9,16 @@ The SNR sweep, the pilot sweep and `polarce eval` run one evaluation body
 (`_sweep`); they differ only in the points they list. A point's label names
 its scene, noise and stage-2 substreams, so `polarce eval --snr s` is the SNR
 sweep's row at s and `polarce simulate --snr s` writes that row's pilot blocks.
-Once stage 1 is trained, `_sweep` runs its points on one process per usable
-CPU, forked so they share the dictionaries and networks, and merges their
-records in point order; the CSV bytes are the same for any worker count. Pin
-BLAS to one thread per process (OPENBLAS_NUM_THREADS=1), as the benchmark
-does, so the workers do not oversubscribe the cores.
+`_sweep` runs stage-1 training and its points as work items of one process
+map (`_map_points`), on one process more than there are usable CPUs, forked
+so they share the dictionaries and the stage-2 training scenes, and merges
+their records in point order; the layer sweep runs its trainings the same
+way. Every item is one single-threaded job that reads only its own labeled
+substreams, so the CSV bytes are the same for any worker count. The process
+beyond the CPU count keeps a core busy while a point waits for stage 1 or a
+last round has fewer jobs than cores. Pin BLAS to one thread per process
+(OPENBLAS_NUM_THREADS=1), as the benchmark does: the trained bytes depend on
+the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import queue
 import threading
 import time
 import typing
@@ -36,7 +42,7 @@ from . import container
 from .channel import (PHASE_KINDS, SNR_CONVENTIONS, PilotBlock, SceneRealization,
                       SystemConfig, draw_scene, make_phase_matrix,
                       noise_var_for_snr, simulate_pilots)
-from .denoiser import (STAGE1_FORM, DenoiserParams, Stage1Config,
+from .denoiser import (STAGE1_FORM, DenoiserParams, Stage1Config, Stage1Dataset,
                        make_stage1_dataset, stage1_loss, train_stage1)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
                     build_cascaded_dictionary, build_dictionary)
@@ -333,6 +339,10 @@ def load_stage2(path, E: np.ndarray, F_cas: np.ndarray) -> ListaParams:
 
 # ------------------------------------------------------------------- training
 
+# stage-1 training scenes held at once while their pairs are made
+_SCENE_CHUNK = 64
+
+
 def draw_scenes(system: SystemConfig, seed: int, label: str, count: int):
     return [draw_scene(system, substream(seed, label, str(i))) for i in range(count)]
 
@@ -340,14 +350,24 @@ def draw_scenes(system: SystemConfig, seed: int, label: str, count: int):
 def _stage1_dataset(cfg: ExperimentConfig, bs: PolarDictionary, E: np.ndarray,
                     system: SystemConfig, label: str, count: int,
                     snrs: tuple[float, ...]):
-    """Stage-1 pairs on the `<label>-scene` scenes; scene i is at SNR snrs[i % len]."""
+    """Stage-1 pairs on the `<label>-scene` scenes; scene i is at SNR snrs[i % len].
+
+    The scenes are drawn and made into pairs _SCENE_CHUNK at a time, on one
+    noise stream, so no more than a chunk of them is held at once; the pairs
+    are those of one call on all of them.
+    """
     seed = cfg.sweep.seed
-    scenes = draw_scenes(system, seed, f"{label}-scene", count)
-    nvs = [noise_var_for_snr(sc, system, E, snrs[i % len(snrs)],
-                             convention=cfg.sweep.snr_convention)
-           for i, sc in enumerate(scenes)]
-    return make_stage1_dataset(system, bs, E, scenes, nvs,
-                               substream(seed, f"{label}-noise"))
+    noise = substream(seed, f"{label}-noise")
+    parts = []
+    for lo in range(0, count, _SCENE_CHUNK):
+        ids = range(lo, min(lo + _SCENE_CHUNK, count))
+        scenes = [draw_scene(system, substream(seed, f"{label}-scene", str(i))) for i in ids]
+        nvs = [noise_var_for_snr(sc, system, E, snrs[i % len(snrs)],
+                                 convention=cfg.sweep.snr_convention)
+               for i, sc in zip(ids, scenes)]
+        parts.append(make_stage1_dataset(system, bs, E, scenes, nvs, noise))
+    return Stage1Dataset(C=np.concatenate([d.C for d in parts]),
+                         X=np.concatenate([d.X for d in parts]))
 
 
 def _stage2_dataset(cfg: ExperimentConfig, E: np.ndarray, snr_db: float, label: str,
@@ -396,13 +416,25 @@ def draw_pilots(scenes: list[SceneRealization], system: SystemConfig,
             for t, scene in enumerate(scenes)]
 
 
+def _reads_stage1(scheme: str) -> bool:
+    return scheme.startswith("dncnn")
+
+
 def evaluate_point(scenes: list[SceneRealization], ctx: PipelineContext,
                    snr_db: float, seed: int, label: str,
-                   schemes: tuple[str, ...], convention: str = "receive"):
-    """Per-trial NMSE and wall seconds of every scheme, on a shared pilot draw."""
+                   schemes: tuple[str, ...], convention: str = "receive",
+                   get_stage1=None):
+    """Per-trial NMSE and wall seconds of every scheme, on a shared pilot draw.
+
+    The schemes that read no stage-1 network run first. A context without
+    one then gets it from get_stage1(), if given, so a sweep point waits for
+    a network still in training only once it has nothing else to do.
+    """
     pilots = draw_pilots(scenes, ctx.config, ctx.E, snr_db, seed, label, convention)
     errs, secs = {}, {}
-    for name in schemes:
+    for name in sorted(schemes, key=_reads_stage1):
+        if _reads_stage1(name) and ctx.stage1 is None and get_stage1 is not None:
+            ctx.stage1 = get_stage1()
         t0 = time.perf_counter()
         G_hats = SCHEME_FUNCS[name](pilots, ctx)
         secs[name] = time.perf_counter() - t0
@@ -443,20 +475,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _exit_with_parent() -> None:
-    """Watch of a forked worker: end it once the process that forked it is gone,
-    as after a signal that skips that process's clean-up."""
-    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+def _watch(conn, box: queue.SimpleQueue) -> None:
+    """Thread of a forked worker: put job 0's result in box as soon as worker 0
+    sends it, so that send never waits on this worker's own jobs, and end the
+    worker once the process that forked it is gone, as after a signal that
+    skips that process's clean-up."""
+    parent = multiprocessing.parent_process().sentinel
+    if conn in multiprocessing.connection.wait([conn, parent]):
+        try:
+            box.put(conn.recv())
+        except EOFError:                  # worker 0 is gone without sending it
+            os._exit(1)
+        multiprocessing.connection.wait([parent])
     os._exit(1)
 
 
-def _worker(fn, items: list, conn) -> None:
-    """Forked side of `_map_points`: send ("ok", fn(item)) per item, or stop at
+def _worker(jobs: list, conn, first_conn) -> None:
+    """Forked side of `_map_points`: send ("ok", job(first)) per job, or stop at
     the first error and send it, so the parent raises it with its type and message."""
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    box = queue.SimpleQueue()
+    threading.Thread(target=_watch, args=(first_conn, box), daemon=True).start()
+    first = functools.cache(box.get)
     try:
-        for item in items:
-            conn.send(("ok", fn(item)))
+        for job in jobs:
+            conn.send(("ok", job(first)))
     except Exception as e:
         try:
             conn.send(("error", e))
@@ -466,30 +508,43 @@ def _worker(fn, items: list, conn) -> None:
         conn.close()
 
 
-def _map_points(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items], item i run by worker i % workers.
+def _map_points(jobs: list, workers: int) -> list:
+    """[job(first) for job in jobs], job i run by worker i % workers, where
+    first() returns job 0's result (job 0 itself must not call it).
 
-    Worker 0 is this process. The others are forked on entry, so they share
-    everything fn reads copy-on-write, and send back fn's plain results over
-    a pipe. An error in any worker is raised here once every child is
-    stopped and reaped, and a child exits by itself if this process dies.
-    One worker forks nothing.
+    Worker 0 is this process and runs job 0 first. The others are forked on
+    entry, so they share everything the jobs read copy-on-write, and send
+    back plain results over a pipe. Worker 0 sends job 0's result to each of
+    them as soon as it has it, over a pipe of their own: a thread there takes
+    it off at once, and first() waits for it. An error in any worker is
+    raised here once every child is stopped and reaped, a child blocked in
+    first() included, and a child exits by itself if this process dies. One
+    worker forks nothing.
     """
-    results = [None] * len(items)
+    results = [None] * len(jobs)
     children = []
     try:
         if workers > 1:
             mp = multiprocessing.get_context("fork")
             for w in range(1, workers):
                 recv, send = mp.Pipe(duplex=False)
-                proc = mp.Process(target=_worker, args=(fn, items[w::workers], send))
+                first_recv, first_send = mp.Pipe(duplex=False)
+                proc = mp.Process(target=_worker,
+                                  args=(jobs[w::workers], send, first_recv))
                 proc.start()
                 send.close()
-                children.append((w, proc, recv))
-        for i in range(0, len(items), workers):
-            results[i] = fn(items[i])
-        for w, proc, recv in children:
-            for i in range(w, len(items), workers):
+                first_recv.close()
+                children.append((w, proc, recv, first_send))
+        for i in range(0, len(jobs), workers):
+            results[i] = jobs[i](lambda: results[0])
+            if i == 0:
+                for *_, first_send in children:
+                    try:
+                        first_send.send(results[0])
+                    except BrokenPipeError:   # that worker has ended; its pipe says why
+                        pass
+        for w, proc, recv, _ in children:
+            for i in range(w, len(jobs), workers):
                 try:
                     status, value = recv.recv()
                 except EOFError:
@@ -500,21 +555,28 @@ def _map_points(fn, items: list, workers: int) -> list:
                     raise value
                 results[i] = value
     except BaseException:
-        for _, proc, _ in children:
+        for _, proc, *_ in children:
             proc.terminate()
         raise
     finally:
-        for _, proc, recv in children:
+        for _, proc, *pipes in children:
             proc.join()
-            recv.close()
+            for conn in pipes:
+                conn.close()
     return results
 
 
 def _sweep_point(cfg: ExperimentConfig, axis: str, bs: PolarDictionary,
-                 cas: CascadedDictionary, dp: DenoiserParams | None,
-                 stage2: ListaParams | None, train2_scenes, progress, point) -> dict:
+                 cas: CascadedDictionary, stage1: DenoiserParams | None,
+                 stage2: ListaParams | None, train2_scenes, progress, point,
+                 first) -> dict:
     """One point of `_sweep`: its records, timing entries, stage-2 trace and
-    stage-2 checkpoint hash, all plain values a worker can send back."""
+    stage-2 checkpoint hash, all plain values a worker can send back.
+
+    train2_scenes, when stage 2 trains, returns the shared training scenes.
+    Without a given stage1, the network is the first entry of first(), the
+    result of the sweep's stage-1 job, read once the schemes that need no
+    network are done."""
     sw = cfg.sweep
     value, label, system, E, snr = point
     tp = time.perf_counter()
@@ -524,12 +586,13 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, bs: PolarDictionary,
     if train2_scenes is not None:
         ts = time.perf_counter()
         lp, trace2 = train_stage2_model(cfg, cas, E, snr, label, system=system,
-                                        scenes=train2_scenes)
+                                        scenes=train2_scenes())
         timing[f"stage2_train_{label}_s"] = time.perf_counter() - ts
     ctx = PipelineContext(config=system, bs=bs, cas=cas, E=E,
-                          stage1=dp, stage2=lp, support_guard=sw.support_guard)
-    errs, secs = evaluate_point(scenes, ctx, snr, sw.seed, label,
-                                sw.schemes, convention=sw.snr_convention)
+                          stage1=stage1, stage2=lp, support_guard=sw.support_guard)
+    errs, secs = evaluate_point(scenes, ctx, snr, sw.seed, label, sw.schemes,
+                                convention=sw.snr_convention,
+                                get_stage1=lambda: first()[0])
     records = [{"scheme": name, axis: value,
                 "nmse_mean": float(errs[name].mean()), "nmse_std": float(errs[name].std()),
                 "trials": sw.trials, "wall_time_s": secs[name]} for name in sw.schemes]
@@ -552,43 +615,52 @@ def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
     the point's schedule. A given network replaces the training. Writes
     <stem>.csv and <stem>.meta.json and returns one record per scheme and point.
 
-    After stage 1 and the shared stage-2 scene draw the points are
-    independent, so they run round-robin on one process per usable CPU (at
-    most one per point): this process takes points 0, W, 2W, ... and forks
-    the other W-1. Every random stream is keyed by the point's label, so the
-    CSV bytes do not depend on W; the meta's timing records W ("workers") and
-    the worker that ran each point ("worker_<label>"). Pin BLAS to one thread
-    per process (OPENBLAS_NUM_THREADS=1) so the workers do not oversubscribe
-    the cores.
+    Stage-1 training, when there is one, is job 0 and the points follow. The
+    jobs run round-robin (`_map_points`) on W = min(jobs, usable CPUs + 1)
+    processes: this process takes jobs 0, W, 2W, ... and forks the other W-1
+    once the stage-2 training scenes are drawn, so they share them. A point
+    trains its stage 2 and runs the schemes that need no stage-1 network
+    before it waits for one. With one process more than there are CPUs, a
+    core that a waiting or finished job leaves has another job to run. Every
+    random stream is keyed by its job's label, so the CSV bytes do not depend
+    on W; the meta's timing records W ("workers") and the worker that ran each
+    point ("worker_<label>"). Each process is meant to run one thread: pin
+    BLAS to one thread (OPENBLAS_NUM_THREADS=1).
     """
     sw = cfg.sweep
     t0 = time.perf_counter()
     bs = build_bs_dictionary(cfg)
     _, cas = build_ris_dictionaries(cfg)
-    needs1 = any(s.startswith("dncnn") for s in sw.schemes)
-    needs2 = "dncnn-istanet" in sw.schemes
+    train1 = stage1 is None and any(map(_reads_stage1, sw.schemes))
     meta: dict = {"config": config_to_dict(cfg), "config_hash": _config_hash(cfg),
                   "checkpoints": {}, "timing": {}}
-
-    dp = stage1
-    if needs1 and dp is None:
+    train2_scenes = None
+    if "dncnn-istanet" in sw.schemes and stage2 is None:
+        train2_scenes = functools.cache(lambda: draw_scenes(
+            cfg.system, sw.seed, "train2-scene", cfg.stage2.train_size))
+        train2_scenes()                   # before the fork, so the workers share one copy
+    jobs = [functools.partial(_sweep_point, cfg, axis, bs, cas, stage1, stage2,
+                              train2_scenes, progress, p) for p in points]
+    workers = min(len(jobs) + train1, _usable_cpus() + 1)
+    if train1:
         _, _, system_ref, E_ref, _ = max(points, key=lambda p: p[2].tau)
-        ts = time.perf_counter()
-        dp, meta["stage1_trace"] = train_stage1_model(cfg, bs, E_ref, system=system_ref)
-        meta["timing"]["stage1_train_s"] = time.perf_counter() - ts
-    if dp is not None:
-        meta["checkpoints"]["stage1"] = container.content_hash(
-            {**dp.params, **dp.buffers})
-    train2_scenes = (draw_scenes(cfg.system, sw.seed, "train2-scene",
-                                 cfg.stage2.train_size)
-                     if needs2 and stage2 is None else None)
 
-    workers = min(len(points), _usable_cpus())
-    run = functools.partial(_sweep_point, cfg, axis, bs, cas, dp, stage2,
-                            train2_scenes, progress)
+        def train_stage1(first):
+            if train2_scenes is not None and workers == len(jobs):
+                train2_scenes.cache_clear()   # this process runs no point: free its copy
+            ts = time.perf_counter()
+            dp, trace = train_stage1_model(cfg, bs, E_ref, system=system_ref)
+            return dp, trace, time.perf_counter() - ts
+
+        jobs.insert(0, train_stage1)
+    outs = _map_points(jobs, workers)
+    if train1:
+        stage1, meta["stage1_trace"], meta["timing"]["stage1_train_s"] = outs.pop(0)
+    if stage1 is not None:
+        meta["checkpoints"]["stage1"] = container.content_hash(
+            {**stage1.params, **stage1.buffers})
     records = []
-    for i, ((value, label, *_), out) in enumerate(
-            zip(points, _map_points(run, points, workers))):
+    for i, ((value, label, *_), out) in enumerate(zip(points, outs), start=int(train1)):
         records.extend(out["records"])
         meta["timing"].update(out["timing"])
         meta["timing"][f"worker_{label}"] = i % workers
@@ -632,7 +704,10 @@ def run_pilot_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
 def run_loss_curves(cfg: ExperimentConfig, outdir) -> dict:
     """Training curves for both networks at each depth.
 
-    Episode 0 rows hold the full-dataset loss of the untrained model.
+    Episode 0 rows hold the full-dataset loss of the untrained model. Each
+    (depth, network) training is one job of `_map_points`, run on
+    min(trainings, usable CPUs + 1) processes forked after both datasets are
+    built; the rows merge in depth order, stage 1 before stage 2.
     """
     sw = cfg.sweep
     t0 = time.perf_counter()
@@ -643,29 +718,35 @@ def run_loss_curves(cfg: ExperimentConfig, outdir) -> dict:
                           (sw.loss_snr_db,))
     ds2 = _stage2_dataset(cfg, E, sw.loss_snr_db, "loss", cfg.system)
 
-    # (network, config, train, full-dataset loss)
-    stages = (("stage1", cfg.stage1, lambda c: train_stage1(ds1, c, sw.seed),
-               lambda dp: stage1_loss(ds1, dp)),
-              ("stage2", cfg.stage2, lambda c: train_stage2(ds2, E, cas.F, c, sw.seed),
-               lambda lp: stage2_loss(ds2, lp, E)))
-    rows, report = [], {"stage1": {}, "stage2": {}}
-    for depth in sw.depths:
-        for name, base, train, loss in stages:
-            c = dataclasses.replace(base, layers=int(depth))
-            # zero episodes return the network at its initialization
-            init = loss(train(dataclasses.replace(c, episodes=0))[0])
-            net, trace = train(c)
-            final = loss(net)
-            report[name][int(depth)] = {
-                "init_loss": init, "final_loss": final,
-                "drop_factor": init / final if final > 0 else float("inf"),
-                "trace": trace,
-            }
-            rows.append([name, int(depth), 0, init])
-            rows.extend([name, int(depth), r["episode"] + 1, r["loss"]] for r in trace)
+    # network: (config, train, full-dataset loss)
+    stages = {"stage1": (cfg.stage1, lambda c: train_stage1(ds1, c, sw.seed),
+                         lambda dp: stage1_loss(ds1, dp)),
+              "stage2": (cfg.stage2, lambda c: train_stage2(ds2, E, cas.F, c, sw.seed),
+                         lambda lp: stage2_loss(ds2, lp, E))}
+
+    def curve(name: str, depth: int, _first) -> tuple:
+        base, train, loss = stages[name]
+        c = dataclasses.replace(base, layers=depth)
+        # zero episodes return the network at its initialization
+        init = loss(train(dataclasses.replace(c, episodes=0))[0])
+        net, trace = train(c)
+        return init, loss(net), trace
+
+    runs = [(name, int(depth)) for depth in sw.depths for name in stages]
+    workers = min(len(runs), _usable_cpus() + 1)
+    rows, report = [], {name: {} for name in stages}
+    for (name, depth), (init, final, trace) in zip(
+            runs, _map_points([functools.partial(curve, *r) for r in runs], workers)):
+        report[name][depth] = {
+            "init_loss": init, "final_loss": final,
+            "drop_factor": init / final if final > 0 else float("inf"),
+            "trace": trace,
+        }
+        rows.append([name, depth, 0, init])
+        rows.extend([name, depth, r["episode"] + 1, r["loss"]] for r in trace)
 
     meta = {"config": config_to_dict(cfg), "report": report,
-            "timing": {"total_s": time.perf_counter() - t0}}
+            "timing": {"workers": workers, "total_s": time.perf_counter() - t0}}
     _write_outputs(outdir, "loss_curves",
                    ["network", "depth", "episode", "loss"], rows, meta)
     return report

@@ -134,14 +134,14 @@ def lista_forward(P: np.ndarray, lp: ListaParams, E: np.ndarray,
         w = {k: tape.leaf(v, trainable=True, name=k) for k, v in w.items()}
     psi = ad.matmul(E.conj().T, w["F"])                             # [tau, Gc]
     wh = ad.hermitian(ad.matmul(ad.hermitian(w["V"]), w["F"]))     # F^H V, [Gc, tau]
-    # b starts at 0, so the first layer has no Psi b term
+    # b starts at 0, so the first layer has no Psi b term; every b is this
+    # call's own array, so an untaped pass thresholds it in place
     b = ad.soft_threshold(ad.matmul(wh, ad.mul(P, ad.take(w["kappa"], 0))),
-                          ad.take(w["lam"], 0))
+                          ad.take(w["lam"], 0), overwrite_x=True)
     for t in range(1, lp.lam.size):
         r = ad.mul(ad.sub(P, ad.matmul(psi, b)), ad.take(w["kappa"], t))
-        # two statements, so an untaped pass frees the old b before thresholding
         b = ad.matmul(wh, r, b)                                      # b + W^H r
-        b = ad.soft_threshold(b, ad.take(w["lam"], t))
+        b = ad.soft_threshold(b, ad.take(w["lam"], t), overwrite_x=True)
     return ad.matmul(w["F"], b)
 
 

@@ -252,7 +252,8 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_sweep_divergence(self, capsys, monkeypatch, tmp_path, cpus):
-        # with two usable CPUs the second point trains in a forked worker
+        # stage 1 trains in this process; the first point trains stage 2 in a
+        # forked worker, and with two usable CPUs so does the second
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         path = tmp_path / "wild.json"
         path.write_text(json.dumps(dict(
@@ -264,6 +265,20 @@ class TestConfigErrors:
         assert rc == 2 and out == "" and "Traceback" not in err
         assert "stage-2 training diverged" in json.loads(err.splitlines()[-1])["error"]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_stage1_divergence(self, capsys, monkeypatch, tmp_path, cpus):
+        # stage 1 diverges in this process while forked workers wait for it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = tmp_path / "wild.json"
+        path.write_text(json.dumps(dict(MICRO, stage1=dict(MICRO["stage1"], lr=1e300))))
+        with np.errstate(all="ignore"):
+            rc, out, err = run(capsys, ["sweep", "snr", "--config", str(path),
+                                        "--out", str(tmp_path / "out")])
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert "stage-1 training diverged" in json.loads(err.splitlines()[-1])["error"]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "snr_sweep.csv").exists()
 
     @pytest.mark.parametrize("command", [["eval"], ["simulate"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):

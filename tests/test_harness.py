@@ -14,15 +14,17 @@ import pytest
 
 from polarce import container, harness
 from polarce.channel import make_phase_matrix, noise_var_for_snr, simulate_pilots
-from polarce.denoiser import STAGE1_FORM, Stage1Config, init_denoiser
+from polarce.denoiser import (STAGE1_FORM, Stage1Config, init_denoiser,
+                              make_stage1_dataset)
 from polarce.harness import (SweepConfig, build_bs_dictionary,
                              build_ris_dictionaries, config_from_dict,
                              config_to_dict, default_config, draw_scenes,
                              evaluate_point, load_config, load_stage1,
-                             load_stage2, nmse, run_loss_curves, run_pilot_sweep,
-                             run_snr_sweep, save_stage1, save_stage2, snr_label,
-                             write_csv)
+                             load_stage2, nmse, phase_schedule, run_loss_curves,
+                             run_pilot_sweep, run_snr_sweep, save_stage1,
+                             save_stage2, snr_label, write_csv)
 from polarce.omp import VectorizedProblem
+from polarce.optim import TrainingDiverged
 from polarce.rng import substream
 from polarce.schemes import (PipelineContext, _stage1_project, estimate_dncnn_omp,
                              estimate_omp)
@@ -284,6 +286,22 @@ class TestEvaluatePoint:
                                  ("omp", "dncnn-omp"))
         np.testing.assert_array_equal(alone["omp"], both["omp"])
 
+    def test_stage1_is_fetched_once_the_other_schemes_ran(self, monkeypatch, micro_cfg,
+                                                           micro_ctx):
+        scenes = draw_scenes(micro_cfg.system, 3, "ev", 3)
+        dp = init_denoiser(Stage1Config(layers=3, width=4), substream(1, "init"))
+        calls = []
+        monkeypatch.setitem(harness.SCHEME_FUNCS, "omp",
+                            lambda pilots, ctx: calls.append("omp") or estimate_omp(pilots, ctx))
+        ctx = dataclasses.replace(micro_ctx)
+        got, _ = evaluate_point(scenes, ctx, 20.0, 9, "pt", ("dncnn-omp", "omp"),
+                                get_stage1=lambda: calls.append("stage1") or dp)
+        assert calls == ["omp", "stage1"] and ctx.stage1 is dp
+        given, _ = evaluate_point(scenes, dataclasses.replace(micro_ctx, stage1=dp),
+                                  20.0, 9, "pt", ("dncnn-omp", "omp"))
+        for name in ("omp", "dncnn-omp"):
+            np.testing.assert_array_equal(got[name], given[name])
+
     def test_trials_differ_from_each_other(self, micro_cfg, micro_ctx):
         scenes = draw_scenes(micro_cfg.system, 3, "ev", 3)
         out, _ = evaluate_point(scenes, micro_ctx, 20.0, 9, "pt", ("omp",))
@@ -305,27 +323,37 @@ class TestSnrSweep:
         (run_pilot_sweep, "pilot_sweep", "tau"),
     ], ids=["snr", "tau"])
     def test_csv_bytes_are_stable(self, monkeypatch, tmp_path, run, stem, axis, schemes):
-        """Two runs write the same bytes, the first on two workers, the second on one."""
+        """The bytes of a one-process run on 1, 2, 3 and 5 usable CPUs, with one
+        process more than there are CPUs, at most one per job; stage-1
+        training, when there is one, is job 0 and runs in this process."""
         cfg = config_from_dict({**MICRO, "stage1": LOSS_MICRO["stage1"],
                                 "stage2": LOSS_MICRO["stage2"],
                                 "sweep": {**MICRO["sweep"], "schemes": list(schemes)}})
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        usable_cpus(monkeypatch, 2)
-        records = run(cfg, d1)
-        usable_cpus(monkeypatch, 1)
-        run(cfg, d2)
-        for d, workers in ((d1, [0, 1]), (d2, [0, 0])):
+        labels = ([snr_label(v) for v in cfg.sweep.snr_db] if axis == "snr_db"
+                  else [f"tau{t}" for t in cfg.sweep.tau])
+        trains1 = "dncnn-omp" in schemes
+        map_points = harness._map_points
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_map_points", lambda jobs, workers: map_points(jobs, 1))
+            run(cfg, tmp_path / "one")
+        want = (tmp_path / "one" / f"{stem}.csv").read_bytes()
+        for cpus in (1, 2, 3, 5):
+            usable_cpus(monkeypatch, cpus)
+            d = tmp_path / str(cpus)
+            records = run(cfg, d)
             timing = json.loads((d / f"{stem}.meta.json").read_text())["timing"]
-            assert timing["workers"] == max(workers) + 1
-            assert sorted(v for k, v in timing.items() if k.startswith("worker_")) == workers
-        b1 = (d1 / f"{stem}.csv").read_bytes()
-        assert b1 == (d2 / f"{stem}.csv").read_bytes()
-        lines = b1.decode().splitlines()
+            workers = min(len(labels) + trains1, cpus + 1)
+            assert timing["workers"] == workers
+            assert [timing[f"worker_{label}"] for label in labels] == [
+                (i + trains1) % workers for i in range(len(labels))]
+            assert (d / f"{stem}.csv").read_bytes() == want
+        lines = want.decode().splitlines()
         assert lines[0] == f"scheme,{axis},nmse_mean,nmse_std,trials"
         assert len(lines) == 1 + len(records)
         assert len(records) == 2 * len(schemes)     # two points per axis
         assert all(np.isfinite(rec["nmse_mean"]) for rec in records)
-        meta = json.loads((d1 / f"{stem}.meta.json").read_text())
+        meta = json.loads((d / f"{stem}.meta.json").read_text())
+        assert ("stage1_trace" in meta) == ("stage1" in meta["checkpoints"]) == trains1
         if "dncnn-istanet" in schemes:
             assert set(meta["stage2_traces"]) == {f"{rec[axis]:g}" for rec in records}
         for rec in records:
@@ -374,7 +402,8 @@ TRAINED = {**MICRO, "stage1": LOSS_MICRO["stage1"], "stage2": LOSS_MICRO["stage2
 
 
 class TestSweepWorkers:
-    """Points run round-robin on one process per usable CPU, same bytes out."""
+    """Stage 1 and the points run round-robin on one process more than there
+    are usable CPUs, same bytes out."""
 
     @pytest.mark.parametrize("axis", ["snr_db", "tau"])
     def test_rows_match_one_point_sweeps(self, monkeypatch, tmp_path, axis):
@@ -469,7 +498,56 @@ class TestSweepWorkers:
             if worker is not None and running(worker):
                 os.kill(worker, signal.SIGKILL)
 
-    def test_one_point_runs_in_process(self, monkeypatch, tmp_path):
+    def test_stage1_error_stops_workers_waiting_for_it(self, monkeypatch, tmp_path):
+        """Stage 1 fails in this process once both workers wait for the network:
+        the error comes out with its type and message, no worker left."""
+        usable_cpus(monkeypatch, 2)      # stage 1 here, one point in each of two workers
+        evaluate = harness.evaluate_point
+
+        def announcing(scenes, ctx, snr_db, seed, point, *args, get_stage1, **kwargs):
+            def wait():
+                (tmp_path / point).touch()
+                return get_stage1()
+            return evaluate(scenes, ctx, snr_db, seed, point, *args, get_stage1=wait,
+                            **kwargs)
+
+        def diverging(*args, **kwargs):
+            deadline = time.monotonic() + 60
+            while not ((tmp_path / "snr0").exists() and (tmp_path / "snr20").exists()):
+                assert time.monotonic() < deadline, "workers never asked for stage 1"
+                time.sleep(0.01)
+            raise TrainingDiverged("stage-1 training diverged at episode 0: loss=nan")
+
+        monkeypatch.setattr(harness, "evaluate_point", announcing)
+        monkeypatch.setattr(harness, "train_stage1_model", diverging)
+        with pytest.raises(TrainingDiverged, match="stage-1 training diverged at episode 0"):
+            run_snr_sweep(config_from_dict(TRAINED), tmp_path / "out")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "snr_sweep.csv").exists()
+
+    def test_worker_that_dies_during_stage1_is_an_error(self, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        evaluate, train = harness.evaluate_point, harness.train_stage1_model
+
+        def dying(scenes, ctx, snr_db, seed, point, *args, **kwargs):
+            if point == "snr0":
+                os._exit(3)
+            return evaluate(scenes, ctx, snr_db, seed, point, *args, **kwargs)
+
+        def train_once_a_worker_is_gone(*args, **kwargs):
+            deadline = time.monotonic() + 60
+            while len(multiprocessing.active_children()) > 1:
+                assert time.monotonic() < deadline, "worker 1 never exited"
+                time.sleep(0.01)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_point", dying)
+        monkeypatch.setattr(harness, "train_stage1_model", train_once_a_worker_is_gone)
+        with pytest.raises(RuntimeError, match="worker 1 exited with code 3"):
+            run_snr_sweep(config_from_dict(TRAINED), tmp_path)
+        assert multiprocessing.active_children() == []
+
+    def test_one_work_item_runs_in_process(self, monkeypatch, tmp_path):
         usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(multiprocessing, "get_context", None)   # any fork fails
         cfg = config_from_dict(MICRO)
@@ -477,6 +555,19 @@ class TestSweepWorkers:
             cfg, sweep=dataclasses.replace(cfg.sweep, snr_db=(20.0,))), tmp_path)
         timing = json.loads((tmp_path / "snr_sweep.meta.json").read_text())["timing"]
         assert timing["workers"] == 1 and timing["worker_snr20"] == 0
+
+
+def test_stage1_pairs_in_chunks_are_one_call(monkeypatch, micro_cfg):
+    """Stage-1 pairs made a few scenes at a time are those of one call on all."""
+    monkeypatch.setattr(harness, "_SCENE_CHUNK", 5)
+    system, seed, snrs = micro_cfg.system, micro_cfg.sweep.seed, (0.0, 20.0)
+    bs, E = build_bs_dictionary(micro_cfg), phase_schedule(micro_cfg)
+    got = harness._stage1_dataset(micro_cfg, bs, E, system, "pairs", 12, snrs)
+    scenes = draw_scenes(system, seed, "pairs-scene", 12)
+    nvs = [noise_var_for_snr(sc, system, E, snrs[i % 2]) for i, sc in enumerate(scenes)]
+    want = make_stage1_dataset(system, bs, E, scenes, nvs, substream(seed, "pairs-noise"))
+    assert got.C.shape == (12, bs.F.shape[1], 1)
+    assert got.C.tobytes() == want.C.tobytes() and got.X.tobytes() == want.X.tobytes()
 
 
 def test_default_context_picks_the_sweep_supports(small_system, small_bs_dict,
@@ -532,6 +623,24 @@ class TestLossCurves:
             assert len(entry["trace"]) == 2
             assert entry["init_loss"] > 0
             assert entry["final_loss"] > 0
+
+    def test_csv_bytes_do_not_depend_on_workers(self, monkeypatch, tmp_path):
+        """Four trainings write the bytes of a one-process run on 1, 2, 3 and 5
+        usable CPUs, on one process more than there are CPUs, at most four."""
+        cfg = config_from_dict({**LOSS_MICRO, "sweep": {**LOSS_MICRO["sweep"],
+                                                        "depths": [3, 4]}})
+        map_points = harness._map_points
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_map_points", lambda jobs, workers: map_points(jobs, 1))
+            want = run_loss_curves(cfg, tmp_path / "one")
+        for cpus in (1, 2, 3, 5):
+            usable_cpus(monkeypatch, cpus)
+            d = tmp_path / str(cpus)
+            assert run_loss_curves(cfg, d) == want
+            meta = json.loads((d / "loss_curves.meta.json").read_text())
+            assert meta["timing"]["workers"] == min(4, cpus + 1)
+            assert ((d / "loss_curves.csv").read_bytes()
+                    == (tmp_path / "one" / "loss_curves.csv").read_bytes())
 
     def test_meta_records_blas_threads(self, loss_result):
         _, outdir, _ = loss_result

@@ -222,6 +222,21 @@ class TestSoftThresholdBytes:
         x, lam, _ = self.operands(kind, lam)
         assert same_bytes(ad._soft_threshold_fwd(x, lam), soft_threshold_reference(x, lam))
 
+    def test_forward_in_place(self, kind, lam):
+        """An untaped call with overwrite_x writes the same bytes into x."""
+        x, lam, _ = self.operands(kind, lam)
+        want = soft_threshold_reference(x, lam)
+        got = ad.soft_threshold(x, lam, overwrite_x=True)
+        assert got is x and same_bytes(got, want)
+
+    def test_taped_call_keeps_its_input(self, kind, lam):
+        x, lam, _ = self.operands(kind, lam)
+        before = x.copy()
+        out = ad.soft_threshold(ad.Tape().leaf(x, trainable=True, name="x"), lam,
+                                overwrite_x=True)
+        assert same_bytes(x, before)
+        assert same_bytes(out.value, soft_threshold_reference(x, lam))
+
     @pytest.mark.parametrize("need", [(True, True), (True, False), (False, True)])
     def test_backward(self, kind, lam, need):
         x, lam, g = self.operands(kind, lam)

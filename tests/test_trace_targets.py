@@ -6,6 +6,7 @@ parameter breaks the traced benchmark run, not the package, so this runs a
 micro sweep of all three schemes under the tracer and checks that the
 layers the metrics single out recorded spans.
 """
+import os
 import sys
 from pathlib import Path
 
@@ -29,7 +30,10 @@ def layers(monkeypatch):
         sys.modules.pop(name, None)
 
 
-def test_traced_sweep_reaches_every_timed_layer(layers, tmp_path):
+def test_traced_sweep_reaches_every_timed_layer(layers, monkeypatch, tmp_path):
+    # the tracer sees this process only: with one usable CPU the sweep runs on
+    # two processes, and this one trains stage 1 and then runs the second point
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     tracer = layers.make_tracer()
     tracer.install()                 # resolves every target name
     try:
