@@ -5,7 +5,16 @@ base-station side resolved by a denoising network over a polar-domain row
 transform (stage 1) and a surface-side sparse recovery by an unrolled
 soft-thresholding network over a cascaded polar dictionary (stage 2). Greedy
 pursuit baselines and a paired evaluation harness round out the package.
+
+Importing the package runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
+is already set: the trained stage-2 bytes depend on the BLAS thread count.
+This takes effect only if numpy is not loaded yet, so a caller that imported
+numpy first must pin BLAS themselves (OPENBLAS_NUM_THREADS=1 before that
+import).
 """
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")   # before any submodule loads numpy
 
 from .channel import (PathParams, PilotBlock, SceneRealization, SystemConfig,
                       build_channels, draw_scene, make_phase_matrix,

@@ -5,9 +5,11 @@ Uplink pilot observations of the one user:
     Y = sqrt(p) * G @ E + noise,   G = H @ diag(h)
 
 with H the BS<->RIS multipath channel, h the RIS<->user channel, and E the
-unit-modulus RIS phase schedule (one column per pilot slot). Array responses
-use the Fresnel (second-order) expansion of the exact spherical wavefront;
-distance +inf marks the far-field response where the quadratic term vanishes.
+unit-modulus RIS phase schedule (one column per pilot slot). A drawn scene
+keeps h and the cascaded G, which is all the estimators and their scoring
+read; H is formed only to build G. Array responses use the Fresnel
+(second-order) expansion of the exact spherical wavefront; distance +inf
+marks the far-field response where the quadratic term vanishes.
 """
 from __future__ import annotations
 
@@ -98,13 +100,13 @@ class SceneRealization:
 
     Bridge path gains live on the BS-side entries; the RIS-side entries carry
     the departure geometry of the same paths (gain field unused). `users`, h
-    and G keep a leading axis for the one user, so callers read G[0].
+    and G keep a leading axis for the one user, so callers read G[0]. The
+    bridge channel H is not stored: G = H diag(h) holds what is read of it.
     """
 
     bridge_bs: tuple[PathParams, ...]
     bridge_ris: tuple[PathParams, ...]
     users: tuple[tuple[PathParams, ...], ...]
-    H: np.ndarray                      # [N, M]
     h: np.ndarray                      # [1, M]
     G: np.ndarray                      # [1, N, M]
 
@@ -183,8 +185,8 @@ def draw_scene(config: SystemConfig, rng: np.random.Generator) -> SceneRealizati
     vd = dists(config.ris_dist, config.paths_ris)
     vb = gains(config.paths_ris)
     users = (tuple(PathParams(a, d, g) for a, d, g in zip(va, vd, vb)),)
-    H, h, G = build_channels(config, bridge_bs, bridge_ris, users)
-    return SceneRealization(bridge_bs, bridge_ris, users, H, h, G)
+    _, h, G = build_channels(config, bridge_bs, bridge_ris, users)
+    return SceneRealization(bridge_bs, bridge_ris, users, h, G)
 
 
 def make_phase_matrix(n_ris: int, tau: int, rng: np.random.Generator | None = None,

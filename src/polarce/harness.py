@@ -16,9 +16,9 @@ their records in point order; the layer sweep runs its trainings the same
 way. Every item is one single-threaded job that reads only its own labeled
 substreams, so the CSV bytes are the same for any worker count. The process
 beyond the CPU count keeps a core busy while a point waits for stage 1 or a
-last round has fewer jobs than cores. Pin BLAS to one thread per process
-(OPENBLAS_NUM_THREADS=1), as the benchmark does: the trained bytes depend on
-the BLAS thread count.
+last round has fewer jobs than cores. Each process runs BLAS on one thread,
+as importing `polarce` before numpy sets it (see the package docstring): the
+trained bytes depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -516,13 +516,35 @@ def _map_points(jobs: list, workers: int) -> list:
     entry, so they share everything the jobs read copy-on-write, and send
     back plain results over a pipe. Worker 0 sends job 0's result to each of
     them as soon as it has it, over a pipe of their own: a thread there takes
-    it off at once, and first() waits for it. An error in any worker is
-    raised here once every child is stopped and reaped, a child blocked in
-    first() included, and a child exits by itself if this process dies. One
-    worker forks nothing.
+    it off at once, and first() waits for it. After each of its own jobs
+    worker 0 takes, without waiting, whatever the others have sent, so an
+    error in any worker, or its exit, is raised at worker 0's next job
+    boundary. The error is raised once every child is stopped and reaped, a
+    child blocked in first() included, and a child exits by itself if this
+    process dies. One worker forks nothing.
     """
     results = [None] * len(jobs)
-    children = []
+    children, todo = [], {}
+
+    def collect(timeout):
+        """Store the results sent so far, in each worker's job order, waiting
+        up to timeout (None: until all are in) for them; raise a worker's
+        error or exit."""
+        while todo and (ready := multiprocessing.connection.wait(list(todo), timeout)):
+            for recv in ready:
+                w, proc, left = todo[recv]
+                try:
+                    status, value = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"sweep worker {w} exited with code "
+                                       f"{proc.exitcode}") from None
+                if status == "error":
+                    raise value
+                results[left.pop(0)] = value
+                if not left:
+                    del todo[recv]
+
     try:
         if workers > 1:
             mp = multiprocessing.get_context("fork")
@@ -534,7 +556,8 @@ def _map_points(jobs: list, workers: int) -> list:
                 proc.start()
                 send.close()
                 first_recv.close()
-                children.append((w, proc, recv, first_send))
+                children.append((proc, recv, first_send))
+                todo[recv] = (w, proc, list(range(w, len(jobs), workers)))
         for i in range(0, len(jobs), workers):
             results[i] = jobs[i](lambda: results[0])
             if i == 0:
@@ -543,23 +566,14 @@ def _map_points(jobs: list, workers: int) -> list:
                         first_send.send(results[0])
                     except BrokenPipeError:   # that worker has ended; its pipe says why
                         pass
-        for w, proc, recv, _ in children:
-            for i in range(w, len(jobs), workers):
-                try:
-                    status, value = recv.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(f"sweep worker {w} exited with code "
-                                       f"{proc.exitcode}") from None
-                if status == "error":
-                    raise value
-                results[i] = value
+            collect(0)
+        collect(None)
     except BaseException:
-        for _, proc, *_ in children:
+        for proc, *_ in children:
             proc.terminate()
         raise
     finally:
-        for _, proc, *pipes in children:
+        for proc, *pipes in children:
             proc.join()
             for conn in pipes:
                 conn.close()
@@ -624,8 +638,8 @@ def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
     core that a waiting or finished job leaves has another job to run. Every
     random stream is keyed by its job's label, so the CSV bytes do not depend
     on W; the meta's timing records W ("workers") and the worker that ran each
-    point ("worker_<label>"). Each process is meant to run one thread: pin
-    BLAS to one thread (OPENBLAS_NUM_THREADS=1).
+    point ("worker_<label>"). Each process is meant to run one thread, as
+    the BLAS pin of the package import gives it.
     """
     sw = cfg.sweep
     t0 = time.perf_counter()

@@ -4,6 +4,8 @@ Three schemes share the same inputs: joint greedy pursuit on the vectorized
 problem ("omp"), the learned two-stage pipeline ("dncnn-istanet"), and the
 hybrid that swaps stage 2 for per-path greedy pursuit ("dncnn-omp"). Stage-1
 batches are denoised jointly across trials so evaluation stays paired and fast.
+Everything runs in double precision except the unrolled solver of
+"dncnn-istanet", which runs in the single precision it trained in.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 from .channel import PilotBlock, SystemConfig
 from .denoiser import DenoiserParams, denoise, row_energy, select_support
 from .omp import VectorizedProblem, cascaded_estimate, omp, omp_dense
+from .optim import with_precision
 from .polar import CascadedDictionary, PolarDictionary
 from .unrolled import ListaParams, lista_forward, project_to_bs_subspace, reconstruct
 
@@ -90,10 +93,17 @@ def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.nda
 
 
 def estimate_dncnn_istanet(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
-    """Learned support + unrolled learned solver, batched across trials."""
+    """Learned support + unrolled learned solver, batched across trials.
+
+    The solver runs in complex64: the parameters, E and the projected paths
+    are narrowed once per call, which is exact for a trained network (float32
+    widened). `reconstruct` widens its output against the complex128 atoms.
+    """
     if ctx.stage2 is None:
         raise ValueError("dncnn-istanet needs trained stage-2 parameters")
-    return _two_stage(pilots, ctx, lambda P: lista_forward(P, ctx.stage2, ctx.E))
+    lp = ListaParams(**with_precision(vars(ctx.stage2), np.float32))
+    E = ctx.E.astype(np.complex64)
+    return _two_stage(pilots, ctx, lambda P: lista_forward(P.astype(np.complex64), lp, E))
 
 
 SCHEME_FUNCS = {

@@ -23,7 +23,9 @@ and 0.77 on 90 paper ones.
 
 Training runs in single precision (complex64 V, F, E and batches, float32
 thresholds and steps, Adam moments to match) and returns complex128/float64
-parameters; inference runs in double precision.
+parameters. `lista_forward` computes in the dtype of its inputs: the
+"dncnn-istanet" scheme narrows the parameters back, exactly, and infers in
+single precision too, while `stage2_loss` scores in double precision.
 """
 from __future__ import annotations
 
@@ -47,6 +49,9 @@ __all__ = [
 # carry it because parameters of the same shapes mean another network under
 # another form.
 FORWARD_FORM = "coefficient-ista"
+
+# columns per untaped forward pass of stage2_loss
+_LOSS_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,19 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
 
 
 def stage2_loss(dataset: Stage2Dataset, lp: ListaParams, E: np.ndarray) -> float:
-    """The training loss over the whole dataset."""
-    out = lista_forward(dataset.P, lp, E)
+    """The training loss over the whole dataset.
+
+    The forward runs on _LOSS_BLOCK columns at a time, so no [Gc, n] array is
+    held for the whole dataset; a one-column tail joins the block before it,
+    since a one-column product rounds otherwise than a wider one. The output
+    has the bytes of one pass over all columns.
+    """
+    n = dataset.P.shape[1]
+    edges = list(range(_LOSS_BLOCK, n, _LOSS_BLOCK))
+    if edges and n - edges[-1] == 1:
+        edges.pop()
+    out = np.concatenate([lista_forward(P, lp, E)
+                          for P in np.split(dataset.P, edges, axis=1)], axis=1)
     return float(_path_loss(out, dataset.Xl))
 
 

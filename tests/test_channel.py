@@ -1,11 +1,12 @@
 """Array responses, channel assembly, pilots, and SNR bookkeeping."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from polarce.channel import (
-    C_LIGHT, PathParams, SystemConfig, build_channels, draw_scene,
+    C_LIGHT, PathParams, SceneRealization, SystemConfig, build_channels, draw_scene,
     element_offsets, make_phase_matrix, noise_var_for_snr, ris_side_rows,
     simulate_pilots, steering_vector,
 )
@@ -97,6 +98,11 @@ class TestBuildChannels:
         H, h, G = build_channels(small_system, *paths)
         np.testing.assert_allclose(G[0], H @ np.diag(h[0]), rtol=1e-13, atol=1e-16)
 
+    def test_bridge_rank_at_most_its_paths(self, small_system, rng):
+        H, _, _ = build_channels(small_system, *self._scene_paths(rng, small_system))
+        assert H.shape == (small_system.n_bs, small_system.n_ris)
+        assert np.linalg.matrix_rank(H) <= small_system.paths_bs
+
     def test_zero_gains_give_zero_channel(self, small_system):
         zero = tuple(PathParams(0.1 * i, 5.0, 0.0) for i in range(2))
         geo = tuple(PathParams(0.2 * i, 6.0) for i in range(2))
@@ -131,11 +137,19 @@ class TestDrawScene:
 
     def test_shapes_and_rank(self, small_system):
         s = draw_scene(small_system, substream(5, "scene"))
-        assert s.H.shape == (small_system.n_bs, small_system.n_ris)
         assert len(s.users) == 1       # one user, on a leading axis of size 1
         assert s.h.shape == (1, small_system.n_ris)
         assert s.G.shape == (1, small_system.n_bs, small_system.n_ris)
-        assert np.linalg.matrix_rank(s.H) <= small_system.paths_bs
+        assert np.linalg.matrix_rank(s.G[0]) <= small_system.paths_bs
+
+    def test_stores_no_bridge_channel(self, small_system):
+        """G = H diag(h) is kept; H itself, which nothing reads, is not."""
+        s = draw_scene(small_system, substream(5, "scene"))
+        assert [f.name for f in dataclasses.fields(s)] == [
+            "bridge_bs", "bridge_ris", "users", "h", "G"]
+        _, h, G = build_channels(small_system, s.bridge_bs, s.bridge_ris, s.users)
+        np.testing.assert_array_equal(s.h, h)
+        np.testing.assert_array_equal(s.G, G)
 
     def test_angles_and_distances_respect_priors(self, small_system):
         for t in range(20):
@@ -189,9 +203,8 @@ class TestSimulatePilots:
         zero = (PathParams(0.1, 6.0, 0.0),)
         geo = (PathParams(0.1, 6.0),)
         users = ((PathParams(0.1, 2.0, 0.0),),)
-        H, h, G = build_channels(cfg, zero, geo, users)
-        from polarce.channel import SceneRealization
-        scene = SceneRealization(zero, geo, users, H, h, G)
+        _, h, G = build_channels(cfg, zero, geo, users)
+        scene = SceneRealization(zero, geo, users, h, G)
         E = make_phase_matrix(cfg.n_ris, cfg.tau, substream(2, "E"))
         sigma2 = 0.37
         blk = simulate_pilots(scene, cfg, E, sigma2, substream(2, "noise"))

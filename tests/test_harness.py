@@ -389,6 +389,31 @@ class TestSnrSweep:
         assert meta["openblas_num_threads"] == threads
 
 
+def test_package_import_pins_blas_to_one_thread():
+    """A desk stage 2 large enough for OpenBLAS to thread its GEMMs (200 scenes,
+    one episode) trains the same bytes with OPENBLAS_NUM_THREADS unset as set
+    to 1, since importing polarce before numpy sets it. On a one-CPU machine
+    the two agree without the pin as well, so there this shows nothing."""
+    script = (
+        "import dataclasses, os, sys\n"
+        "from polarce import container, harness\n"
+        "cfg = harness.load_config(sys.argv[1])\n"
+        "cfg = dataclasses.replace(cfg, stage2=dataclasses.replace(\n"
+        "    cfg.stage2, train_size=200, episodes=1))\n"
+        "_, cas = harness.build_ris_dictionaries(cfg)\n"
+        "lp, _ = harness.train_stage2_model(cfg, cas, harness.phase_schedule(cfg), 20.0,\n"
+        "                                   'snr20')\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], container.content_hash(vars(lp)))\n")
+    root = Path(harness.__file__).resolve().parents[2]
+    argv = [sys.executable, "-c", script, str(root / "configs" / "desk.json")]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(root / "src")
+    unset, one = (subprocess.run(argv, env=e, capture_output=True, text=True,
+                                 check=True).stdout
+                  for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"}))
+    assert unset == one and unset.startswith("1 ")
+
+
 def running(pid: int) -> bool:
     """Whether a process exists and has not exited (a zombie has)."""
     try:
@@ -545,6 +570,26 @@ class TestSweepWorkers:
         monkeypatch.setattr(harness, "train_stage1_model", train_once_a_worker_is_gone)
         with pytest.raises(RuntimeError, match="worker 1 exited with code 3"):
             run_snr_sweep(config_from_dict(TRAINED), tmp_path)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_worker_is_raised_before_worker_0s_next_job(self):
+        """A forked worker that fails in its first job stops the map at worker
+        0's next job boundary, not once worker 0 has run all of its jobs."""
+        started = []
+
+        def first_job(_first):
+            deadline = time.monotonic() + 60
+            while multiprocessing.active_children():   # reaps worker 1 once it exits
+                assert time.monotonic() < deadline, "worker 1 never failed"
+                time.sleep(0.01)
+            return "stage 1"
+
+        def failing(_first):
+            raise ValueError("no estimate at snr0")
+
+        with pytest.raises(ValueError, match="no estimate at snr0"):
+            harness._map_points([first_job, failing, lambda _first: started.append(1)], 2)
+        assert started == []
         assert multiprocessing.active_children() == []
 
     def test_one_work_item_runs_in_process(self, monkeypatch, tmp_path):

@@ -266,8 +266,8 @@ def _on_grid_scene(system: SystemConfig, bs_dict, ris_dict, bs_cols, dep_cols,
     bridge_bs = tuple(path(bs_dict.grid, j, r) for j, r in zip(bs_cols, rho))
     bridge_ris = tuple(path(ris_dict.grid, j) for j in dep_cols)
     users = (tuple(path(ris_dict.grid, j, g) for j, g in zip(arr_cols, gains)),)
-    H, h, G = build_channels(system, bridge_bs, bridge_ris, users)
-    return SceneRealization(bridge_bs, bridge_ris, users, H, h, G)
+    _, h, G = build_channels(system, bridge_bs, bridge_ris, users)
+    return SceneRealization(bridge_bs, bridge_ris, users, h, G)
 
 
 @pytest.fixture(scope="module")

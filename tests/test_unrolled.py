@@ -1,20 +1,28 @@
 """Subspace projection, ISTA, the unrolled network, and stage-2 training."""
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polarce.autodiff as ad
 import polarce.optim as optim_mod
+import polarce.schemes as schemes_mod
+import polarce.unrolled as unrolled_mod
 from polarce.channel import (
-    SystemConfig, draw_scene, noise_var_for_snr, ris_side_rows, steering_vector,
+    SystemConfig, draw_scene, noise_var_for_snr, ris_side_rows, simulate_pilots,
+    steering_vector,
 )
+from polarce.harness import (build_bs_dictionary, build_ris_dictionaries, load_config,
+                             phase_schedule)
+from polarce.optim import with_precision
 from polarce.rng import substream
+from polarce.schemes import PipelineContext, _stage1_project, estimate_dncnn_istanet
 from polarce.unrolled import (
-    ListaParams, Stage2Config, _path_loss, lista_forward, lista_init,
-    make_stage2_dataset, project_to_bs_subspace, reconstruct, spectral_norm_sq,
-    stage2_loss, train_stage2,
+    _LOSS_BLOCK, ListaParams, Stage2Config, Stage2Dataset, _path_loss, lista_forward,
+    lista_init, make_stage2_dataset, project_to_bs_subspace, reconstruct,
+    spectral_norm_sq, stage2_loss, train_stage2,
 )
 
 from helpers import assert_grads_close, crandn, ista_core, numeric_grads
@@ -426,3 +434,77 @@ class TestStage2Training:
         X = crandn(rng, 6, 3).astype(dtype)
         X[:, 1] = 0.0
         assert float(_path_loss(X.copy(), X)) == 0.0
+
+    def test_trained_network_narrows_exactly(self, training_setup, small_E, small_cas_dict):
+        """Its float64/complex128 fields are float32/complex64 values widened,
+        so inference in single precision runs the very network Adam made."""
+        ds, cfg = training_setup
+        lp, _ = train_stage2(ds, small_E, small_cas_dict.F, cfg, seed=5)
+        back = with_precision(with_precision(vars(lp), np.float32), np.float64)
+        for name, a in vars(lp).items():
+            assert back[name].dtype == a.dtype and back[name].tobytes() == a.tobytes()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestStage2LossBlocks:
+    """`stage2_loss` runs the forward _LOSS_BLOCK columns at a time."""
+
+    @pytest.mark.parametrize("n, widths", [
+        (2 * _LOSS_BLOCK + 37, [_LOSS_BLOCK, _LOSS_BLOCK, 37]),
+        (2 * _LOSS_BLOCK + 1, [_LOSS_BLOCK, _LOSS_BLOCK + 1]),
+    ], ids=["ragged-tail", "one-column-tail"])
+    def test_equals_one_pass_at_desk_size(self, monkeypatch, rng, n, widths):
+        cfg = load_config(CONFIGS / "desk.json")
+        _, cas = build_ris_dictionaries(cfg)
+        tau, m = cfg.system.tau, cfg.system.n_ris
+        E = phase_schedule(cfg)
+        ds = Stage2Dataset(P=crandn(rng, tau, n), Xl=crandn(rng, m, n))
+        lp = lista_init(E, cas.F, cfg.stage2, ds.P[:, :cfg.stage2.probe])
+        one_pass = lista_forward(ds.P, lp, E)
+        outs = []
+
+        def recording(P, *args, **kwargs):
+            outs.append(lista_forward(P, *args, **kwargs))
+            return outs[-1]
+
+        monkeypatch.setattr(unrolled_mod, "lista_forward", recording)
+        assert stage2_loss(ds, lp, E) == float(_path_loss(one_pass, ds.Xl))
+        assert [o.shape[1] for o in outs] == widths
+        assert np.concatenate(outs, axis=1).tobytes() == one_pass.tobytes()
+
+
+class TestSinglePrecisionInference:
+    """`estimate_dncnn_istanet` runs the unrolled net in complex64."""
+
+    def test_paper_three_paths_within_1e5_of_double(self, monkeypatch):
+        cfg = load_config(CONFIGS / "paper.json")
+        system = cfg.system
+        assert system.paths_bs == 3
+        bs = build_bs_dictionary(cfg)
+        _, cas = build_ris_dictionaries(cfg)
+        E = phase_schedule(cfg)
+        scenes = [draw_scene(system, substream(4, "scene", t)) for t in range(4)]
+        nvs = [noise_var_for_snr(sc, system, E, 10.0) for sc in scenes]
+        probe = make_stage2_dataset(system, scenes, E, nvs, substream(4, "probe"))
+        # at init the net is complex128 proper, the hardest case to narrow
+        ctx = PipelineContext(config=system, bs=bs, cas=cas, E=E,
+                              stage2=lista_init(E, cas.F, cfg.stage2, probe.P))
+        pilots = [simulate_pilots(sc, system, E, nv, substream(4, "noise", t))
+                  for t, (sc, nv) in enumerate(zip(scenes, nvs))]
+        dtypes = set()
+
+        def recording(P, lp, E, *args, **kwargs):
+            dtypes.update(a.dtype for a in (P, E, *vars(lp).values()))
+            return lista_forward(P, lp, E, *args, **kwargs)
+
+        monkeypatch.setattr(schemes_mod, "lista_forward", recording)
+        got = estimate_dncnn_istanet(pilots, ctx)
+        assert dtypes == {np.dtype(np.complex64), np.dtype(np.float32)}
+        assert got.dtype == np.complex128
+        supports, proj = _stage1_project(pilots, ctx)
+        for g, sup, P in zip(got, supports, proj):
+            want = reconstruct(sup.A_hat, lista_forward(P, ctx.stage2, E))
+            assert np.linalg.norm(g - want) <= 1e-5 * np.linalg.norm(want)
+        assert ctx.stage2.F.dtype == np.complex128      # the context keeps its network
