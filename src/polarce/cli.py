@@ -1,9 +1,9 @@
 """Command line front end.
 
-Subcommands cover the full workflow: scene simulation, dictionary inspection,
+Subcommands cover the full workflow: config and dictionary-size inspection,
 training both networks, single-point evaluation and the three sweep reports.
 `eval --snr s` is one point of `sweep snr`: with no checkpoints it writes the
-sweep's row at s, and `simulate --snr s` writes that point's pilot blocks.
+sweep's row at s.
 Config files are JSON (see harness.config_from_dict); a missing or invalid
 config or option value, or a checkpoint that does not fit the config, exits
 with code 2 and a JSON error on stderr. So does a training run whose loss
@@ -18,9 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import container, harness
+from . import harness
 from .optim import TrainingDiverged
 
 CONFIG_ERROR = 2
@@ -73,8 +71,7 @@ def _emit(obj) -> None:
 
 def cmd_info(args) -> int:
     if args.out:
-        raise ConfigError("info writes no file; `polarce build-dict --out` writes "
-                          "the dictionaries")
+        raise ConfigError("info writes no file")
     cfg = _resolve_config(args)
     bs = harness.build_bs_dictionary(cfg)
     single, cas = harness.build_ris_dictionaries(cfg)
@@ -101,51 +98,6 @@ def cmd_info(args) -> int:
             },
         },
     })
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    sw = cfg.sweep
-    trials = args.trials if args.trials is not None else sw.trials
-    if trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {trials}")
-    label = harness.snr_label(args.snr)
-    E = harness.phase_schedule(cfg)
-    scenes = harness.draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", trials)
-    pilots = harness.draw_pilots(scenes, cfg.system, E, args.snr, sw.seed, label,
-                                 sw.snr_convention)
-    out = Path(args.out or "runs/pilots.plce")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    digest = container.save_container(
-        out, {"Y": np.stack([blk.Y for blk in pilots]),
-              "G": np.stack([scene.G[0] for scene in scenes]), "E": E,
-              "noise_var": np.array([blk.noise_var for blk in pilots])},
-        meta={"kind": "pilots", "snr_db": args.snr, "trials": trials,
-              "config": harness.config_to_dict(cfg)})
-    _emit({"written": str(out), "sha256": digest, "trials": trials})
-    return 0
-
-
-def cmd_build_dict(args) -> int:
-    cfg = _resolve_config(args)
-    bs = harness.build_bs_dictionary(cfg)
-    single, cas = harness.build_ris_dictionaries(cfg)
-    info = {
-        "bs_grid_size": len(bs.grid),
-        "ris_grid_size": len(single.grid),
-        "cascaded_size": cas.F.shape[1],
-        "pair_count": len(single.grid) ** 2,
-    }
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        digest = container.save_container(
-            out,
-            {"F_bs": bs.F, "F_cas": cas.F, "delta_sin": cas.delta_sin, "delta_curv": cas.delta_curv},
-            meta={"kind": "dictionaries", "config": harness.config_to_dict(cfg)})
-        info.update({"written": str(out), "sha256": digest})
-    _emit(info)
     return 0
 
 
@@ -227,17 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", parents=[common],
                    help="print the resolved config and derived sizes").set_defaults(fn=cmd_info)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="write the pilot blocks of the SNR-sweep point "
-                            "at --snr into a container")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--snr", type=float, default=20.0)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("build-dict", parents=[common],
-                       help="build the polar and cascaded dictionaries")
-    p.set_defaults(fn=cmd_build_dict)
 
     p = sub.add_parser("train", parents=[common], help="train one network")
     p.add_argument("network", choices=["stage1", "stage2"])

@@ -8,7 +8,7 @@ metadata go to a sidecar .meta.json next to each CSV.
 The SNR sweep, the pilot sweep and `polarce eval` run one evaluation body
 (`_sweep`); they differ only in the points they list. A point's label names
 its scene, noise and stage-2 substreams, so `polarce eval --snr s` is the SNR
-sweep's row at s and `polarce simulate --snr s` writes that row's pilot blocks.
+sweep's row at s.
 `_sweep` runs stage-1 training and its points as work items of one process
 map (`_map_points`), on one process more than there are usable CPUs, forked
 so they share the dictionaries and the stage-2 training scenes, and merges

@@ -17,6 +17,68 @@ index, as `np.argmax` over the full scan resolves them. The rows split into
 near-equal chunks, so no chunk is a single row unless N_G is 1: numpy sends a
 one-row product to gemv, whose rounding differs from the full scan's gemm.
 
+Both OMPs score atoms in two passes, by one body (`_best_atoms`): a complex64
+screen, then an exact complex128 re-score of what the screen keeps. The screen
+scales the rows it scores (a chunk's z_i, or the conjugated residual columns
+of `omp_dense`) by a power of two to a largest norm below 1, narrows them and
+multiplies them by Psi32, the unit-column atoms Psi / ||psi_j|| in complex64.
+It keeps every atom whose screened score is within 2 delta of the screened
+maximum, after masking the atoms already picked. The kept columns are then
+scored in the full scan's orientation: columns of (F_bs^H[rows] R) Psi for
+`omp`, rows of Psi^H R for `omp_dense`. The re-score takes whole aligned
+groups of _COL_GROUP columns, the last group what remains, and two columns at
+least, since a one-column product goes to gemv. OpenBLAS computes a product's
+columns in blocks of its unroll, and the last ones in edge kernels that round
+otherwise, so an arbitrary subset does not keep the full product's bits; whole
+groups of 4 did, on one thread, for every subset probed with the SkylakeX,
+Haswell, Sandybridge and Prescott kernels in `omp`'s orientation, and with all
+but Haswell in `omp_dense`'s. With Haswell's kernel the full Psi^H R rounds
+otherwise than any subset of it, as F_bs^H R already does against the pruned
+scan's row chunks F_bs^H[rows] R, so there a pick can differ from the full
+scan's only between atoms whose scores agree to rounding. Otherwise the
+re-score holds the full scan's bits, and the pick rules above choose the full
+scan's atom.
+
+The bound delta, in the scaled units, where a row x has ||x|| < 1 and a unit
+atom y has ||y|| = 1, so sum_k |x_k| |y_k| <= 1. Let u = 2^-24, the unit
+roundoff of float32, and gamma_n = n u / (1 - n u) (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 3.1):
+- narrowing x and y to complex64 moves each entry by at most u of its modulus;
+- the real and the imaginary part of x . y are each a sum of 2 tau real
+  products; in any order, with or without FMA, that sum rounds to within
+  gamma_{2 tau} sum_k |x_k| |y_k|, so the complex product moves by at most
+  sqrt(2) gamma_{2 tau};
+- abs is hypot, within one ulp: 2u.
+Compounded, a screened score is within sqrt(2) gamma_{2 tau + 4} of the score
+in exact arithmetic. One more u covers the double rounding of the exact score,
+of the atom norms and of the scaling, and what complex64 flushes to zero, so
+delta = sqrt(2) gamma_{2 tau + 5}, 5.5e-6 at tau = 30. If a is the best atom
+in double and b the best screened one, screen(b) <= exact(b) + delta <=
+exact(a) + delta <= screen(a) + 2 delta: a and every atom tied with it are
+kept. The threshold itself is rounded down to a float32.
+
+The size rule. A screen costs a complex64 product of the same shape, half the
+double one, plus fixed overhead, so it runs only when the double product it
+replaces, rows x tau x Gc multiply-adds (rows: the 8 of a row chunk, or the
+live columns of an `omp_dense` batch), is past _SCREEN_MIN, and it has two rows
+at least, since a one-row product goes to gemv. Psi32 is built by the first
+screen. Screen forced on against off, change in time per `omp` trial (10 dB,
+9 picks) or per `omp_dense` call (tau 30, 3 picks), medians of 9 alternating
+runs in each of two measurements, 2 vCPUs, one BLAS thread:
+
+    omp, Gc 785        tau 30 / 60 / 80 / 90 / 120 (188k to 754k)
+                       +21/+39, +10/+17, +3/+14, -1/+12, +1/+8 %
+    omp, Gc 6,419      tau 4 / 8 / 10 / 12 / 20 / 30 (205k to 1.5M)
+                       -17/-13, -23/-9, -12/-13, -26/0, -21/-12, -23/-16 %
+    omp_dense, Gc 785  3 / 6 / 12 / 24 / 48 / 96 columns (71k to 2.3M)
+                       +32/+34, +16/+24, -2/+13, -11/+1, -28/-9, -26/-10 %
+    omp_dense, Gc 6,419  3 / 6 / 12 / 24 / 48 / 96 columns (578k to 18.5M)
+                       -28/-9, -37/-27, -40/-34, -46/-40, -55/-50, -59/-55 %
+
+Past the rule the screen won or tied everywhere but at Gc 785 with tau 90 and
+120, which no profile uses (desk pilots run to tau 40); below it, it lost or
+tied everywhere but paper-width `omp` at tau 4 to 10.
+
 Both OMPs run one pursuit body, `_pursuit`, on the columns of an [m, n]
 observation in lockstep. `omp_dense` pursues the cascaded part alone, on the
 atoms Psi of the same problem, and scores a batch by one Psi^H R product per
@@ -28,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +118,20 @@ class VectorizedProblem:
         return cls(F_bs=F_bs, F_bsH=np.ascontiguousarray(F_bs.conj().T), Psi=Psi,
                    col_norms=_atom_norms(Psi))
 
+    @cached_property
+    def Psi32(self) -> np.ndarray:
+        """[tau, Gc] unit atoms Psi / col_norms in complex64, built by the first screen."""
+        return (self.Psi / self.col_norms).astype(np.complex64)
+
     def column(self, i: int, j: int) -> np.ndarray:
         """Explicit atom for pair (i, j), column-major vec."""
         w = np.conj(self.Psi[:, j])
         return np.outer(self.F_bs[:, i], w).reshape(-1, order="F")
 
-    def correlate(self, R: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """A^H vec(R) for the atoms of the BS rows `rows`, shaped [len(rows), Gc]."""
-        return (self.F_bsH[rows] @ R) @ self.Psi
+    def correlate(self, R: np.ndarray, rows: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """A^H vec(R) for the atoms of the BS rows `rows` and cascaded columns
+        `cols` (all by default), shaped [len(rows), len(cols)]."""
+        return (self.F_bsH[rows] @ R) @ self.Psi[:, cols]
 
 
 @dataclass
@@ -78,6 +147,63 @@ _RANK_RTOL = 1e-10        # remainder / norm at or below which a pick is depende
 _RIDGE = 1e-10            # Tikhonov weight of the rank-deficient refit
 _ROW_CHUNK = 8            # BS rows correlated per product of the pruned scan
 _BOUND_SLACK = 1e-9       # relative headroom of the row bound over rounding
+_SCREEN_MIN = 512_000     # rows x tau x Gc above which a scan screens in complex64
+_COL_GROUP = 4            # aligned columns the exact re-score takes together
+
+
+def _screen_delta(tau: int) -> float:
+    """delta: how far a screened score can sit from the exact one, over the
+    largest row norm (see the module docstring)."""
+    g = (2 * tau + 5) * np.finfo(np.float32).eps / 2
+    return math.sqrt(2.0) * g / (1.0 - g)
+
+
+def _best_atoms(problem: VectorizedProblem, g: int, r: int, left, exact, picked):
+    """The best unpicked atom of each of g groups of r rows, shared by both OMPs.
+
+    left() gives the rows L [g, r, tau], and row i of group k scores atom j by
+    |L[k, i] psi_j| / ||psi_j||; exact(cols) gives the products L[k, i] psi_j
+    for the columns cols as [g, r, len(cols)], in the full scan's orientation,
+    so that they are its bits. picked holds three index arrays (group, row,
+    column) of the atoms that score -1. Past the size rule only the columns
+    that the complex64 screen keeps are scored exactly. Returns per group the
+    row, the column and the score of its best atom, ties to the lowest
+    row-major (row, column) index.
+    """
+    tau = problem.Psi.shape[0]
+    pg, pr, pj = picked
+    screen = g * r > 1 and g * r * problem.Psi.size > _SCREEN_MIN   # one row: gemv
+    cols = slice(None)
+    if screen:
+        # each group to unit maximum row norm by a power of two, so nothing
+        # overflows complex64 and all it flushes to zero lies far below delta
+        L = left()
+        e = -np.frexp(np.linalg.norm(L, axis=2).max(axis=1))[1][:, None, None]
+        X = np.empty(L.shape, dtype=np.complex64)
+        X.real, X.imag = np.ldexp(L.real, e), np.ldexp(L.imag, e)
+        S = np.abs(X.reshape(g * r, tau) @ problem.Psi32).reshape(g, r, -1)
+        S[picked] = -1.0
+        floor = S.max(axis=(1, 2), keepdims=True).astype(np.float64) - 2.0 * _screen_delta(tau)
+        floor = np.nextafter(floor.astype(np.float32), -np.inf)   # a float32 below it
+        # whole aligned groups of the kept columns, the last group what remains,
+        # and two columns at least: a one-column product goes to gemv
+        n = problem.Psi.shape[1]
+        first = np.flatnonzero((S >= floor).any(axis=(0, 1)))
+        first -= first % _COL_GROUP
+        first = first[np.concatenate(([True], first[1:] != first[:-1]))]   # one per group
+        if first.tolist() == [n - 1] and n > _COL_GROUP:
+            first = np.array([n - 1 - _COL_GROUP, n - 1])
+        cols = (first[:, None] + np.arange(_COL_GROUP)).ravel()
+        cols = cols[cols < n]
+        pos = np.minimum(np.searchsorted(cols, pj), cols.size - 1)
+        hit = cols[pos] == pj
+        pg, pr, pj = pg[hit], pr[hit], pos[hit]
+    score = np.abs(exact(cols))
+    np.divide(score, problem.col_norms[cols], out=score)
+    score[pg, pr, pj] = -1.0
+    flat = score.reshape(g, -1).argmax(axis=1)
+    i, b = np.divmod(flat, score.shape[2])
+    return i, cols[b] if screen else b, score.reshape(g, -1)[np.arange(g), flat]
 
 
 def _pursuit(Y: np.ndarray, best, atoms, steps: int):
@@ -161,14 +287,13 @@ def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int) -> OmpResult:
             if bound[order[lo]] * (1.0 + _BOUND_SLACK) < top:
                 break
             rows = np.sort(order[lo:hi])
-            score = np.abs(problem.correlate(R, rows))
-            np.divide(score, problem.col_norms, out=score)
             p, q = np.nonzero(rows[:, None] == picked_i)
-            score[p, picked_j[q]] = -1.0
-            p, j = divmod(int(np.argmax(score)), gc)
-            k = int(rows[p]) * gc + j
-            if score[p, j] > top or (score[p, j] == top and k < top_k):
-                top, top_k = score[p, j], k
+            [p], [j], [score] = _best_atoms(
+                problem, 1, rows.size, lambda: (problem.F_bsH[rows] @ R)[None],
+                lambda cols: problem.correlate(R, rows, cols)[None], (p * 0, p, picked_j[q]))
+            k = int(rows[p]) * gc + int(j)
+            if score > top or (score == top and k < top_k):
+                top, top_k = score, k
         return top_k
 
     def atoms(ks):
@@ -200,12 +325,15 @@ def cascaded_estimate(result: OmpResult, problem: VectorizedProblem,
 def omp_dense(Y: np.ndarray, problem: VectorizedProblem, sparsity: int):
     """OMP of each column of Y [tau, n] over the atoms Psi of the problem, as
     `_pursuit` returns it."""
-    PsiH = problem.Psi.conj().T
+    conj_psi = problem.Psi.conj()
 
     def best(R, picked):
-        score = np.abs(PsiH @ R)
-        score /= problem.col_norms[:, None]
-        score[picked.T, np.arange(R.shape[1])] = -1.0
-        return np.argmax(score, axis=0)
+        # conj_psi[:, cols].T is Psi^H[cols] in the layout of the full Psi^H
+        c, t = picked.shape
+        _, j, _ = _best_atoms(problem, c, 1, lambda: R.conj().T[:, None],
+                              lambda cols: (conj_psi[:, cols].T @ R).T[:, None],
+                              (np.repeat(np.arange(c), t), np.zeros(c * t, dtype=np.intp),
+                               picked.ravel()))
+        return j
 
-    return _pursuit(Y, best, lambda k: problem.Psi[:, k], min(sparsity, PsiH.shape[0]))
+    return _pursuit(Y, best, lambda k: problem.Psi[:, k], min(sparsity, conj_psi.shape[1]))

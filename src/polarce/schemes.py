@@ -4,8 +4,11 @@ Three schemes share the same inputs: joint greedy pursuit on the vectorized
 problem ("omp"), the learned two-stage pipeline ("dncnn-istanet"), and the
 hybrid that swaps stage 2 for per-path greedy pursuit ("dncnn-omp"). Stage-1
 batches are denoised jointly across trials so evaluation stays paired and fast.
-Everything runs in double precision except the unrolled solver of
-"dncnn-istanet", which runs in the single precision it trained in.
+The unrolled solver of "dncnn-istanet" runs in the single precision it
+trained in. OMP screens in single precision and picks in double: past a size
+rule a complex64 pass rules out the atoms that cannot win, and the rest are
+scored in double, so "omp" and "dncnn-omp" pick the atoms of a full
+double-precision scan (see `omp`). Everything else runs in double precision.
 """
 from __future__ import annotations
 

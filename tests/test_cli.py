@@ -136,6 +136,15 @@ class TestConfigErrors:
                 main([command])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "build-dict"])
+    def test_removed_subcommand(self, capsys, cfg_file, tmp_path, command):
+        # nothing read the containers these wrote; `info` prints the grid sizes
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_file, "--out", str(tmp_path / "x.plce")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "x.plce").exists()
+
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -280,7 +289,7 @@ class TestConfigErrors:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out" / "snr_sweep.csv").exists()
 
-    @pytest.mark.parametrize("command", [["eval"], ["simulate"], ["train", "stage2"]])
+    @pytest.mark.parametrize("command", [["eval"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):
         rc, _, err = run(capsys, [*command, "--config", omp_cfg_file, "--snr", "nan",
                                   "--out", str(tmp_path / "x")])
@@ -311,78 +320,8 @@ class TestInfo:
         rc, out, err = run(capsys, ["info", "--config", cfg_file,
                                     "--out", str(tmp_path / "dicts.plce")])
         assert rc == 2 and out == ""
-        assert "build-dict --out" in json.loads(err)["error"]
+        assert "writes no file" in json.loads(err)["error"]
         assert not (tmp_path / "dicts.plce").exists()
-
-
-class TestBuildDict:
-    def test_writes_container(self, capsys, cfg_file, tmp_path):
-        out_file = tmp_path / "dicts.plce"
-        rc, out, _ = run(capsys, ["build-dict", "--config", cfg_file,
-                                  "--out", str(out_file)])
-        assert rc == 0
-        info = json.loads(out)
-        assert info["bs_grid_size"] == 12
-        assert info["cascaded_size"] == 7
-        assert info["pair_count"] == 16
-        arrays, meta = load_container(out_file)
-        assert meta["kind"] == "dictionaries"
-        assert arrays["F_bs"].shape == (4, 12)
-        assert arrays["F_cas"].shape == (8, 7)
-        assert set(arrays) == {"F_bs", "F_cas", "delta_sin", "delta_curv"}
-
-
-class TestSimulate:
-    def test_artifact_contents(self, capsys, cfg_file, tmp_path):
-        out_file = tmp_path / "pilots.plce"
-        rc, out, _ = run(capsys, ["simulate", "--config", cfg_file,
-                                  "--trials", "2", "--snr", "10",
-                                  "--out", str(out_file)])
-        assert rc == 0
-        assert json.loads(out)["trials"] == 2
-        arrays, meta = load_container(out_file)
-        assert meta["kind"] == "pilots"
-        assert meta["snr_db"] == 10.0
-        assert arrays["Y"].shape == (2, 4, 6)
-        assert arrays["G"].shape == (2, 4, 8)
-        assert arrays["E"].shape == (8, 6)
-        assert np.all(arrays["noise_var"] > 0)
-
-    def test_infinite_snr_is_noiseless(self, capsys, cfg_file, tmp_path):
-        out_file = tmp_path / "clean.plce"
-        rc, _, _ = run(capsys, ["simulate", "--config", cfg_file, "--trials", "2",
-                                "--snr", "inf", "--out", str(out_file)])
-        assert rc == 0
-        arrays, _ = load_container(out_file)
-        assert np.all(arrays["noise_var"] == 0)
-        np.testing.assert_allclose(arrays["Y"], arrays["G"] @ arrays["E"], atol=1e-12)
-
-    def test_zero_trials(self, capsys, cfg_file, tmp_path):
-        rc, _, err = run(capsys, ["simulate", "--config", cfg_file, "--trials", "0",
-                                  "--out", str(tmp_path / "p.plce")])
-        assert rc == 2
-        assert "--trials" in json.loads(err)["error"]
-
-    def test_repeat_runs_are_identical(self, capsys, cfg_file, tmp_path):
-        digests = []
-        for name in ("a.plce", "b.plce"):
-            rc, out, _ = run(capsys, ["simulate", "--config", cfg_file,
-                                      "--trials", "2", "--snr", "10",
-                                      "--out", str(tmp_path / name)])
-            assert rc == 0
-            digests.append(json.loads(out)["sha256"])
-        assert digests[0] == digests[1]
-
-    def test_seed_changes_draws(self, capsys, cfg_file, tmp_path):
-        digests = []
-        for seed in ("1", "2"):
-            rc, out, _ = run(capsys, ["simulate", "--config", cfg_file,
-                                      "--trials", "2", "--snr", "10",
-                                      "--seed", seed,
-                                      "--out", str(tmp_path / f"s{seed}.plce")])
-            assert rc == 0
-            digests.append(json.loads(out)["sha256"])
-        assert digests[0] != digests[1]
 
 
 class TestTrain:

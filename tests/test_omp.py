@@ -1,6 +1,9 @@
 """Greedy pursuit on the implicit Kronecker design and its dense twin."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +15,9 @@ import pytest
 from polarce.channel import (draw_scene, make_phase_matrix, noise_var_for_snr,
                              simulate_pilots)
 from polarce.harness import build_bs_dictionary, build_ris_dictionaries, load_config
-from polarce.omp import _ROW_CHUNK, VectorizedProblem, cascaded_estimate, omp, omp_dense
+from polarce import omp as omp_module
+from polarce.omp import (_ROW_CHUNK, _SCREEN_MIN, VectorizedProblem, _best_atoms,
+                         _screen_delta, cascaded_estimate, omp, omp_dense)
 from polarce.rng import substream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -460,3 +465,284 @@ class TestOmpDense:
             assert rnorm == pytest.approx(rnorm1, rel=1e-12, abs=1e-300)
             if c >= 2:
                 assert len(support) == system.paths_ris and not ridge
+
+
+SCREEN_TAU, SCREEN_GC = 32, 2048    # a row chunk of these scans 524,288 multiply-adds
+
+
+def screened_problem(A, n=2 * _ROW_CHUNK, n_g=2 * _ROW_CHUNK):
+    """Identity BS atoms (the first n_g of n), so z_i is row i of R, and the
+    cascaded atoms A with E = I, so Psi = A."""
+    assert _ROW_CHUNK * A.size > _SCREEN_MIN
+    return VectorizedProblem.build(np.eye(n, n_g, dtype=complex), A,
+                                   np.eye(A.shape[0], dtype=complex))
+
+
+def random_atoms(rng, gc=SCREEN_GC):
+    return crandn(rng, SCREEN_TAU, gc)
+
+
+def screened(problem):
+    """Whether a screen ran on the problem: the first one builds Psi32."""
+    return "Psi32" in vars(problem)
+
+
+def screen_scores(L, problem):
+    """The screen's scores of the rows L [rows, tau], as `_best_atoms` forms them."""
+    e = -np.frexp(np.linalg.norm(L, axis=1).max())[1]
+    X = np.empty(L.shape, dtype=np.complex64)
+    X.real, X.imag = np.ldexp(L.real, e), np.ldexp(L.imag, e)
+    return np.abs(X @ problem.Psi32)
+
+
+def unscreened_dense(monkeypatch, P, problem, sparsity):
+    with monkeypatch.context() as m:
+        m.setattr(omp_module, "_SCREEN_MIN", math.inf)
+        return omp_dense(P, problem, sparsity)
+
+
+def assert_dense_matches_unscreened(monkeypatch, P, problem, sparsity):
+    batch = omp_dense(P, problem, sparsity)
+    assert screened(problem)
+    for (support, coeffs, rnorm, ridge), (support0, coeffs0, rnorm0, ridge0) in zip(
+            batch, unscreened_dense(monkeypatch, P, problem, sparsity), strict=True):
+        assert support == support0
+        np.testing.assert_array_equal(coeffs, coeffs0)
+        assert (rnorm, ridge) == (rnorm0, ridge0)
+    return batch
+
+
+class TestScreen:
+    """Past the size rule a complex64 screen picks the candidates that are
+    scored in double; the picks stay the full scan's."""
+
+    def test_rescore_keeps_full_scan_bits(self):
+        # the exact re-score of `omp` takes whole aligned groups of columns, the
+        # last group what remains, and relies on their product rounding as the
+        # full scan's columns do: on bare products of several shapes, and on
+        # every re-score of a screened pursuit. The package runs BLAS on one
+        # thread, and a threaded GEMM splits the full product otherwise, so the
+        # check runs in a process that imports polarce first.
+        script = (
+            "import numpy as np\n"
+            "from polarce import omp\n"
+            "rng = np.random.default_rng(0)\n"
+            "def crandn(*shape):\n"
+            "    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)\n"
+            "G = omp._COL_GROUP\n"
+            "for rows, tau, n in [(8, 30, 6419), (7, 30, 6419), (8, 30, 785), (8, 32, 2002)]:\n"
+            "    Z, Psi = crandn(rows, tau), crandn(tau, n)\n"
+            "    full, last = Z @ Psi, n - n % G\n"
+            "    for first in ([0], [n // 8 * 4], [last - G, last],\n"
+            "                  [last] if n % G > 1 else [0, 388], np.arange(0, n, 388)):\n"
+            "        cols = (np.array(first)[:, None] + np.arange(G)).ravel()\n"
+            "        cols = cols[cols < n]\n"
+            "        assert np.array_equal(Z @ Psi[:, cols], full[:, cols]), (rows, n, first)\n"
+            "correlate, calls = omp.VectorizedProblem.correlate, []\n"
+            "def checked(self, R, rows, cols=slice(None)):\n"
+            "    out = correlate(self, R, rows, cols)\n"
+            "    assert np.array_equal(out, correlate(self, R, rows)[:, cols])\n"
+            "    calls.append(len(cols))\n"
+            "    return out\n"
+            "omp.VectorizedProblem.correlate = checked\n"
+            "prob = omp.VectorizedProblem.build(np.eye(16), crandn(128, 6419), crandn(128, 30))\n"
+            "for _ in range(4):\n"
+            "    omp.omp(crandn(16, 30), prob, 9)\n"
+            "assert calls and all(c % G in (0, 3) for c in calls), calls\n"
+            "# 2,049 columns end in a one-column group; a pick there still takes two\n"
+            "calls.clear()\n"
+            "prob = omp.VectorizedProblem.build(np.eye(16), crandn(128, 2049), crandn(128, 32))\n"
+            "Y = prob.column(3, 2048).reshape(16, 32, order='F') + 1e-3 * crandn(16, 32)\n"
+            "assert omp.omp(Y, prob, 1).support == [(3, 2048)]\n"
+            "assert calls == [5], calls\n"
+            "print('ok')\n")
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(root / "src")
+        out = subprocess.run([sys.executable, "-c", "import polarce\n" + script], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+
+    def test_screen_error_within_delta(self, rng):
+        prob = screened_problem(random_atoms(rng))
+        L = crandn(rng, _ROW_CHUNK, SCREEN_TAU) * np.logspace(-3, 0, _ROW_CHUNK)[:, None]
+        scale = 2.0 ** -np.frexp(np.linalg.norm(L, axis=1).max())[1]
+        exact = np.abs((L * scale) @ prob.Psi) / prob.col_norms
+        err = np.abs(screen_scores(L, prob) - exact).max()
+        assert 0 < err <= _screen_delta(SCREEN_TAU)
+        assert _screen_delta(30) == pytest.approx(5.48e-6, rel=1e-3)
+
+    @staticmethod
+    def near_tie(rng):
+        """Unit atoms a, b orthogonal, and a residual a + (1 - 1e-9) b: a wins
+        in double by 1e-9 relative. The tests draw until b screens higher by
+        more than a float32 ulp."""
+        ja, jb = 700, 300
+        for _ in range(500):
+            A = random_atoms(rng)
+            A[:, jb] -= A[:, ja] * (np.vdot(A[:, ja], A[:, jb]) / np.vdot(A[:, ja], A[:, ja]))
+            ua = A[:, ja] / np.linalg.norm(A[:, ja])
+            ub = A[:, jb] / np.linalg.norm(A[:, jb])
+            phase = np.exp(2j * np.pi * rng.uniform())
+            r = phase * (ua + (1 - 1e-9) * ub)
+            yield A, r, ja, jb
+
+    def test_near_tie_lower_atom_screens_higher(self, rng):
+        for A, r, ja, jb in self.near_tie(rng):
+            prob = screened_problem(A)
+            Y = np.zeros((2 * _ROW_CHUNK, SCREEN_TAU), dtype=complex)
+            Y[0] = np.conj(r)             # z_0 psi_j = r^H a_j
+            S = screen_scores(Y[:_ROW_CHUNK], prob)
+            if S[0, jb] > np.nextafter(S[0, ja], np.inf):
+                break
+        else:
+            pytest.fail("no draw inverted the screened order")
+        res = assert_matches_full_scan(Y, prob, 1)
+        assert res.support == [(0, ja)]
+        assert screened(prob)
+
+    def test_near_tie_lower_atom_screens_higher_dense(self, rng, monkeypatch):
+        c = _ROW_CHUNK
+        for A, r, ja, jb in self.near_tie(rng):
+            prob = screened_problem(A)
+            P = np.concatenate([r[:, None], crandn(rng, SCREEN_TAU, c - 1)], axis=1)
+            S = screen_scores(P.conj().T, prob)
+            if S[0, jb] > np.nextafter(S[0, ja], np.inf):
+                break
+        else:
+            pytest.fail("no draw inverted the screened order")
+        batch = assert_dense_matches_unscreened(monkeypatch, P, prob, 2)
+        assert batch[0][0][0] == ja
+
+    def test_picked_atoms_are_masked_in_the_screen(self, rng):
+        # a picked atom that would top the screen must not set its threshold:
+        # atom (0, 5) scores 1 and is picked, the best unpicked one far less
+        A = random_atoms(rng)
+        prob = screened_problem(A)
+        L = 1e-3 * crandn(rng, 1, _ROW_CHUNK, SCREEN_TAU)
+        L[0, 0] += np.conj(A[:, 5]) / np.linalg.norm(A[:, 5])
+        picked = (np.array([0]), np.array([0]), np.array([5]))
+        full = np.abs(L[0] @ A) / prob.col_norms
+        full[0, 5] = -1.0
+        want = np.unravel_index(np.argmax(full), full.shape)
+        [i], [j], [score] = _best_atoms(prob, 1, _ROW_CHUNK, lambda: L,
+                                        lambda cols: L @ prob.Psi[:, cols], picked)
+        assert (i, j, score) == (*want, full[want])
+        assert screened(prob)
+
+    @pytest.mark.parametrize("big_rows", [0, _ROW_CHUNK - 1],
+                             ids=["one-chunk", "across-chunks"])
+    def test_exact_ties_split_across_candidates(self, rng, big_rows):
+        # rows 2 and 5 are conjugates, as are cascaded atoms 700 and 300, so
+        # (2, 700) and (5, 300) score the same bits; each is a candidate through
+        # its own row, and the lower flat index (2, 700) wins. Rows of norm 1.5
+        # with lower scores push row 5 into the second chunk.
+        A = random_atoms(rng)
+        A[:, 300] = np.conj(A[:, 700])
+        prob = screened_problem(A)
+        Y = np.zeros((2 * _ROW_CHUNK, SCREEN_TAU), dtype=complex)
+        Y[2] = np.conj(A[:, 700]) / np.linalg.norm(A[:, 700])
+        Y[5] = np.conj(Y[2])
+        for i in range(big_rows):
+            v = crandn(rng, SCREEN_TAU)
+            Y[_ROW_CHUNK + i] = 1.5 * v / np.linalg.norm(v)
+        full = np.abs((prob.F_bsH @ Y) @ prob.Psi) / prob.col_norms
+        assert full[2, 700] == full[5, 300] == full.max()
+        assert full[2, 300] < full[2, 700] and full[5, 700] < full[2, 700]
+        res = assert_matches_full_scan(Y, prob, 1)
+        assert res.support == [(2, 700)]
+        assert screened(prob)
+
+    def test_exact_ties_split_across_candidates_dense(self, rng, monkeypatch):
+        # a real residual scores an atom and its conjugate the same bits; the
+        # lower index wins, and the other columns add their own candidates
+        A = random_atoms(rng)
+        A[:, 700] = A[:, 700].real + 0.1j * A[:, 700].imag
+        A[:, 300] = np.conj(A[:, 700])
+        prob = screened_problem(A)
+        P = crandn(rng, SCREEN_TAU, _ROW_CHUNK)
+        P[:, 0] = A[:, 700].real
+        full = np.abs(prob.Psi.conj().T @ P) / prob.col_norms[:, None]
+        assert full[300, 0] == full[700, 0] == full[:, 0].max()
+        batch = assert_dense_matches_unscreened(monkeypatch, P, prob, 3)
+        assert batch[0][0][0] == 300
+
+    @pytest.mark.parametrize("scale", [1e30, 1e-30, 1e40, 1e-40])
+    def test_scaled_pilot_blocks(self, paper, scale, monkeypatch):
+        # 1e40 and 1e-40 lie past the range of float32
+        system, F_bs, F_cas = paper
+        E = make_phase_matrix(system.n_ris, system.tau, substream(5, "phase"))
+        prob = VectorizedProblem.build(F_bs, F_cas, E)
+        Y = scene_pilots(system, E, 10.0, 1) * scale
+        res = assert_matches_full_scan(Y, prob, 9)
+        assert len(res.support) == 9
+        assert screened(prob)
+        rows = np.argsort(-np.linalg.norm(F_bs.conj().T @ Y, axis=1))[:12]
+        assert_dense_matches_unscreened(monkeypatch, (F_bs[:, rows].conj().T @ Y).T,
+                                        VectorizedProblem.build(F_bs, F_cas, E), 3)
+
+    def test_residual_exactly_zero(self, rng, monkeypatch):
+        A = random_atoms(rng)
+        A[:, 5] = np.eye(SCREEN_TAU)[0]
+        prob = screened_problem(A)
+        # no picks on a zero observation
+        res = omp(np.zeros((2 * _ROW_CHUNK, SCREEN_TAU), dtype=complex), prob, 3)
+        assert (res.support, res.residual_norm) == ([], 0.0)
+        # atom (1, 5) is a unit vector of the vectorized problem: one pick
+        # leaves the residual exactly zero, and the pursuit stops
+        Y = np.zeros((2 * _ROW_CHUNK, SCREEN_TAU), dtype=complex)
+        Y[1, 0] = 4.0
+        res = assert_matches_full_scan(Y, prob, 1)
+        res = omp(Y, prob, 3)
+        assert res.support == [(1, 5)]
+        assert res.coeffs.tolist() == [4.0] and res.residual_norm == 0.0
+        assert screened(prob)
+        P = crandn(rng, SCREEN_TAU, _ROW_CHUNK + 2)
+        P[:, 1] = 0.0
+        P[:, 2] = 4.0 * A[:, 5]
+        batch = assert_dense_matches_unscreened(monkeypatch, P, screened_problem(A), 3)
+        assert batch[1][0] == [] and batch[2][0] == [5] and batch[2][2] == 0.0
+
+    def test_residual_orthogonal_to_every_atom(self, rng):
+        # BS atoms span all rows of R but the last, so Z = 0, every atom scores
+        # exactly 0, the screen keeps every column, and the picks go in flat order
+        prob = screened_problem(random_atoms(rng), n=2 * _ROW_CHUNK + 1)
+        Y = np.zeros((2 * _ROW_CHUNK + 1, SCREEN_TAU), dtype=complex)
+        Y[-1] = crandn(rng, SCREEN_TAU)
+        res = omp(Y, prob, 3)
+        assert res.support == full_scan_omp(Y, prob, 3)[0] == [(0, 0), (0, 1), (0, 2)]
+        assert np.all(res.coeffs == 0)
+        assert screened(prob)
+
+    def test_zero_norm_atom(self, rng, monkeypatch):
+        A = random_atoms(rng)
+        A[:, 7] = 0.0
+        prob = screened_problem(A)
+        assert prob.col_norms[7] == 1.0
+        Y = sum(c * prob.column(i, j) for (i, j), c in
+                zip([(1, 4), (9, 7), (3, 1500)], [1.0, 0.5j, -0.7]))
+        Y = Y.reshape(2 * _ROW_CHUNK, SCREEN_TAU, order="F") + 0.01 * crandn(
+            rng, 2 * _ROW_CHUNK, SCREEN_TAU)
+        res = assert_matches_full_scan(Y, prob, 3)
+        assert all(j != 7 for _, j in res.support)
+        assert screened(prob)
+        assert not np.any(prob.Psi32[:, 7])
+        P = crandn(rng, SCREEN_TAU, _ROW_CHUNK)
+        for support, *_ in assert_dense_matches_unscreened(monkeypatch, P, prob, 4):
+            assert 7 not in support
+
+    def test_just_below_the_rule_builds_no_copy(self, rng, monkeypatch):
+        # a row chunk of 8 x 32 x 2000 multiply-adds is _SCREEN_MIN: no screen
+        gc = _SCREEN_MIN // (_ROW_CHUNK * SCREEN_TAU)
+        prob = VectorizedProblem.build(np.eye(2 * _ROW_CHUNK, dtype=complex),
+                                       random_atoms(rng, gc), np.eye(SCREEN_TAU))
+        assert _ROW_CHUNK * prob.Psi.size == _SCREEN_MIN
+        Y = crandn(rng, 2 * _ROW_CHUNK, SCREEN_TAU)
+        assert_matches_full_scan(Y, prob, 3)
+        omp_dense(crandn(rng, SCREEN_TAU, _ROW_CHUNK), prob, 3)
+        assert not screened(prob)
+        # one more atom is past it
+        prob = VectorizedProblem.build(np.eye(2 * _ROW_CHUNK, dtype=complex),
+                                       random_atoms(rng, gc + 1), np.eye(SCREEN_TAU))
+        assert_matches_full_scan(Y, prob, 3)
+        assert screened(prob)
