@@ -170,14 +170,14 @@ def _best_atoms(problem: VectorizedProblem, g: int, r: int, left, exact, picked)
     row, the column and the score of its best atom, ties to the lowest
     row-major (row, column) index.
     """
-    tau = problem.Psi.shape[0]
     pg, pr, pj = picked
     screen = g * r > 1 and g * r * problem.Psi.size > _SCREEN_MIN   # one row: gemv
     cols = slice(None)
     if screen:
+        L = left()
+        tau, n = problem.Psi.shape
         # each group to unit maximum row norm by a power of two, so nothing
         # overflows complex64 and all it flushes to zero lies far below delta
-        L = left()
         e = -np.frexp(np.linalg.norm(L, axis=2).max(axis=1))[1][:, None, None]
         X = np.empty(L.shape, dtype=np.complex64)
         X.real, X.imag = np.ldexp(L.real, e), np.ldexp(L.imag, e)
@@ -187,7 +187,6 @@ def _best_atoms(problem: VectorizedProblem, g: int, r: int, left, exact, picked)
         floor = np.nextafter(floor.astype(np.float32), -np.inf)   # a float32 below it
         # whole aligned groups of the kept columns, the last group what remains,
         # and two columns at least: a one-column product goes to gemv
-        n = problem.Psi.shape[1]
         first = np.flatnonzero((S >= floor).any(axis=(0, 1)))
         first -= first % _COL_GROUP
         first = first[np.concatenate(([True], first[1:] != first[:-1]))]   # one per group
@@ -195,6 +194,7 @@ def _best_atoms(problem: VectorizedProblem, g: int, r: int, left, exact, picked)
             first = np.array([n - 1 - _COL_GROUP, n - 1])
         cols = (first[:, None] + np.arange(_COL_GROUP)).ravel()
         cols = cols[cols < n]
+        # the picked atoms among the kept columns, by position
         pos = np.minimum(np.searchsorted(cols, pj), cols.size - 1)
         hit = cols[pos] == pj
         pg, pr, pj = pg[hit], pr[hit], pos[hit]

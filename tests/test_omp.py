@@ -470,11 +470,11 @@ class TestOmpDense:
 SCREEN_TAU, SCREEN_GC = 32, 2048    # a row chunk of these scans 524,288 multiply-adds
 
 
-def screened_problem(A, n=2 * _ROW_CHUNK, n_g=2 * _ROW_CHUNK):
-    """Identity BS atoms (the first n_g of n), so z_i is row i of R, and the
-    cascaded atoms A with E = I, so Psi = A."""
+def screened_problem(A, n=2 * _ROW_CHUNK):
+    """16 identity BS atoms in C^n, so z_i is row i of R, and the cascaded
+    atoms A with E = I, so Psi = A."""
     assert _ROW_CHUNK * A.size > _SCREEN_MIN
-    return VectorizedProblem.build(np.eye(n, n_g, dtype=complex), A,
+    return VectorizedProblem.build(np.eye(n, 2 * _ROW_CHUNK, dtype=complex), A,
                                    np.eye(A.shape[0], dtype=complex))
 
 
@@ -495,17 +495,15 @@ def screen_scores(L, problem):
     return np.abs(X @ problem.Psi32)
 
 
-def unscreened_dense(monkeypatch, P, problem, sparsity):
-    with monkeypatch.context() as m:
-        m.setattr(omp_module, "_SCREEN_MIN", math.inf)
-        return omp_dense(P, problem, sparsity)
-
-
 def assert_dense_matches_unscreened(monkeypatch, P, problem, sparsity):
+    """omp_dense picks and fits as it does with the screen switched off."""
     batch = omp_dense(P, problem, sparsity)
     assert screened(problem)
+    with monkeypatch.context() as m:
+        m.setattr(omp_module, "_SCREEN_MIN", math.inf)
+        reference = omp_dense(P, problem, sparsity)
     for (support, coeffs, rnorm, ridge), (support0, coeffs0, rnorm0, ridge0) in zip(
-            batch, unscreened_dense(monkeypatch, P, problem, sparsity), strict=True):
+            batch, reference, strict=True):
         assert support == support0
         np.testing.assert_array_equal(coeffs, coeffs0)
         assert (rnorm, ridge) == (rnorm0, ridge0)
