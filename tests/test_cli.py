@@ -289,7 +289,7 @@ class TestConfigErrors:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out" / "snr_sweep.csv").exists()
 
-    @pytest.mark.parametrize("command", [["eval"], ["train", "stage2"]])
+    @pytest.mark.parametrize("command", [["eval"], ["train", "stage1"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):
         rc, _, err = run(capsys, [*command, "--config", omp_cfg_file, "--snr", "nan",
                                   "--out", str(tmp_path / "x")])
