@@ -11,14 +11,15 @@ its scene, noise and stage-2 substreams, so `polarce eval --snr s` is the SNR
 sweep's row at s.
 `_sweep` runs stage-1 training and its points as work items of one process
 map (`_map_points`), on one process more than there are usable CPUs, forked
-so they share the dictionaries and the stage-2 training scenes, and merges
-their records in point order; the layer sweep runs its trainings the same
-way. Every item is one single-threaded job that reads only its own labeled
-substreams, so the CSV bytes are the same for any worker count. The process
-beyond the CPU count keeps a core busy while a point waits for stage 1 or a
-last round has fewer jobs than cores. Each process runs BLAS on one thread,
-as importing `polarce` before numpy sets it (see the package docstring): the
-trained bytes depend on the BLAS thread count.
+so they share the dictionaries, and merges their records in point order; the
+layer sweep runs its trainings the same way. A job that trains draws its own
+training scenes, a chunk at a time, so no process holds a whole training set
+of scenes. Every item is one single-threaded job that reads only its own
+labeled substreams, so the CSV bytes are the same for any worker count. The
+process beyond the CPU count keeps a core busy while a point waits for stage
+1 or a last round has fewer jobs than cores. Each process runs BLAS on one
+thread, as importing `polarce` before numpy sets it (see the package
+docstring): the trained bytes depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -48,8 +49,8 @@ from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
                     build_cascaded_dictionary, build_dictionary)
 from .rng import substream
 from .schemes import SCHEME_FUNCS, SUPPORT_GUARD, PipelineContext
-from .unrolled import (FORWARD_FORM, ListaParams, Stage2Config, make_stage2_dataset,
-                       stage2_loss, train_stage2)
+from .unrolled import (FORWARD_FORM, ListaParams, Stage2Config, Stage2Dataset,
+                       make_stage2_dataset, stage2_loss, train_stage2)
 
 __all__ = [
     "SweepConfig", "ExperimentConfig", "default_config", "config_to_dict",
@@ -339,7 +340,7 @@ def load_stage2(path, E: np.ndarray, F_cas: np.ndarray) -> ListaParams:
 
 # ------------------------------------------------------------------- training
 
-# stage-1 training scenes held at once while their pairs are made
+# training scenes held at once while their pairs are made
 _SCENE_CHUNK = 64
 
 
@@ -347,40 +348,49 @@ def draw_scenes(system: SystemConfig, seed: int, label: str, count: int):
     return [draw_scene(system, substream(seed, label, str(i))) for i in range(count)]
 
 
-def _stage1_dataset(cfg: ExperimentConfig, bs: PolarDictionary, E: np.ndarray,
-                    system: SystemConfig, label: str, count: int,
-                    snrs: tuple[float, ...]):
-    """Stage-1 pairs on the `<label>-scene` scenes; scene i is at SNR snrs[i % len].
+def _chunk_pairs(cfg: ExperimentConfig, E: np.ndarray, system: SystemConfig,
+                 label: str, count: int, snrs: tuple[float, ...], make) -> list:
+    """make(scenes, noise_vars) on the `label` scenes, scene i at SNR
+    snrs[i % len], called on _SCENE_CHUNK scenes at a time; returns its results.
 
-    The scenes are drawn and made into pairs _SCENE_CHUNK at a time, on one
-    noise stream, so no more than a chunk of them is held at once; the pairs
-    are those of one call on all of them.
+    A chunk's scenes are dropped before the next is drawn, so no more than a
+    chunk of them is held at once. Made on one noise stream, the pairs of the
+    chunks are those of one call on all the scenes.
     """
-    seed = cfg.sweep.seed
-    noise = substream(seed, f"{label}-noise")
     parts = []
     for lo in range(0, count, _SCENE_CHUNK):
         ids = range(lo, min(lo + _SCENE_CHUNK, count))
-        scenes = [draw_scene(system, substream(seed, f"{label}-scene", str(i))) for i in ids]
+        scenes = [draw_scene(system, substream(cfg.sweep.seed, label, str(i))) for i in ids]
         nvs = [noise_var_for_snr(sc, system, E, snrs[i % len(snrs)],
                                  convention=cfg.sweep.snr_convention)
                for i, sc in zip(ids, scenes)]
-        parts.append(make_stage1_dataset(system, bs, E, scenes, nvs, noise))
+        parts.append(make(scenes, nvs))
+        del scenes
+    return parts
+
+
+def _stage1_dataset(cfg: ExperimentConfig, bs: PolarDictionary, E: np.ndarray,
+                    system: SystemConfig, label: str, count: int,
+                    snrs: tuple[float, ...]):
+    """Stage-1 pairs on the `<label>-scene` scenes; scene i is at SNR snrs[i % len]."""
+    noise = substream(cfg.sweep.seed, f"{label}-noise")
+    parts = _chunk_pairs(cfg, E, system, f"{label}-scene", count, snrs,
+                         lambda scenes, nvs: make_stage1_dataset(system, bs, E, scenes,
+                                                                 nvs, noise))
     return Stage1Dataset(C=np.concatenate([d.C for d in parts]),
                          X=np.concatenate([d.X for d in parts]))
 
 
 def _stage2_dataset(cfg: ExperimentConfig, E: np.ndarray, snr_db: float, label: str,
-                    system: SystemConfig, scenes: list[SceneRealization] | None = None):
-    """Stage-2 pairs on the training scenes at one SNR, noise from substream label."""
-    seed = cfg.sweep.seed
-    if scenes is None:
-        scenes = draw_scenes(system, seed, "train2-scene", cfg.stage2.train_size)
-    nvs = [noise_var_for_snr(sc, system, E, snr_db,
-                             convention=cfg.sweep.snr_convention)
-           for sc in scenes]
-    return make_stage2_dataset(system, scenes, E, nvs,
-                               substream(seed, "train2-noise", label))
+                    system: SystemConfig):
+    """Stage-2 pairs on the `train2-scene` scenes at one SNR, noise from
+    substream label."""
+    noise = substream(cfg.sweep.seed, "train2-noise", label)
+    parts = _chunk_pairs(cfg, E, system, "train2-scene", cfg.stage2.train_size, (snr_db,),
+                         lambda scenes, nvs: make_stage2_dataset(system, scenes, E, nvs,
+                                                                 noise))
+    return Stage2Dataset(P=np.concatenate([d.P for d in parts], axis=1),
+                         Xl=np.concatenate([d.Xl for d in parts], axis=1))
 
 
 def train_stage1_model(cfg: ExperimentConfig, bs: PolarDictionary, E: np.ndarray,
@@ -396,10 +406,9 @@ def train_stage1_model(cfg: ExperimentConfig, bs: PolarDictionary, E: np.ndarray
 
 def train_stage2_model(cfg: ExperimentConfig, cas: CascadedDictionary,
                        E: np.ndarray, snr_db: float, label: str,
-                       system: SystemConfig | None = None,
-                       scenes: list[SceneRealization] | None = None):
+                       system: SystemConfig | None = None):
     """Stage-2 network at one noise operating point; returns (params, trace)."""
-    ds = _stage2_dataset(cfg, E, snr_db, label, system or cfg.system, scenes)
+    ds = _stage2_dataset(cfg, E, snr_db, label, system or cfg.system)
     return train_stage2(ds, E, cas.F, cfg.stage2, cfg.sweep.seed)
 
 
@@ -582,25 +591,23 @@ def _map_points(jobs: list, workers: int) -> list:
 
 def _sweep_point(cfg: ExperimentConfig, axis: str, bs: PolarDictionary,
                  cas: CascadedDictionary, stage1: DenoiserParams | None,
-                 stage2: ListaParams | None, train2_scenes, progress, point,
-                 first) -> dict:
+                 stage2: ListaParams | None, progress, point, first) -> dict:
     """One point of `_sweep`: its records, timing entries, stage-2 trace and
     stage-2 checkpoint hash, all plain values a worker can send back.
 
-    train2_scenes, when stage 2 trains, returns the shared training scenes.
-    Without a given stage1, the network is the first entry of first(), the
-    result of the sweep's stage-1 job, read once the schemes that need no
-    network are done."""
+    Without a given stage2, a point that runs "dncnn-istanet" trains its own,
+    on training scenes it draws a chunk at a time. Without a given stage1, the
+    network is the first entry of first(), the result of the sweep's stage-1
+    job, read once the schemes that need no network are done."""
     sw = cfg.sweep
     value, label, system, E, snr = point
     tp = time.perf_counter()
     timing, trace2 = {}, None
     scenes = draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", sw.trials)
     lp = stage2
-    if train2_scenes is not None:
+    if lp is None and "dncnn-istanet" in sw.schemes:
         ts = time.perf_counter()
-        lp, trace2 = train_stage2_model(cfg, cas, E, snr, label, system=system,
-                                        scenes=train2_scenes())
+        lp, trace2 = train_stage2_model(cfg, cas, E, snr, label, system=system)
         timing[f"stage2_train_{label}_s"] = time.perf_counter() - ts
     ctx = PipelineContext(config=system, bs=bs, cas=cas, E=E,
                           stage1=stage1, stage2=lp, support_guard=sw.support_guard)
@@ -625,14 +632,15 @@ def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
 
     Stage 1 trains once, on the point with the longest pilot block (its
     row-compressed input keeps the same shape for every tau); stage 2 trains
-    per point, on one shared scene draw, because its mixing matrix is tied to
-    the point's schedule. A given network replaces the training. Writes
-    <stem>.csv and <stem>.meta.json and returns one record per scheme and point.
+    per point, because its mixing matrix is tied to the point's schedule, and
+    each point draws the training scenes itself. A given network replaces the
+    training. Writes <stem>.csv and <stem>.meta.json and returns one record per
+    scheme and point.
 
     Stage-1 training, when there is one, is job 0 and the points follow. The
     jobs run round-robin (`_map_points`) on W = min(jobs, usable CPUs + 1)
     processes: this process takes jobs 0, W, 2W, ... and forks the other W-1
-    once the stage-2 training scenes are drawn, so they share them. A point
+    before any training scene is drawn; they share the dictionaries. A point
     trains its stage 2 and runs the schemes that need no stage-1 network
     before it waits for one. With one process more than there are CPUs, a
     core that a waiting or finished job leaves has another job to run. Every
@@ -648,20 +656,13 @@ def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
     train1 = stage1 is None and any(map(_reads_stage1, sw.schemes))
     meta: dict = {"config": config_to_dict(cfg), "config_hash": _config_hash(cfg),
                   "checkpoints": {}, "timing": {}}
-    train2_scenes = None
-    if "dncnn-istanet" in sw.schemes and stage2 is None:
-        train2_scenes = functools.cache(lambda: draw_scenes(
-            cfg.system, sw.seed, "train2-scene", cfg.stage2.train_size))
-        train2_scenes()                   # before the fork, so the workers share one copy
     jobs = [functools.partial(_sweep_point, cfg, axis, bs, cas, stage1, stage2,
-                              train2_scenes, progress, p) for p in points]
+                              progress, p) for p in points]
     workers = min(len(jobs) + train1, _usable_cpus() + 1)
     if train1:
         _, _, system_ref, E_ref, _ = max(points, key=lambda p: p[2].tau)
 
         def train_stage1(first):
-            if train2_scenes is not None and workers == len(jobs):
-                train2_scenes.cache_clear()   # this process runs no point: free its copy
             ts = time.perf_counter()
             dp, trace = train_stage1_model(cfg, bs, E_ref, system=system_ref)
             return dp, trace, time.perf_counter() - ts
@@ -718,10 +719,11 @@ def run_pilot_sweep(cfg: ExperimentConfig, outdir, progress=None) -> list[dict]:
 def run_loss_curves(cfg: ExperimentConfig, outdir) -> dict:
     """Training curves for both networks at each depth.
 
-    Episode 0 rows hold the full-dataset loss of the untrained model. Each
-    (depth, network) training is one job of `_map_points`, run on
-    min(trainings, usable CPUs + 1) processes forked after both datasets are
-    built; the rows merge in depth order, stage 1 before stage 2.
+    Episode 0 rows hold the full-dataset loss of the untrained model. Both
+    datasets are built first, their scenes drawn a chunk at a time, so only
+    the pairs outlive the draw. Each (depth, network) training is one job of
+    `_map_points`, run on min(trainings, usable CPUs + 1) processes forked
+    after that; the rows merge in depth order, stage 1 before stage 2.
     """
     sw = cfg.sweep
     t0 = time.perf_counter()

@@ -158,6 +158,11 @@ def _screen_delta(tau: int) -> float:
     return math.sqrt(2.0) * g / (1.0 - g)
 
 
+def _screens(problem: VectorizedProblem, rows: int) -> bool:
+    """The size rule: whether a scan of `rows` rows screens in complex64."""
+    return rows > 1 and rows * problem.Psi.size > _SCREEN_MIN   # one row: gemv
+
+
 def _best_atoms(problem: VectorizedProblem, g: int, r: int, left, exact, picked):
     """The best unpicked atom of each of g groups of r rows, shared by both OMPs.
 
@@ -171,7 +176,7 @@ def _best_atoms(problem: VectorizedProblem, g: int, r: int, left, exact, picked)
     row-major (row, column) index.
     """
     pg, pr, pj = picked
-    screen = g * r > 1 and g * r * problem.Psi.size > _SCREEN_MIN   # one row: gemv
+    screen = _screens(problem, g * r)
     cols = slice(None)
     if screen:
         L = left()
@@ -288,9 +293,17 @@ def omp(Y: np.ndarray, problem: VectorizedProblem, sparsity: int) -> OmpResult:
                 break
             rows = np.sort(order[lo:hi])
             p, q = np.nonzero(rows[:, None] == picked_i)
-            [p], [j], [score] = _best_atoms(
-                problem, 1, rows.size, lambda: (problem.F_bsH[rows] @ R)[None],
-                lambda cols: problem.correlate(R, rows, cols)[None], (p * 0, p, picked_j[q]))
+            if _screens(problem, rows.size):
+                [p], [j], [score] = _best_atoms(
+                    problem, 1, rows.size, lambda: (problem.F_bsH[rows] @ R)[None],
+                    lambda cols: problem.correlate(R, rows, cols)[None],
+                    (p * 0, p, picked_j[q]))
+            else:   # every atom scored exactly, without the screen's group bookkeeping
+                s = np.abs(problem.correlate(R, rows))
+                np.divide(s, problem.col_norms, out=s)
+                s[p, picked_j[q]] = -1.0
+                p, j = divmod(int(np.argmax(s)), gc)
+                score = s[p, j]
             k = int(rows[p]) * gc + int(j)
             if score > top or (score == top and k < top_k):
                 top, top_k = score, k

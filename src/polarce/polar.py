@@ -70,7 +70,7 @@ class PolarGrid:
 class PolarDictionary:
     """Unit-norm steering columns over a polar grid."""
 
-    F: np.ndarray                     # [size, G]
+    F: np.ndarray                     # [size, G], read-only
     grid: PolarGrid
     size: int
     wavelength: float
@@ -88,7 +88,7 @@ class CascadedDictionary:
     differences.
     """
 
-    F: np.ndarray                     # [size, Gc]
+    F: np.ndarray                     # [size, Gc], read-only: networks share it
     col_scale: float                  # 1/sqrt(size)
     delta_sin: np.ndarray             # [Gc] canonical tuple, wrapped
     delta_curv: np.ndarray            # [Gc]
@@ -136,6 +136,7 @@ def build_dictionary(size: int, wavelength: float, spacing: float,
                             / (2.0 * grid.distances[near]))
     k = 2.0 * math.pi / wavelength
     F = np.exp(-1j * k * path_delta) / math.sqrt(size)
+    F.flags.writeable = False
     return PolarDictionary(F=F, grid=grid, size=size,
                            wavelength=wavelength, spacing=spacing)
 
@@ -175,6 +176,7 @@ def build_cascaded_dictionary(single: PolarDictionary) -> CascadedDictionary:
     F = (np.outer(x * x, d_curv) - np.outer(x, d_sin)) * (-2j * math.pi / single.wavelength)
     scale = 1.0 / math.sqrt(single.size)
     F = np.multiply(np.exp(F, out=F), scale, out=F)
+    F.flags.writeable = False
     return CascadedDictionary(F=F, col_scale=scale, delta_sin=d_sin,
                               delta_curv=d_curv, source=single)
 

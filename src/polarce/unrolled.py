@@ -110,7 +110,11 @@ def lista_init(E: np.ndarray, F_cas: np.ndarray, cfg: Stage2Config,
                probe_P: np.ndarray) -> ListaParams:
     """Classic-ISTA initialization: V = E, F = dictionary, safe step,
     thresholds calibrated on the layer-1 coefficient scale of the [tau, n]
-    probe observations (zero thresholds for an empty probe)."""
+    probe observations (zero thresholds for an empty probe).
+
+    V is a copy of E; F is F_cas itself when it is already complex128, not a
+    copy, so an untrained net shares the dictionary (which `polar` builds
+    read-only). Training narrows both to complex64 copies."""
     Psi = E.conj().T @ F_cas
     kappa0 = 1.0 / spectral_norm_sq(Psi)
     if probe_P.size:
@@ -122,7 +126,7 @@ def lista_init(E: np.ndarray, F_cas: np.ndarray, cfg: Stage2Config,
         lam=np.full(cfg.layers, lam0),
         kappa=np.full(cfg.layers, kappa0),
         V=E.astype(np.complex128),
-        F=F_cas.astype(np.complex128),
+        F=F_cas.astype(np.complex128, copy=False),
     )
 
 
@@ -184,7 +188,7 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
     `optim.train` on the fields of ListaParams, with E and the batches in
     complex64 and the thresholds clamped to >= 0 after every step.
     """
-    # narrowed here, so no complex128 copy outlives the initialization
+    # complex64 copies: training never writes into E or the shared dictionary
     params = with_precision(vars(lista_init(E, F_cas, cfg, probe_P=dataset.P[:, :cfg.probe])),
                             np.float32)
     E = E.astype(np.complex64)

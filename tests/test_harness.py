@@ -7,13 +7,14 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polarce import container, harness
-from polarce.channel import make_phase_matrix, noise_var_for_snr, simulate_pilots
+from polarce.channel import draw_scene, make_phase_matrix, noise_var_for_snr, simulate_pilots
 from polarce.denoiser import (STAGE1_FORM, Stage1Config, init_denoiser,
                               make_stage1_dataset)
 from polarce.harness import (SweepConfig, build_bs_dictionary,
@@ -28,7 +29,7 @@ from polarce.optim import TrainingDiverged
 from polarce.rng import substream
 from polarce.schemes import (PipelineContext, _stage1_project, estimate_dncnn_omp,
                              estimate_omp)
-from polarce.unrolled import FORWARD_FORM, ListaParams
+from polarce.unrolled import FORWARD_FORM, ListaParams, make_stage2_dataset
 
 from helpers import crandn
 
@@ -613,6 +614,51 @@ def test_stage1_pairs_in_chunks_are_one_call(monkeypatch, micro_cfg):
     want = make_stage1_dataset(system, bs, E, scenes, nvs, substream(seed, "pairs-noise"))
     assert got.C.shape == (12, bs.F.shape[1], 1)
     assert got.C.tobytes() == want.C.tobytes() and got.X.tobytes() == want.X.tobytes()
+
+
+def test_stage2_pairs_in_chunks_are_one_call(monkeypatch, micro_cfg):
+    """Stage-2 pairs made a few scenes at a time, on scenes of several paths,
+    are those of one call on all, and no more than a chunk of training scenes
+    is alive at once."""
+    monkeypatch.setattr(harness, "_SCENE_CHUNK", 5)
+    system = dataclasses.replace(micro_cfg.system, paths_bs=3, paths_ris=2)
+    cfg = dataclasses.replace(micro_cfg, system=system,
+                              stage2=dataclasses.replace(micro_cfg.stage2, train_size=12))
+    seed, E = cfg.sweep.seed, phase_schedule(cfg)
+    scenes = draw_scenes(system, seed, "train2-scene", 12)
+    nvs = [noise_var_for_snr(sc, system, E, 20.0) for sc in scenes]
+    want = make_stage2_dataset(system, scenes, E, nvs, substream(seed, "train2-noise", "pairs"))
+    del scenes
+    alive, counts = weakref.WeakValueDictionary(), []   # a scene is not hashable
+
+    def spy(*args):
+        scene = draw_scene(*args)
+        alive[len(counts)] = scene
+        counts.append(len(alive))
+        return scene
+
+    monkeypatch.setattr(harness, "draw_scene", spy)
+    got = harness._stage2_dataset(cfg, E, 20.0, "pairs", system)
+    assert got.P.shape == (system.tau, 12 * system.paths_bs)
+    assert got.P.tobytes() == want.P.tobytes() and got.Xl.tobytes() == want.Xl.tobytes()
+    assert len(counts) == 12 and max(counts) == 5
+
+
+def test_sweep_draws_no_training_scene_before_it_forks(monkeypatch, tmp_path):
+    """Every point draws its stage-2 training scenes itself, after the fork."""
+    usable_cpus(monkeypatch, 1)
+    labels, at_fork = [], []
+    sub, map_points = harness.substream, harness._map_points
+    monkeypatch.setattr(harness, "substream",
+                        lambda seed, *names: labels.append(names[0]) or sub(seed, *names))
+    monkeypatch.setattr(harness, "_map_points",
+                        lambda jobs, workers: at_fork.append(list(labels))
+                        or map_points(jobs, workers))
+    cfg = config_from_dict(MICRO)
+    run_snr_sweep(dataclasses.replace(cfg, sweep=dataclasses.replace(
+        cfg.sweep, schemes=("omp", "dncnn-omp", "dncnn-istanet"))), tmp_path)
+    # this process trains stage 1, then runs the second point
+    assert "train2-scene" not in at_fork[0] and "train2-scene" in labels
 
 
 def test_default_context_picks_the_sweep_supports(small_system, small_bs_dict,

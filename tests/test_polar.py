@@ -169,6 +169,14 @@ class TestDictionary:
         gram = d.F.conj().T @ d.F
         np.testing.assert_allclose(gram, np.eye(size), atol=1e-10)
 
+    def test_dictionaries_are_read_only(self, ringed_dict, ringed_cas):
+        """A network that shares a dictionary cannot write through it."""
+        for F in (ringed_dict.F, ringed_cas.F):
+            with pytest.raises(ValueError):
+                F[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                F *= 2.0
+
 
 class TestCascadedDictionary:
     def test_single_angle_collapses_to_one_column(self):

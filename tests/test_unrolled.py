@@ -1,4 +1,5 @@
 """Subspace projection, ISTA, the unrolled network, and stage-2 training."""
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -128,6 +129,13 @@ class TestListaInit:
         np.testing.assert_array_equal(lp.V, small_E)
         assert lp.V is not small_E
         np.testing.assert_array_equal(lp.F, small_cas_dict.F)
+
+    def test_shares_the_dictionary(self, small_E, small_cas_dict):
+        """F is the dictionary itself; V is E's own copy."""
+        probe = np.zeros((small_E.shape[1], 0), dtype=complex)
+        lp = lista_init(small_E, small_cas_dict.F, Stage2Config(layers=2), probe_P=probe)
+        assert np.shares_memory(lp.F, small_cas_dict.F)
+        assert not np.shares_memory(lp.V, small_E)
 
     def test_no_probe_gives_zero_threshold(self, small_E, small_cas_dict):
         empty = np.zeros((small_E.shape[1], 0), dtype=complex)
@@ -400,6 +408,15 @@ class TestStage2Training:
         np.testing.assert_array_equal(lp1.kappa, lp2.kappa)
         np.testing.assert_array_equal(lp1.V, lp2.V)
         np.testing.assert_array_equal(lp1.F, lp2.F)
+
+    def test_leaves_the_dictionary_as_it_was(self, training_setup, small_E,
+                                            small_cas_dict):
+        """Training writes into no array it is given, a writable one too."""
+        ds, cfg = training_setup
+        F = small_cas_dict.F.copy()
+        before = hashlib.sha256(F.tobytes()).hexdigest()
+        train_stage2(ds, small_E, F, cfg, seed=5)
+        assert hashlib.sha256(F.tobytes()).hexdigest() == before
 
     def test_divergence_raises(self, training_setup, small_E, small_cas_dict):
         ds, _ = training_setup
