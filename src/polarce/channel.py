@@ -23,7 +23,7 @@ from .rng import complex_normal
 __all__ = [
     "C_LIGHT", "SystemConfig", "PathParams", "SceneRealization", "PilotBlock",
     "steering_vector", "build_channels", "draw_scene", "make_phase_matrix",
-    "simulate_pilots", "noise_var_for_snr", "ris_side_rows",
+    "simulate_pilots", "valid_snr_db", "noise_var_for_snr", "ris_side_rows",
     "PHASE_KINDS", "SNR_CONVENTIONS",
 ]
 
@@ -214,6 +214,16 @@ def simulate_pilots(scene: SceneRealization, config: SystemConfig, E: np.ndarray
     if noise_var > 0:
         Y = Y + complex_normal(rng, Y.shape, noise_var)
     return PilotBlock(Y=Y, noise_var=noise_var)
+
+
+def valid_snr_db(snr_db: float) -> bool:
+    """Whether noise_var_for_snr can run at snr_db: +inf (no noise), or dB whose
+    linear value 10**(snr_db/10) neither overflows nor rounds to 0, so not NaN
+    or -inf."""
+    try:
+        return snr_db == math.inf or 0.0 < 10.0 ** (snr_db / 10.0) < math.inf
+    except OverflowError:
+        return False
 
 
 def noise_var_for_snr(scene: SceneRealization, config: SystemConfig, E: np.ndarray,

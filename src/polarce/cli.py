@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import harness
+from .channel import valid_snr_db
 from .optim import TrainingDiverged
+from .schemes import SCHEME_STAGES
 
 CONFIG_ERROR = 2
 
@@ -40,8 +41,9 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         except (json.JSONDecodeError, ValueError, TypeError) as e:
             raise ConfigError(f"bad config file {path}: {e}") from e
     snr = getattr(args, "snr", None)
-    if snr is not None and math.isnan(snr):
-        raise ConfigError("--snr must be a number of dB, not nan")
+    if snr is not None and not valid_snr_db(snr):
+        raise ConfigError("--snr must be +inf or dB whose linear value 10**(dB/10) "
+                          f"is positive and finite, got {snr:g}")
     if getattr(args, "seed", None) is not None:
         try:
             cfg = dataclasses.replace(
@@ -131,14 +133,14 @@ def cmd_eval(args) -> int:
     if args.stage1:
         bs = harness.build_bs_dictionary(cfg)
         dp = _load_checkpoint(args.stage1, "stage-1", harness.load_stage1, bs.F, E)
-    elif args.no_train and any(s.startswith("dncnn") for s in sw.schemes):
+    elif args.no_train and any(1 in SCHEME_STAGES[s] for s in sw.schemes):
         raise ConfigError(
             "schemes need a stage-1 network but no --stage1 checkpoint "
             "was given and --no-train forbids training one")
     if args.stage2:
         _, cas = harness.build_ris_dictionaries(cfg)
         lp = _load_checkpoint(args.stage2, "stage-2", harness.load_stage2, E, cas.F)
-    elif args.no_train and "dncnn-istanet" in sw.schemes:
+    elif args.no_train and any(2 in SCHEME_STAGES[s] for s in sw.schemes):
         raise ConfigError(
             "schemes need a stage-2 network but no --stage2 checkpoint "
             "was given and --no-train forbids training one")

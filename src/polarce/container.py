@@ -1,102 +1,59 @@
-"""Single-file array container and model checkpoints.
+"""Model checkpoints as numpy `.npz` archives that `np.load(path, allow_pickle=False)` opens.
 
-Layout (little-endian throughout):
-
-    bytes 0..7    magic b"PLCE0001"
-    bytes 8..11   uint32 header length H
-    bytes 12..    UTF-8 JSON header of length H
-    then          packed array payload
-
-The header is {"version": 1, "meta": {...}, "arrays": {name: {"shape", "kind",
-"offset", "count"}}} with kind "f64" (float64) or "c128" (complex numbers
-stored as interleaved re/im float64 pairs). Offsets count float64 items from
-the start of the payload. Checkpoints are containers whose meta carries the
-model kind, config echo, and a content hash over the payload.
+One member per array, under its name as float64 or complex128, and "meta.json":
+the JSON string {"meta": ..., "sha256": ...}, with the sha256 of the arrays as
+little-endian float64, complex as re/im pairs. Loading raises ValueError for a
+file that is not a zip archive (a bare `.npy`, an old checkpoint), a truncated
+or corrupt one, object data, no "meta.json", or arrays with another hash.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
-from pathlib import Path
+import zipfile
+import zlib
 
 import numpy as np
 
-__all__ = ["save_container", "load_container", "content_hash", "bytes_hash"]
-
-MAGIC = b"PLCE0001"
-FORMAT_VERSION = 1
+__all__ = ["save_container", "load_container", "content_hash"]
 
 
-def _flatten(arr: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(arr)
-    if np.iscomplexobj(a):
-        out = np.empty(a.size * 2, dtype="<f8")
-        out[0::2] = a.real.reshape(-1)
-        out[1::2] = a.imag.reshape(-1)
-        return out
-    return a.astype("<f8", copy=False).reshape(-1)
+def _widen(a) -> np.ndarray:
+    return np.asarray(a, dtype="<c16" if np.iscomplexobj(a) else "<f8", order="C")
 
 
 def save_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> str:
-    """Write arrays+meta; returns the sha256 content hash of the payload."""
-    index = {}
-    chunks = []
-    offset = 0
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        kind = "c128" if np.iscomplexobj(arr) else "f64"
-        flat = _flatten(arr)
-        index[name] = {"shape": list(arr.shape), "kind": kind,
-                       "offset": offset, "count": int(flat.size)}
-        chunks.append(flat.tobytes())
-        offset += flat.size
-    payload = b"".join(chunks)
-    digest = hashlib.sha256(payload).hexdigest()
-    header = {"version": FORMAT_VERSION, "meta": dict(meta or {}),
-              "hash": digest, "arrays": index}
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    """Write arrays+meta to path, which gets no suffix; returns the content hash."""
+    arrays = {name: _widen(a) for name, a in arrays.items()}
+    head = {"meta": dict(meta or {}), "sha256": content_hash(arrays)}
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(hbytes)))
-        f.write(hbytes)
-        f.write(payload)
-    return digest
+        np.savez(f, **arrays, **{"meta.json": json.dumps(head, sort_keys=True)})
+    return head["sha256"]
 
 
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read back (arrays, meta); verifies magic, version and payload hash."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise ValueError(f"{path}: not a container file")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    if header["version"] != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported container version {header['version']}")
-    payload = raw[12 + hlen:]
-    if hashlib.sha256(payload).hexdigest() != header["hash"]:
-        raise ValueError(f"{path}: payload hash mismatch")
-    flat = np.frombuffer(payload, dtype="<f8")
-    arrays = {}
-    for name, info in header["arrays"].items():
-        seg = flat[info["offset"]:info["offset"] + info["count"]]
-        if info["kind"] == "c128":
-            arr = seg[0::2] + 1j * seg[1::2]
-        elif info["kind"] == "f64":
-            arr = seg.copy()
-        else:
-            raise ValueError(f"{path}: unknown array kind {info['kind']!r}")
-        arrays[name] = arr.reshape(info["shape"])
-    return arrays, header["meta"]
+    """Read back (arrays, meta) of an archive save_container wrote, unchanged since."""
+    try:
+        with open(path, "rb") as f:
+            if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):   # what np.load reads as .npz
+                raise ValueError("not a zip archive")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        if "meta.json" not in arrays:
+            raise ValueError("no meta.json member")
+        head = json.loads(str(arrays.pop("meta.json")))
+        if content_hash(arrays) != head["sha256"]:
+            raise ValueError("arrays do not match their stored sha256")
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
+        raise ValueError(f"not a checkpoint of this version ({e}); "
+                         "retrain it with `polarce train stage1|stage2`") from e
+    return arrays, head["meta"]
 
 
 def content_hash(arrays: dict[str, np.ndarray]) -> str:
-    """Hash of the packed payload without writing a file."""
+    """sha256 of the arrays' float64 bytes, without writing a file."""
     h = hashlib.sha256()
-    for name in arrays:
-        h.update(_flatten(np.asarray(arrays[name])).tobytes())
+    for a in arrays.values():
+        h.update(_widen(a))
     return h.hexdigest()
-
-
-def bytes_hash(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()

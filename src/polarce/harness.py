@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
-import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -42,13 +42,13 @@ import numpy as np
 from . import container
 from .channel import (PHASE_KINDS, SNR_CONVENTIONS, PilotBlock, SceneRealization,
                       SystemConfig, draw_scene, make_phase_matrix,
-                      noise_var_for_snr, simulate_pilots)
+                      noise_var_for_snr, simulate_pilots, valid_snr_db)
 from .denoiser import (STAGE1_FORM, DenoiserParams, Stage1Config, Stage1Dataset,
                        make_stage1_dataset, stage1_loss, train_stage1)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
                     build_cascaded_dictionary, build_dictionary)
 from .rng import substream
-from .schemes import SCHEME_FUNCS, SUPPORT_GUARD, PipelineContext
+from .schemes import SCHEME_FUNCS, SCHEME_STAGES, SUPPORT_GUARD, PipelineContext
 from .unrolled import (FORWARD_FORM, ListaParams, Stage2Config, Stage2Dataset,
                        make_stage2_dataset, stage2_loss, train_stage2)
 
@@ -91,8 +91,10 @@ class SweepConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         snrs = (*self.snr_db, *self.train_snr_db, self.eval_snr_db, self.loss_snr_db)
-        if any(math.isnan(s) for s in snrs):
-            raise ValueError("SNR values must be numbers of dB, not NaN")
+        for s in snrs:
+            if not valid_snr_db(s):
+                raise ValueError("SNR values must be +inf or dB whose linear value "
+                                 f"10**(dB/10) is positive and finite, got {s:g}")
         unknown = set(self.schemes) - set(SCHEME_FUNCS)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}")
@@ -273,7 +275,7 @@ def snr_label(snr_db: float) -> str:
 
 def _config_hash(cfg: ExperimentConfig) -> str:
     blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
-    return container.bytes_hash(blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _fingerprint(**arrays: np.ndarray) -> dict:
@@ -425,10 +427,6 @@ def draw_pilots(scenes: list[SceneRealization], system: SystemConfig,
             for t, scene in enumerate(scenes)]
 
 
-def _reads_stage1(scheme: str) -> bool:
-    return scheme.startswith("dncnn")
-
-
 def evaluate_point(scenes: list[SceneRealization], ctx: PipelineContext,
                    snr_db: float, seed: int, label: str,
                    schemes: tuple[str, ...], convention: str = "receive",
@@ -441,8 +439,8 @@ def evaluate_point(scenes: list[SceneRealization], ctx: PipelineContext,
     """
     pilots = draw_pilots(scenes, ctx.config, ctx.E, snr_db, seed, label, convention)
     errs, secs = {}, {}
-    for name in sorted(schemes, key=_reads_stage1):
-        if _reads_stage1(name) and ctx.stage1 is None and get_stage1 is not None:
+    for name in sorted(schemes, key=lambda s: 1 in SCHEME_STAGES[s]):
+        if 1 in SCHEME_STAGES[name] and ctx.stage1 is None and get_stage1 is not None:
             ctx.stage1 = get_stage1()
         t0 = time.perf_counter()
         G_hats = SCHEME_FUNCS[name](pilots, ctx)
@@ -605,7 +603,7 @@ def _sweep_point(cfg: ExperimentConfig, axis: str, bs: PolarDictionary,
     timing, trace2 = {}, None
     scenes = draw_scenes(cfg.system, sw.seed, f"eval-scene-{label}", sw.trials)
     lp = stage2
-    if lp is None and "dncnn-istanet" in sw.schemes:
+    if lp is None and any(2 in SCHEME_STAGES[s] for s in sw.schemes):
         ts = time.perf_counter()
         lp, trace2 = train_stage2_model(cfg, cas, E, snr, label, system=system)
         timing[f"stage2_train_{label}_s"] = time.perf_counter() - ts
@@ -653,7 +651,7 @@ def _sweep(cfg: ExperimentConfig, outdir, stem: str, axis: str, points: list,
     t0 = time.perf_counter()
     bs = build_bs_dictionary(cfg)
     _, cas = build_ris_dictionaries(cfg)
-    train1 = stage1 is None and any(map(_reads_stage1, sw.schemes))
+    train1 = stage1 is None and any(1 in SCHEME_STAGES[s] for s in sw.schemes)
     meta: dict = {"config": config_to_dict(cfg), "config_hash": _config_hash(cfg),
                   "checkpoints": {}, "timing": {}}
     jobs = [functools.partial(_sweep_point, cfg, axis, bs, cas, stage1, stage2,

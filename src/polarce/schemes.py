@@ -25,7 +25,7 @@ from .polar import CascadedDictionary, PolarDictionary
 from .unrolled import ListaParams, lista_forward, project_to_bs_subspace, reconstruct
 
 __all__ = ["SUPPORT_GUARD", "PipelineContext", "estimate_omp", "estimate_dncnn_omp",
-           "estimate_dncnn_istanet", "SCHEME_FUNCS"]
+           "estimate_dncnn_istanet", "SCHEME_FUNCS", "SCHEME_STAGES"]
 
 
 # rows on each side of a picked stage-1 row that the next pick skips: the BS
@@ -114,3 +114,7 @@ SCHEME_FUNCS = {
     "dncnn-omp": estimate_dncnn_omp,
     "dncnn-istanet": estimate_dncnn_istanet,
 }
+
+# the trained networks each scheme reads, by stage: both learned schemes pick
+# their support with the stage-1 network, and only "dncnn-istanet" runs stage 2
+SCHEME_STAGES = {"omp": (), "dncnn-omp": (1,), "dncnn-istanet": (1, 2)}

@@ -5,7 +5,10 @@ gradient tests do not reuse the code under test. Complex parameters are
 perturbed along the real and imaginary axes separately and reported as
 dL/dRe + 1j dL/dIm, the same layout the tape produces.
 """
+import hashlib
+import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,26 @@ from polarce.unrolled import ListaParams, _path_loss, lista_init
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def write_plce0001(path, arrays: dict, meta: dict) -> None:
+    """A checkpoint in the retired PLCE0001 layout: the magic, a uint32 header
+    length, a JSON header with per-array offsets, then every array as float64,
+    complex values as re/im pairs."""
+    index, chunks, offset = {}, [], 0
+    for name, a in arrays.items():
+        kind = "c128" if np.iscomplexobj(a) else "f64"
+        flat = np.ascontiguousarray(a, dtype=complex if kind == "c128" else float)
+        flat = flat.view("<f8").ravel()
+        index[name] = {"shape": list(np.shape(a)), "kind": kind,
+                       "offset": offset, "count": flat.size}
+        chunks.append(flat.tobytes())
+        offset += flat.size
+    payload = b"".join(chunks)
+    header = json.dumps({"version": 1, "meta": meta, "arrays": index,
+                         "hash": hashlib.sha256(payload).hexdigest()}, sort_keys=True)
+    path.write_bytes(b"PLCE0001" + struct.pack("<I", len(header)) + header.encode()
+                     + payload)
 
 
 def numeric_grads(loss_fn, arrays: dict, h: float = 1e-6) -> dict:

@@ -8,9 +8,11 @@ import pytest
 
 from polarce import harness
 from polarce.cli import main
-from polarce.container import load_container, save_container
+from polarce.container import content_hash, load_container, save_container
 from polarce.harness import load_config, load_stage1, load_stage2, save_stage2
 from polarce.unrolled import ListaParams
+
+from helpers import write_plce0001
 
 MICRO = {
     "system": {"n_bs": 4, "n_ris": 8, "tau": 6, "paths_bs": 1, "paths_ris": 1},
@@ -199,10 +201,11 @@ class TestConfigErrors:
         ("snr", "system", {"power": 0}, "power"),
         ("snr", "sweep", {"schemes": ["omp", "omp"]}, "schemes"),
         ("snr", "sweep", {"schemes": []}, "schemes"),
+        ("snr", "sweep", {"snr_db": [float("-inf"), 0.0]}, "got -inf"),
     ], ids=["depth-1", "tau-0", "phase-kind", "snr-convention", "bs-dist-reversed",
             "ris-dist-reversed", "no-bs-paths", "no-ris-paths", "stage1-no-train",
             "stage2-no-train", "stage1-negative-val", "negative-guard", "zero-power",
-            "duplicate-scheme", "no-schemes"])
+            "duplicate-scheme", "no-schemes", "minus-inf-snr"])
     def test_bad_sweep_config(self, capsys, tmp_path, axis, section, bad, field):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(dict(MICRO, **{section: dict(MICRO[section], **bad)})))
@@ -291,10 +294,15 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", [["eval"], ["train", "stage1"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):
-        rc, _, err = run(capsys, [*command, "--config", omp_cfg_file, "--snr", "nan",
-                                  "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "not nan" in json.loads(err)["error"]
+        # NaN, -inf, and dB whose linear value rounds to 0 or overflows
+        for snr in ("nan", "-inf", "-1e308", "1e308"):
+            rc, out, err = run(capsys, [*command, "--config", omp_cfg_file, f"--snr={snr}",
+                                        "--out", str(tmp_path / "x")])
+            assert (rc, out) == (2, "")
+            assert json.loads(err)["error"] == (
+                "--snr must be +inf or dB whose linear value 10**(dB/10) is positive "
+                f"and finite, got {float(snr):g}")
+        assert not (tmp_path / "x").exists()
 
 
 class TestInfo:
@@ -346,6 +354,12 @@ class TestTrain:
         assert lp.lam.shape == (3,)
         assert lp.F.shape[1] == 7
 
+    def test_checkpoint_opens_with_np_load(self, stage1_ckpt):
+        with np.load(stage1_ckpt, allow_pickle=False) as npz:
+            head = json.loads(str(npz["meta.json"]))
+            arrays = {name: npz[name] for name in npz.files if name != "meta.json"}
+        assert head["meta"]["kind"] == "stage1"
+        assert head["sha256"] == content_hash(arrays)
 
     @pytest.mark.parametrize("network", ["stage1", "stage2"])
     def test_zero_episodes(self, capsys, tmp_path, network):
@@ -448,6 +462,16 @@ class TestEval:
                                   "--out", str(tmp_path)])
         assert rc == 2
         assert "fingerprint" in json.loads(err)["error"]
+
+    def test_old_format_checkpoint(self, capsys, cfg_file, stage1_ckpt, tmp_path):
+        old = tmp_path / "old1.plce"
+        write_plce0001(old, *load_container(stage1_ckpt))
+        rc, out, err = run(capsys, ["eval", "--config", cfg_file, "--stage1", str(old),
+                                    "--no-train", "--out", str(tmp_path)])
+        assert (rc, out) == (2, "") and len(err.splitlines()) == 1
+        msg = json.loads(err)["error"]
+        assert "bad stage-1 checkpoint" in msg and "not a zip archive" in msg
+        assert "retrain it with `polarce train stage1|stage2`" in msg
 
     def test_stage1_checkpoint_other_bs_grid(self, capsys, bs20_cfg_file,
                                              stage1_ckpt, tmp_path):

@@ -1,4 +1,4 @@
-"""Array container format: byte layout, hashing, and failure modes."""
+"""Checkpoint archives: round trips, the archive layout, hashing, and failure modes."""
 import hashlib
 import json
 import struct
@@ -6,10 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from polarce.container import (bytes_hash, content_hash, load_container,
-                               save_container)
+from polarce.container import content_hash, load_container, save_container
 
-from helpers import crandn
+from helpers import crandn, write_plce0001
 
 
 @pytest.fixture
@@ -79,46 +78,18 @@ class TestRoundTrip:
             assert arr.flags.writeable
 
 
-class TestByteLayout:
-    def test_header_and_payload_structure(self, tmp_path, rng):
+class TestArchiveLayout:
+    def test_members_and_meta(self, tmp_path, rng):
         arr = crandn(rng, 2, 3)
         path = tmp_path / "demo.plce"
-        digest = save_container(path, {"a": arr}, {"tag": 7})
-        raw = path.read_bytes()
-        assert raw[:8] == b"PLCE0001"
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-        assert header["version"] == 1
-        assert header["meta"] == {"tag": 7}
-        assert header["hash"] == digest
-        info = header["arrays"]["a"]
-        assert info == {"shape": [2, 3], "kind": "c128",
-                        "offset": 0, "count": 12}
-        payload = raw[12 + hlen:]
-        flat = np.frombuffer(payload, dtype="<f8")
-        np.testing.assert_array_equal(flat[0::2], arr.real.reshape(-1))
-        np.testing.assert_array_equal(flat[1::2], arr.imag.reshape(-1))
-
-    def test_payload_interleaving_by_hand(self, tmp_path):
-        arr = np.array([1.0 + 2.0j, 3.0 - 4.0j])
-        path = tmp_path / "demo.plce"
-        save_container(path, {"z": arr})
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        assert raw[12 + hlen:] == struct.pack("<4d", 1.0, 2.0, 3.0, -4.0)
-
-    def test_offsets_stack_in_insertion_order(self, tmp_path, rng):
-        arrays = {"first": rng.standard_normal(3),
-                  "second": crandn(rng, 2)}
-        path = tmp_path / "demo.plce"
-        save_container(path, arrays)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        index = json.loads(raw[12:12 + hlen].decode("utf-8"))["arrays"]
-        assert index["first"]["offset"] == 0
-        assert index["first"]["count"] == 3
-        assert index["second"]["offset"] == 3
-        assert index["second"]["count"] == 4
+        digest = save_container(path, {"a": arr, "idx": np.arange(3)}, {"tag": 7})
+        assert [p.name for p in tmp_path.iterdir()] == ["demo.plce"]
+        with np.load(path, allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["a", "idx", "meta.json"]
+            assert npz["a"].dtype == "<c16" and npz["idx"].dtype == "<f8"
+            np.testing.assert_array_equal(npz["a"], arr)
+            head = json.loads(str(npz["meta.json"]))
+        assert head == {"meta": {"tag": 7}, "sha256": digest}
 
 
 class TestHashing:
@@ -139,68 +110,83 @@ class TestHashing:
         bumped["scales"] = sample_arrays["scales"] + 1e-12
         assert content_hash(bumped) != base
 
-    def test_bytes_hash_known_value(self):
-        empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        assert bytes_hash(b"") == empty
-        assert bytes_hash(b"abc") == hashlib.sha256(b"abc").hexdigest()
+
+RETRAIN = "retrain it with `polarce train stage1|stage2`"
 
 
 class TestFailureModes:
-    def _write_then_mangle(self, tmp_path, mangle):
+    """Each way a file can fail to be an unchanged archive of save_container
+    raises ValueError naming the cause and how to replace the file."""
+
+    def _rejected(self, path, cause):
+        with pytest.raises(ValueError, match=cause) as info:
+            load_container(path)
+        assert str(info.value).startswith("not a checkpoint") and RETRAIN in str(info.value)
+
+    def _archive(self, tmp_path):
         path = tmp_path / "demo.plce"
         save_container(path, {"a": np.arange(4.0)})
-        raw = bytearray(path.read_bytes())
-        mangle(raw)
-        path.write_bytes(bytes(raw))
         return path
 
-    def test_bad_magic_rejected(self, tmp_path):
-        def mangle(raw):
-            raw[0:4] = b"NOPE"
-        path = self._write_then_mangle(tmp_path, mangle)
-        with pytest.raises(ValueError, match="not a container"):
-            load_container(path)
+    def _resave(self, path, **members):
+        with open(path, "wb") as f:
+            np.savez(f, **members)
 
-    def test_corrupted_payload_rejected(self, tmp_path):
-        def mangle(raw):
-            raw[-1] ^= 0xFF
-        path = self._write_then_mangle(tmp_path, mangle)
-        with pytest.raises(ValueError, match="hash mismatch"):
-            load_container(path)
+    def test_bad_magic_rejected(self, tmp_path):
+        # a checkpoint of the old format is not a zip archive
+        path = tmp_path / "old.plce"
+        write_plce0001(path, {"a": np.arange(4.0)}, {"kind": "stage2"})
+        self._rejected(path, "not a zip archive")
+
+    def test_bare_npy_rejected(self, tmp_path):
+        path = tmp_path / "bare.plce"
+        with open(path, "wb") as f:
+            np.save(f, np.arange(4.0))
+        self._rejected(path, "not a zip archive")
 
     def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "demo.plce"
-        save_container(path, {"a": np.arange(4.0)})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="hash mismatch"):
-            load_container(path)
+        path = self._archive(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        self._rejected(path, "not a zip file")
 
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "demo.plce"
-        save_container(path, {"a": np.arange(4.0)})
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-        header["version"] = 2
-        hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
-                         + raw[12 + hlen:])
-        with pytest.raises(ValueError, match="version"):
-            load_container(path)
+    def test_corrupted_payload_rejected(self, tmp_path):
+        path = self._archive(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(np.arange(4.0).tobytes())] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        self._rejected(path, "Bad CRC-32")
 
-    def test_unknown_array_kind_rejected(self, tmp_path):
-        path = tmp_path / "demo.plce"
-        save_container(path, {"a": np.arange(4.0)})
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-        header["arrays"]["a"]["kind"] = "i32"
-        hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
-                         + raw[12 + hlen:])
-        with pytest.raises(ValueError, match="kind"):
-            load_container(path)
+    def test_corrupted_compressed_member_rejected(self, tmp_path):
+        # np.savez_compressed deflates members; a bad stream fails before its CRC
+        path = tmp_path / "deflated.plce"
+        a = np.arange(64.0)
+        with open(path, "wb") as f:
+            np.savez_compressed(f, a=a, **{"meta.json": json.dumps(
+                {"meta": {}, "sha256": content_hash({"a": a})})})
+        raw = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack("<HH", raw[26:30])   # a.npy's local header
+        raw[30 + name_len + extra_len] ^= 0xFF                   # its first deflated byte
+        path.write_bytes(bytes(raw))
+        self._rejected(path, "while decompressing data")
+
+    def test_rewritten_arrays_rejected(self, tmp_path):
+        # valid CRCs, but arrays that are not those the meta hashed
+        path = self._archive(tmp_path)
+        with np.load(path, allow_pickle=False) as npz:
+            head = str(npz["meta.json"])
+        self._resave(path, a=np.arange(4.0) + 1, **{"meta.json": head})
+        self._rejected(path, "do not match their stored sha256")
+
+    def test_object_member_rejected(self, tmp_path):
+        path = tmp_path / "obj.plce"
+        self._resave(path, a=np.array([1.0, "x"], dtype=object),
+                     **{"meta.json": json.dumps({"meta": {}, "sha256": ""})})
+        self._rejected(path, "Object arrays cannot be loaded")
+
+    def test_missing_meta_rejected(self, tmp_path):
+        path = tmp_path / "nometa.plce"
+        self._resave(path, a=np.arange(4.0))
+        self._rejected(path, "no meta.json member")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

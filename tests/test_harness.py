@@ -27,8 +27,8 @@ from polarce.harness import (SweepConfig, build_bs_dictionary,
 from polarce.omp import VectorizedProblem
 from polarce.optim import TrainingDiverged
 from polarce.rng import substream
-from polarce.schemes import (PipelineContext, _stage1_project, estimate_dncnn_omp,
-                             estimate_omp)
+from polarce.schemes import (SCHEME_FUNCS, SCHEME_STAGES, PipelineContext,
+                             _stage1_project, estimate_dncnn_omp, estimate_omp)
 from polarce.unrolled import FORWARD_FORM, ListaParams, make_stage2_dataset
 
 from helpers import crandn
@@ -101,12 +101,18 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             SweepConfig(seed=-1)
 
+    # NaN, -inf, and dB whose linear value overflows or rounds to 0
     @pytest.mark.parametrize("field,value", [
         ("snr_db", (0.0, float("nan"))), ("train_snr_db", (float("nan"),)),
-        ("eval_snr_db", float("nan")), ("loss_snr_db", float("nan"))])
+        ("eval_snr_db", float("nan")), ("loss_snr_db", float("nan")),
+        ("snr_db", (float("-inf"), 0.0)), ("train_snr_db", (-1e308,)),
+        ("eval_snr_db", 1e308), ("loss_snr_db", -3300.0), ("snr_db", (0.0, 3090.0))])
     def test_nan_snr(self, field, value):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match=r"must be \+inf or dB whose linear value"):
             SweepConfig(**{field: value})
+
+    def test_extreme_finite_snr_allowed(self):
+        assert SweepConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
 
     def test_infinite_snr_allowed(self):
         assert SweepConfig(snr_db=(0.0, float("inf"))).snr_db[-1] == float("inf")
@@ -302,6 +308,9 @@ class TestEvaluatePoint:
                                   20.0, 9, "pt", ("dncnn-omp", "omp"))
         for name in ("omp", "dncnn-omp"):
             np.testing.assert_array_equal(got[name], given[name])
+
+    def test_every_scheme_names_the_networks_it_reads(self):
+        assert set(SCHEME_STAGES) == set(SCHEME_FUNCS)
 
     def test_trials_differ_from_each_other(self, micro_cfg, micro_ctx):
         scenes = draw_scenes(micro_cfg.system, 3, "ev", 3)
