@@ -23,8 +23,8 @@ from .rng import complex_normal
 __all__ = [
     "C_LIGHT", "SystemConfig", "PathParams", "SceneRealization", "PilotBlock",
     "steering_vector", "build_channels", "draw_scene", "make_phase_matrix",
-    "simulate_pilots", "valid_snr_db", "noise_var_for_snr", "ris_side_rows",
-    "PHASE_KINDS", "SNR_CONVENTIONS",
+    "simulate_pilots", "MIN_SNR_DB", "SNR_RULE", "valid_snr_db", "noise_var_for_snr",
+    "ris_side_rows", "PHASE_KINDS", "SNR_CONVENTIONS",
 ]
 
 C_LIGHT = 299_792_458.0
@@ -216,12 +216,31 @@ def simulate_pilots(scene: SceneRealization, config: SystemConfig, E: np.ndarray
     return PilotBlock(Y=Y, noise_var=noise_var)
 
 
+# lowest SNR a sweep runs at; see valid_snr_db
+MIN_SNR_DB = -10.0 * math.log10(math.sqrt(float(np.finfo(np.float32).max)) / 2 ** 16)
+SNR_RULE = f"+inf or dB of at least {MIN_SNR_DB:.2f} whose linear value 10**(dB/10) is finite"
+
+
 def valid_snr_db(snr_db: float) -> bool:
-    """Whether noise_var_for_snr can run at snr_db: +inf (no noise), or dB whose
-    linear value 10**(snr_db/10) neither overflows nor rounds to 0, so not NaN
-    or -inf."""
+    """Whether a sweep can run at snr_db: +inf (no noise), or dB from
+    MIN_SNR_DB (-144.49) up whose linear value 10**(snr_db/10) does not
+    overflow, so not NaN or -inf.
+
+    The floor keeps single-precision stage-2 training finite. Far below 0 dB
+    the projected paths are noise r = 10**(-snr_db/10) times the signal's
+    power, and the thresholds are calibrated on them, so the net's output
+    grows as sqrt(r) and the loss (normalized by ||x_l||^2) and its largest
+    gradients as g r, with a gain g of the profile and the step. Adam squares
+    each gradient in float32, which overflows once (g r)^2 exceeds the float32
+    maximum, so r must stay below sqrt(float32 max) / g. Training runs
+    measured g up to 2.2e3 on the desk and paper profiles (the step-size
+    gradient, at step 1 of a paper run), and g = 2**16 leaves 30x of headroom:
+    MIN_SNR_DB = -10 log10(sqrt(float32 max) / 2**16). Without the gain, at
+    -192.66 dB, a desk training overflowed within twelve steps.
+    """
     try:
-        return snr_db == math.inf or 0.0 < 10.0 ** (snr_db / 10.0) < math.inf
+        return snr_db == math.inf or (snr_db >= MIN_SNR_DB
+                                      and 10.0 ** (snr_db / 10.0) < math.inf)
     except OverflowError:
         return False
 

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .channel import valid_snr_db
+from .channel import SNR_RULE, valid_snr_db
 from .optim import TrainingDiverged
 from .schemes import SCHEME_STAGES
 
@@ -42,8 +42,7 @@ def _resolve_config(args) -> harness.ExperimentConfig:
             raise ConfigError(f"bad config file {path}: {e}") from e
     snr = getattr(args, "snr", None)
     if snr is not None and not valid_snr_db(snr):
-        raise ConfigError("--snr must be +inf or dB whose linear value 10**(dB/10) "
-                          f"is positive and finite, got {snr:g}")
+        raise ConfigError(f"--snr must be {SNR_RULE}, got {snr:g}")
     if getattr(args, "seed", None) is not None:
         try:
             cfg = dataclasses.replace(

@@ -4,7 +4,8 @@ One member per array, under its name as float64 or complex128, and "meta.json":
 the JSON string {"meta": ..., "sha256": ...}, with the sha256 of the arrays as
 little-endian float64, complex as re/im pairs. Loading raises ValueError for a
 file that is not a zip archive (a bare `.npy`, an old checkpoint), a truncated
-or corrupt one, object data, no "meta.json", or arrays with another hash.
+or corrupt one, object data, no "meta.json" or one that is not such an
+object, or arrays with another hash.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
         if "meta.json" not in arrays:
             raise ValueError("no meta.json member")
         head = json.loads(str(arrays.pop("meta.json")))
+        if not (isinstance(head, dict) and {"meta", "sha256"} <= head.keys()):
+            raise ValueError("meta.json is not an object holding meta and sha256")
         if content_hash(arrays) != head["sha256"]:
             raise ValueError("arrays do not match their stored sha256")
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:

@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .channel import (PHASE_KINDS, SNR_CONVENTIONS, PilotBlock, SceneRealization,
-                      SystemConfig, draw_scene, make_phase_matrix,
+from .channel import (PHASE_KINDS, SNR_CONVENTIONS, SNR_RULE, PilotBlock,
+                      SceneRealization, SystemConfig, draw_scene, make_phase_matrix,
                       noise_var_for_snr, simulate_pilots, valid_snr_db)
 from .denoiser import (STAGE1_FORM, DenoiserParams, Stage1Config, Stage1Dataset,
                        make_stage1_dataset, stage1_loss, train_stage1)
@@ -93,8 +93,7 @@ class SweepConfig:
         snrs = (*self.snr_db, *self.train_snr_db, self.eval_snr_db, self.loss_snr_db)
         for s in snrs:
             if not valid_snr_db(s):
-                raise ValueError("SNR values must be +inf or dB whose linear value "
-                                 f"10**(dB/10) is positive and finite, got {s:g}")
+                raise ValueError(f"SNR values must be {SNR_RULE}, got {s:g}")
         unknown = set(self.schemes) - set(SCHEME_FUNCS)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}")

@@ -9,6 +9,8 @@ trained in. OMP screens in single precision and picks in double: past a size
 rule a complex64 pass rules out the atoms that cannot win, and the rest are
 scored in double, so "omp" and "dncnn-omp" pick the atoms of a full
 double-precision scan (see `omp`). Everything else runs in double precision.
+Every scheme writes each trial's estimate into one preallocated [T, N, M]
+output, so no list of per-trial estimates is stacked into a copy.
 """
 from __future__ import annotations
 
@@ -81,8 +83,10 @@ def _two_stage(pilots: list[PilotBlock], ctx: PipelineContext, solve) -> np.ndar
     supports, proj = _stage1_project(pilots, ctx)
     X_all = solve(np.concatenate(proj, axis=1))
     splits = np.cumsum([P.shape[1] for P in proj])[:-1]
-    return np.stack([reconstruct(sup.A_hat, X) for sup, X in
-                     zip(supports, np.split(X_all, splits, axis=1))])
+    out = np.empty((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
+    for i, (sup, X) in enumerate(zip(supports, np.split(X_all, splits, axis=1))):
+        out[i] = reconstruct(sup.A_hat, X)
+    return out
 
 
 def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:

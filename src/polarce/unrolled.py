@@ -26,6 +26,13 @@ thresholds and steps, Adam moments to match) and returns complex128/float64
 parameters. `lista_forward` computes in the dtype of its inputs: the
 "dncnn-istanet" scheme narrows the parameters back, exactly, and infers in
 single precision too, while `stage2_loss` scores in double precision.
+
+An untaped forward (inference, `stage2_loss`) runs the layers and F b on
+_BLOCK columns at a time, so it holds [Gc, _BLOCK] arrays, not [Gc, B] ones of
+31 MB each at paper size (Gc = 6,419) for a sweep point's 600 paths. On one
+BLAS thread, column blocks of a product round as the whole product does, and a
+one-column tail joins the block before it, so the output has one pass's bytes.
+A taped forward (training) stays one pass, which keeps the trained bytes.
 """
 from __future__ import annotations
 
@@ -50,8 +57,8 @@ __all__ = [
 # another form.
 FORWARD_FORM = "coefficient-ista"
 
-# columns per untaped forward pass of stage2_loss
-_LOSS_BLOCK = 1024
+# columns per block of an untaped forward: the training batch
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -136,22 +143,29 @@ def lista_forward(P: np.ndarray, lp: ListaParams, E: np.ndarray,
 
     Given a tape, the fields of lp become its trainable leaves, named as the
     fields, and the returned node is differentiable; without one the result is
-    a plain array.
+    a plain array, computed _BLOCK columns at a time.
     """
     w = vars(lp)
     if tape is not None:
         w = {k: tape.leaf(v, trainable=True, name=k) for k, v in w.items()}
     psi = ad.matmul(E.conj().T, w["F"])                             # [tau, Gc]
     wh = ad.hermitian(ad.matmul(ad.hermitian(w["V"]), w["F"]))     # F^H V, [Gc, tau]
-    # b starts at 0, so the first layer has no Psi b term; every b is this
-    # call's own array, so an untaped pass thresholds it in place
-    b = ad.soft_threshold(ad.matmul(wh, ad.mul(P, ad.take(w["kappa"], 0))),
-                          ad.take(w["lam"], 0), overwrite_x=True)
-    for t in range(1, lp.lam.size):
-        r = ad.mul(ad.sub(P, ad.matmul(psi, b)), ad.take(w["kappa"], t))
-        b = ad.matmul(wh, r, b)                                      # b + W^H r
-        b = ad.soft_threshold(b, ad.take(w["lam"], t), overwrite_x=True)
-    return ad.matmul(w["F"], b)
+
+    def layers(P):
+        # b starts at 0, so the first layer has no Psi b term; every b is this
+        # call's own array, so an untaped pass thresholds it in place
+        b = ad.soft_threshold(ad.matmul(wh, ad.mul(P, ad.take(w["kappa"], 0))),
+                              ad.take(w["lam"], 0), overwrite_x=True)
+        for t in range(1, lp.lam.size):
+            r = ad.mul(ad.sub(P, ad.matmul(psi, b)), ad.take(w["kappa"], t))
+            b = ad.matmul(wh, r, b)                                  # b + W^H r
+            b = ad.soft_threshold(b, ad.take(w["lam"], t), overwrite_x=True)
+        return ad.matmul(w["F"], b)
+
+    if tape is not None:
+        return layers(P)
+    edges = range(_BLOCK, P.shape[1] - 1, _BLOCK)      # no one-column tail
+    return np.concatenate([layers(p) for p in np.split(P, edges, axis=1)], axis=1)
 
 
 def _path_loss(out, Xl: np.ndarray):
@@ -204,20 +218,8 @@ def train_stage2(dataset: Stage2Dataset, E: np.ndarray, F_cas: np.ndarray,
 
 
 def stage2_loss(dataset: Stage2Dataset, lp: ListaParams, E: np.ndarray) -> float:
-    """The training loss over the whole dataset.
-
-    The forward runs on _LOSS_BLOCK columns at a time, so no [Gc, n] array is
-    held for the whole dataset; a one-column tail joins the block before it,
-    since a one-column product rounds otherwise than a wider one. The output
-    has the bytes of one pass over all columns.
-    """
-    n = dataset.P.shape[1]
-    edges = list(range(_LOSS_BLOCK, n, _LOSS_BLOCK))
-    if edges and n - edges[-1] == 1:
-        edges.pop()
-    out = np.concatenate([lista_forward(P, lp, E)
-                          for P in np.split(dataset.P, edges, axis=1)], axis=1)
-    return float(_path_loss(out, dataset.Xl))
+    """The training loss over the whole dataset, from one untaped forward."""
+    return float(_path_loss(lista_forward(dataset.P, lp, E), dataset.Xl))
 
 
 def reconstruct(A_hat: np.ndarray, X_hat: np.ndarray) -> np.ndarray:

@@ -294,14 +294,15 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", [["eval"], ["train", "stage1"], ["train", "stage2"]])
     def test_nan_snr(self, capsys, omp_cfg_file, tmp_path, command):
-        # NaN, -inf, and dB whose linear value rounds to 0 or overflows
-        for snr in ("nan", "-inf", "-1e308", "1e308"):
+        # NaN, -inf, dB whose linear value rounds to 0 or overflows, and dB
+        # below the floor of single-precision stage-2 training
+        for snr in ("nan", "-inf", "-1e308", "1e308", "-200", "-400"):
             rc, out, err = run(capsys, [*command, "--config", omp_cfg_file, f"--snr={snr}",
                                         "--out", str(tmp_path / "x")])
             assert (rc, out) == (2, "")
             assert json.loads(err)["error"] == (
-                "--snr must be +inf or dB whose linear value 10**(dB/10) is positive "
-                f"and finite, got {float(snr):g}")
+                "--snr must be +inf or dB of at least -144.49 whose linear value "
+                f"10**(dB/10) is finite, got {float(snr):g}")
         assert not (tmp_path / "x").exists()
 
 

@@ -187,6 +187,13 @@ class TestFailureModes:
         path = tmp_path / "nometa.plce"
         self._resave(path, a=np.arange(4.0))
         self._rejected(path, "no meta.json member")
+        # a meta member that is not an object holding both meta and sha256,
+        # the right hash included, fails before its keys are read
+        digest = content_hash({"a": np.arange(4.0)})
+        for head in ["{}", "[]", '"x"', json.dumps({"sha256": digest}),
+                     json.dumps({"meta": {}})]:
+            self._resave(path, a=np.arange(4.0), **{"meta.json": head})
+            self._rejected(path, "meta.json is not an object holding meta and sha256")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,6 +1,7 @@
 """Orchestration layer: configs, error metric, checkpoints, paired sweeps."""
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from polarce import container, harness
-from polarce.channel import draw_scene, make_phase_matrix, noise_var_for_snr, simulate_pilots
+from polarce.channel import (MIN_SNR_DB, draw_scene, make_phase_matrix, noise_var_for_snr,
+                             simulate_pilots)
 from polarce.denoiser import (STAGE1_FORM, Stage1Config, init_denoiser,
                               make_stage1_dataset)
 from polarce.harness import (SweepConfig, build_bs_dictionary,
@@ -32,6 +34,8 @@ from polarce.schemes import (SCHEME_FUNCS, SCHEME_STAGES, PipelineContext,
 from polarce.unrolled import FORWARD_FORM, ListaParams, make_stage2_dataset
 
 from helpers import crandn
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MICRO = {
     "system": {"n_bs": 4, "n_ris": 8, "tau": 6, "paths_bs": 1, "paths_ris": 1},
@@ -101,18 +105,39 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             SweepConfig(seed=-1)
 
-    # NaN, -inf, and dB whose linear value overflows or rounds to 0
+    # NaN, -inf, dB whose linear value overflows or rounds to 0, and dB below
+    # the floor of single-precision stage-2 training
     @pytest.mark.parametrize("field,value", [
         ("snr_db", (0.0, float("nan"))), ("train_snr_db", (float("nan"),)),
         ("eval_snr_db", float("nan")), ("loss_snr_db", float("nan")),
         ("snr_db", (float("-inf"), 0.0)), ("train_snr_db", (-1e308,)),
-        ("eval_snr_db", 1e308), ("loss_snr_db", -3300.0), ("snr_db", (0.0, 3090.0))])
+        ("eval_snr_db", 1e308), ("loss_snr_db", -3300.0), ("snr_db", (0.0, 3090.0)),
+        ("train_snr_db", (-200.0,)), ("eval_snr_db", -400.0),
+        ("snr_db", (math.nextafter(MIN_SNR_DB, -math.inf), 0.0))])
     def test_nan_snr(self, field, value):
-        with pytest.raises(ValueError, match=r"must be \+inf or dB whose linear value"):
+        with pytest.raises(ValueError, match=r"must be \+inf or dB of at least -144\.49 "
+                                             r"whose linear value"):
             SweepConfig(**{field: value})
 
     def test_extreme_finite_snr_allowed(self):
-        assert SweepConfig(snr_db=(-3000.0, 3000.0)).snr_db == (-3000.0, 3000.0)
+        # from the float32 training floor up to where 10**(dB/10) overflows
+        assert SweepConfig(snr_db=(MIN_SNR_DB, 3000.0)).snr_db == (MIN_SNR_DB, 3000.0)
+
+    @pytest.mark.parametrize("profile", ["micro", "desk"])
+    def test_lowest_snr_trains_stage2(self, profile):
+        # an overflow in single-precision Adam would raise: the suite makes
+        # RuntimeWarning an error
+        if profile == "micro":
+            cfg = config_from_dict(LOSS_MICRO)
+        else:
+            cfg = load_config(CONFIGS / "desk.json")
+            cfg = dataclasses.replace(cfg, stage2=dataclasses.replace(
+                cfg.stage2, train_size=40, episodes=3))
+        _, cas = build_ris_dictionaries(cfg)
+        lp, trace = harness.train_stage2_model(cfg, cas, phase_schedule(cfg), MIN_SNR_DB,
+                                               "lowest")
+        assert len(trace) == cfg.stage2.episodes
+        assert all(np.isfinite(v).all() for v in vars(lp).values())
 
     def test_infinite_snr_allowed(self):
         assert SweepConfig(snr_db=(0.0, float("inf"))).snr_db[-1] == float("inf")

@@ -10,7 +10,6 @@ import pytest
 import polarce.autodiff as ad
 import polarce.optim as optim_mod
 import polarce.schemes as schemes_mod
-import polarce.unrolled as unrolled_mod
 from polarce.channel import (
     SystemConfig, draw_scene, noise_var_for_snr, ris_side_rows, simulate_pilots,
     steering_vector,
@@ -21,7 +20,7 @@ from polarce.optim import with_precision
 from polarce.rng import substream
 from polarce.schemes import PipelineContext, _stage1_project, estimate_dncnn_istanet
 from polarce.unrolled import (
-    _LOSS_BLOCK, ListaParams, Stage2Config, Stage2Dataset, _path_loss, lista_forward,
+    _BLOCK, ListaParams, Stage2Config, Stage2Dataset, _path_loss, lista_forward,
     lista_init, make_stage2_dataset, project_to_bs_subspace, reconstruct,
     spectral_norm_sq, stage2_loss, train_stage2,
 )
@@ -466,11 +465,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestStage2LossBlocks:
-    """`stage2_loss` runs the forward _LOSS_BLOCK columns at a time."""
+    """An untaped `lista_forward`, and so `stage2_loss`, runs _BLOCK columns at
+    a time and gives the bytes of one taped pass."""
 
     @pytest.mark.parametrize("n, widths", [
-        (2 * _LOSS_BLOCK + 37, [_LOSS_BLOCK, _LOSS_BLOCK, 37]),
-        (2 * _LOSS_BLOCK + 1, [_LOSS_BLOCK, _LOSS_BLOCK + 1]),
+        (2 * _BLOCK + 7, [_BLOCK, _BLOCK, 7]),
+        (2 * _BLOCK + 1, [_BLOCK, _BLOCK + 1]),
     ], ids=["ragged-tail", "one-column-tail"])
     def test_equals_one_pass_at_desk_size(self, monkeypatch, rng, n, widths):
         cfg = load_config(CONFIGS / "desk.json")
@@ -478,18 +478,49 @@ class TestStage2LossBlocks:
         tau, m = cfg.system.tau, cfg.system.n_ris
         E = phase_schedule(cfg)
         ds = Stage2Dataset(P=crandn(rng, tau, n), Xl=crandn(rng, m, n))
-        lp = lista_init(E, cas.F, cfg.stage2, ds.P[:, :cfg.stage2.probe])
-        one_pass = lista_forward(ds.P, lp, E)
-        outs = []
+        lp64 = lista_init(E, cas.F, cfg.stage2, ds.P[:, :cfg.stage2.probe])
+        lp32 = ListaParams(**with_precision(vars(lp64), np.float32))
+        matmul = ad.matmul
+        blocks = []
 
-        def recording(P, *args, **kwargs):
-            outs.append(lista_forward(P, *args, **kwargs))
-            return outs[-1]
+        def spying(a, b, c=None):
+            if a is lp64.F or a is lp32.F:       # the final F b of an untaped pass
+                blocks.append(b.shape[1])
+            return matmul(a, b, c)
 
-        monkeypatch.setattr(unrolled_mod, "lista_forward", recording)
-        assert stage2_loss(ds, lp, E) == float(_path_loss(one_pass, ds.Xl))
-        assert [o.shape[1] for o in outs] == widths
-        assert np.concatenate(outs, axis=1).tobytes() == one_pass.tobytes()
+        monkeypatch.setattr(ad, "matmul", spying)
+        # complex128 as stage2_loss scores, complex64 as inference runs
+        for lp, E_, P in [(lp64, E, ds.P),
+                          (lp32, E.astype(np.complex64), ds.P.astype(np.complex64))]:
+            one_pass = lista_forward(P, lp, E_, tape=ad.Tape()).value
+            blocks.clear()
+            got = lista_forward(P, lp, E_)
+            assert blocks == widths
+            assert got.dtype == one_pass.dtype and got.tobytes() == one_pass.tobytes()
+        one_pass = lista_forward(ds.P, lp64, E, tape=ad.Tape()).value
+        assert stage2_loss(ds, lp64, E) == float(_path_loss(one_pass, ds.Xl))
+
+    def test_paper_batch_peak_below_one_full_width_array(self, rng):
+        # a paper sweep point's paths: one pass over all B columns holds about
+        # three [Gc, B] arrays at once (b, the next product and the threshold's
+        # float32 temporaries), a blocked one [Gc, _BLOCK] ones
+        cfg = load_config(CONFIGS / "paper.json")
+        _, cas = build_ris_dictionaries(cfg)
+        E = phase_schedule(cfg)
+        P = crandn(rng, cfg.system.tau, 200)
+        lp = ListaParams(**with_precision(vars(lista_init(E, cas.F, cfg.stage2, P)),
+                                          np.float32))
+        E, P = E.astype(np.complex64), P.astype(np.complex64)
+        full_width = cas.F.shape[1] * P.shape[1] * np.dtype(np.complex64).itemsize
+        tracemalloc.start()
+        try:
+            out = lista_forward(P, lp, E)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (cfg.system.n_ris, 200) and out.dtype == np.complex64
+        assert peak < full_width, (f"peak {peak / 1e6:.1f} MB, "
+                                   f"one [Gc, B] array {full_width / 1e6:.1f} MB")
 
 
 class TestSinglePrecisionInference:
