@@ -16,7 +16,7 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")   # before any submodule loads numpy
 
-from .channel import (PathParams, PilotBlock, SceneRealization, SystemConfig,
+from .channel import (PathParams, SceneRealization, SystemConfig,
                       build_channels, draw_scene, make_phase_matrix,
                       noise_var_for_snr, ris_side_rows, simulate_pilots,
                       steering_vector)
@@ -32,7 +32,7 @@ from .schemes import (PipelineContext, estimate_dncnn_istanet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PathParams", "PilotBlock", "SceneRealization", "SystemConfig",
+    "PathParams", "SceneRealization", "SystemConfig",
     "build_channels", "draw_scene", "make_phase_matrix", "noise_var_for_snr",
     "ris_side_rows", "simulate_pilots", "steering_vector",
     "ExperimentConfig", "SweepConfig", "default_config", "load_config",

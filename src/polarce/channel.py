@@ -21,7 +21,7 @@ import numpy as np
 from .rng import complex_normal
 
 __all__ = [
-    "C_LIGHT", "SystemConfig", "PathParams", "SceneRealization", "PilotBlock",
+    "C_LIGHT", "SystemConfig", "PathParams", "SceneRealization",
     "steering_vector", "build_channels", "draw_scene", "make_phase_matrix",
     "simulate_pilots", "MIN_SNR_DB", "SNR_RULE", "valid_snr_db", "noise_var_for_snr",
     "ris_side_rows", "PHASE_KINDS", "SNR_CONVENTIONS",
@@ -111,14 +111,6 @@ class SceneRealization:
     G: np.ndarray                      # [1, N, M]
 
 
-@dataclass
-class PilotBlock:
-    """Pilot observation of the user over one phase schedule."""
-
-    Y: np.ndarray                      # [N, tau]
-    noise_var: float
-
-
 def element_offsets(size: int) -> np.ndarray:
     """Symmetric element indices; center element at 0 for odd sizes."""
     lo = -int(math.ceil((size - 1) / 2))
@@ -204,8 +196,9 @@ def make_phase_matrix(n_ris: int, tau: int, rng: np.random.Generator | None = No
 
 
 def simulate_pilots(scene: SceneRealization, config: SystemConfig, E: np.ndarray,
-                    noise_var: float, rng: np.random.Generator) -> PilotBlock:
-    """Y = sqrt(p) G E + noise with i.i.d. circular complex Gaussian noise."""
+                    noise_var: float, rng: np.random.Generator) -> np.ndarray:
+    """The [N, tau] pilot block Y = sqrt(p) G E + noise, with i.i.d. circular
+    complex Gaussian noise."""
     if E.shape != (config.n_ris, config.tau):
         raise ValueError("phase matrix shape mismatch")
     if not noise_var >= 0:
@@ -213,7 +206,7 @@ def simulate_pilots(scene: SceneRealization, config: SystemConfig, E: np.ndarray
     Y = math.sqrt(config.power) * (scene.G[0] @ E)
     if noise_var > 0:
         Y = Y + complex_normal(rng, Y.shape, noise_var)
-    return PilotBlock(Y=Y, noise_var=noise_var)
+    return Y
 
 
 # lowest SNR a sweep runs at; see valid_snr_db

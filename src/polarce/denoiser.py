@@ -33,7 +33,7 @@ from .polar import PolarDictionary, nearest_grid_index
 from .rng import substream
 
 __all__ = [
-    "Stage1Config", "DenoiserParams", "Stage1Dataset", "SupportEstimate",
+    "Stage1Config", "DenoiserParams", "Stage1Dataset",
     "row_energy", "init_denoiser", "denoiser_forward", "denoise",
     "make_stage1_dataset", "train_stage1", "stage1_loss",
     "select_support", "STAGE1_FORM",
@@ -89,12 +89,6 @@ class DenoiserParams:
 class Stage1Dataset:
     C: np.ndarray            # [n, N_G, 1] row energies
     X: np.ndarray            # [n, N_G, 1] clean grid-coded targets
-
-
-@dataclass
-class SupportEstimate:
-    indices: np.ndarray      # sorted ascending, distinct
-    A_hat: np.ndarray        # matching unit-norm BS dictionary columns [N, L]
 
 
 def row_energy(Y: np.ndarray, bs: PolarDictionary) -> np.ndarray:
@@ -203,8 +197,7 @@ def make_stage1_dataset(config: SystemConfig, bs: PolarDictionary, E: np.ndarray
     C = np.zeros((len(scenes), n_rows, 1))
     X = np.zeros_like(C)
     for i, scene in enumerate(scenes):
-        blk = simulate_pilots(scene, config, E, noise_vars[i], rng)
-        C[i, :, 0] = row_energy(blk.Y, bs)
+        C[i, :, 0] = row_energy(simulate_pilots(scene, config, E, noise_vars[i], rng), bs)
         slots = np.zeros((n_rows, E.shape[1]), dtype=np.complex128)
         resp = math.sqrt(config.power) * (ris_side_rows(scene, config).conj().T @ E)
         for p, r in zip(scene.bridge_bs, resp):
@@ -246,8 +239,10 @@ def stage1_loss(dataset: Stage1Dataset, dp: DenoiserParams) -> float:
     return float(_residual_loss(out, target))
 
 
-def _greedy_rows(scores: np.ndarray, count: int, guard: int) -> np.ndarray:
-    s = scores.astype(np.float64).copy()
+def select_support(C_hat: np.ndarray, count: int, guard: int) -> np.ndarray:
+    """Sorted indices of the top rows of a cleaned [N_G, W] image by aggregate
+    magnitude; a pick bars the `guard` rows on each side of it from later picks."""
+    s = np.abs(C_hat).sum(axis=1).astype(np.float64)
     picked = []
     for _ in range(count):
         if not np.any(s > -np.inf):
@@ -257,11 +252,3 @@ def _greedy_rows(scores: np.ndarray, count: int, guard: int) -> np.ndarray:
         lo, hi = max(0, g - guard), min(s.size, g + guard + 1)
         s[lo:hi] = -np.inf
     return np.sort(np.array(picked, dtype=np.int64))
-
-
-def select_support(C_hat: np.ndarray, count: int, bs: PolarDictionary,
-                   guard: int) -> SupportEstimate:
-    """Top rows of a cleaned [N_G, W] image by aggregate magnitude; a pick
-    bars the `guard` rows on each side of it from later picks."""
-    idx = _greedy_rows(np.abs(C_hat).sum(axis=1), count, guard)
-    return SupportEstimate(indices=idx, A_hat=bs.F[:, idx])

@@ -23,6 +23,7 @@ docstring): the trained bytes depend on the BLAS thread count.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -40,9 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .channel import (PHASE_KINDS, SNR_CONVENTIONS, SNR_RULE, PilotBlock,
-                      SceneRealization, SystemConfig, draw_scene, make_phase_matrix,
-                      noise_var_for_snr, simulate_pilots, valid_snr_db)
+from .channel import (PHASE_KINDS, SNR_CONVENTIONS, SNR_RULE, SceneRealization,
+                      SystemConfig, draw_scene, make_phase_matrix, noise_var_for_snr,
+                      simulate_pilots, valid_snr_db)
 from .denoiser import (STAGE1_FORM, DenoiserParams, Stage1Config, Stage1Dataset,
                        make_stage1_dataset, stage1_loss, train_stage1)
 from .polar import (CascadedDictionary, GridConfig, PolarDictionary,
@@ -56,7 +57,7 @@ __all__ = [
     "SweepConfig", "ExperimentConfig", "default_config", "config_to_dict",
     "config_from_dict", "load_config", "nmse",
     "build_bs_dictionary", "build_ris_dictionaries", "phase_schedule",
-    "snr_label", "draw_scenes", "draw_pilots", "evaluate_point",
+    "snr_label", "draw_scenes", "evaluate_point",
     "run_snr_sweep", "run_pilot_sweep", "run_loss_curves",
     "save_stage1", "load_stage1", "save_stage2", "load_stage2", "write_csv",
 ]
@@ -415,28 +416,22 @@ def train_stage2_model(cfg: ExperimentConfig, cas: CascadedDictionary,
 
 # ----------------------------------------------------------------- evaluation
 
-def draw_pilots(scenes: list[SceneRealization], system: SystemConfig,
-                E: np.ndarray, snr_db: float, seed: int, label: str,
-                convention: str = "receive") -> list[PilotBlock]:
-    """Pilot blocks of one sweep point; trial t draws its own noise substream."""
-    return [simulate_pilots(scene, system, E,
-                            noise_var_for_snr(scene, system, E, snr_db,
-                                              convention=convention),
-                            substream(seed, "eval-noise", label, str(t)))
-            for t, scene in enumerate(scenes)]
-
-
 def evaluate_point(scenes: list[SceneRealization], ctx: PipelineContext,
                    snr_db: float, seed: int, label: str,
                    schemes: tuple[str, ...], convention: str = "receive",
                    get_stage1=None):
-    """Per-trial NMSE and wall seconds of every scheme, on a shared pilot draw.
+    """Per-trial NMSE and wall seconds of every scheme, on a shared pilot draw
+    in which trial t draws its own noise substream.
 
     The schemes that read no stage-1 network run first. A context without
     one then gets it from get_stage1(), if given, so a sweep point waits for
     a network still in training only once it has nothing else to do.
     """
-    pilots = draw_pilots(scenes, ctx.config, ctx.E, snr_db, seed, label, convention)
+    system, E = ctx.config, ctx.E
+    pilots = [simulate_pilots(scene, system, E,
+                              noise_var_for_snr(scene, system, E, snr_db, convention=convention),
+                              substream(seed, "eval-noise", label, str(t)))
+              for t, scene in enumerate(scenes)]
     errs, secs = {}, {}
     for name in sorted(schemes, key=lambda s: 1 in SCHEME_STAGES[s]):
         if 1 in SCHEME_STAGES[name] and ctx.stage1 is None and get_stage1 is not None:
@@ -462,13 +457,33 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _openblas(*symbols):
+    """The first of the named functions that the OpenBLAS of numpy's Linux or
+    Windows wheel exports, by ctypes: the library numpy runs, since the
+    process has loaded it already. None where there is none of them."""
+    path = next(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"), None)
+    lib = None if path is None else ctypes.CDLL(str(path))
+    return next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
+
+
+def _openblas_corename() -> str | None:
+    """Name of the OpenBLAS kernel numpy runs, such as "SkylakeX", or None."""
+    get = _openblas("scipy_openblas_get_corename64_", "openblas_get_corename64_")
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
 def _write_outputs(outdir, stem: str, header, rows, meta: dict):
     """The CSV, and the meta with the process's OPENBLAS_NUM_THREADS (null when
-    unset): the trained stage-2 bytes depend on the BLAS thread count."""
+    unset) and OpenBLAS kernel (null when unknown): the trained stage-2 bytes
+    depend on both."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / f"{stem}.csv", header, rows)
-    meta = {**meta, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    meta = {**meta, "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "openblas_corename": _openblas_corename()}
     (outdir / f"{stem}.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
 

@@ -84,15 +84,13 @@ class CascadedDictionary:
     Column j is the unit-norm phase profile of the class (delta_sin[j],
     delta_curv[j]). Every steering entry has modulus 1/sqrt(size), so one
     scalar restores every raw product: F_dep[:, l] * conj(F_arr[:, p]) ==
-    col_scale * F[:, j], where j is the class of the pair's sin and ring
+    F[:, j] / sqrt(size), where j is the class of the pair's sin and ring
     differences.
     """
 
     F: np.ndarray                     # [size, Gc], read-only: networks share it
-    col_scale: float                  # 1/sqrt(size)
     delta_sin: np.ndarray             # [Gc] canonical tuple, wrapped
     delta_curv: np.ndarray            # [Gc]
-    source: PolarDictionary
 
 
 def sample_polar_grid(size: int, wavelength: float, spacing: float,
@@ -174,11 +172,9 @@ def build_cascaded_dictionary(single: PolarDictionary) -> CascadedDictionary:
     d_sin, d_curv = d_sin[first], d_curv[first]
     x = element_offsets(single.size) * single.spacing
     F = (np.outer(x * x, d_curv) - np.outer(x, d_sin)) * (-2j * math.pi / single.wavelength)
-    scale = 1.0 / math.sqrt(single.size)
-    F = np.multiply(np.exp(F, out=F), scale, out=F)
+    F = np.multiply(np.exp(F, out=F), 1.0 / math.sqrt(single.size), out=F)
     F.flags.writeable = False
-    return CascadedDictionary(F=F, col_scale=scale, delta_sin=d_sin,
-                              delta_curv=d_curv, source=single)
+    return CascadedDictionary(F=F, delta_sin=d_sin, delta_curv=d_curv)
 
 
 def nearest_grid_index(grid: PolarGrid, angle: float, distance: float) -> int:

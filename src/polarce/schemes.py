@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import PilotBlock, SystemConfig
+from .channel import SystemConfig
 from .denoiser import DenoiserParams, denoise, row_energy, select_support
 from .omp import VectorizedProblem, cascaded_estimate, omp, omp_dense
 from .optim import with_precision
@@ -52,44 +52,42 @@ class PipelineContext:
         return VectorizedProblem.build(self.bs.F, self.cas.F, self.E)
 
 
-def estimate_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
+def estimate_omp(pilots: list[np.ndarray], ctx: PipelineContext) -> np.ndarray:
     """Joint pursuit over the implicit Kronecker design."""
     sparsity = ctx.config.paths_bs * ctx.config.paths_ris
     out = np.zeros((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
-    for i, blk in enumerate(pilots):
-        res = omp(blk.Y, ctx.problem, sparsity)
+    for i, Y in enumerate(pilots):
+        res = omp(Y, ctx.problem, sparsity)
         out[i] = cascaded_estimate(res, ctx.problem, ctx.cas.F, ctx.config.power)
     return out
 
 
-def _stage1_project(pilots: list[PilotBlock], ctx: PipelineContext):
-    """Shared front end: denoise row images in one batch, pick supports, project."""
-    L = ctx.config.paths_bs
-    C = np.stack([row_energy(blk.Y, ctx.bs) for blk in pilots])[..., None]
+def _stage1_project(pilots: list[np.ndarray], ctx: PipelineContext):
+    """Shared front end: denoise row images in one batch, pick supports, project.
+
+    Returns per trial the picked BS atoms [N, L] and the projected paths.
+    """
+    C = np.stack([row_energy(Y, ctx.bs) for Y in pilots])[..., None]
     if ctx.stage1 is not None:
-        _, C_hat = denoise(C, ctx.stage1)
-    else:
-        C_hat = C
-    supports, proj = [], []
-    for i, blk in enumerate(pilots):
-        sup = select_support(C_hat[i], L, ctx.bs, guard=ctx.support_guard)
-        supports.append(sup)
-        proj.append(project_to_bs_subspace(blk.Y, sup.A_hat, ctx.config.power))
-    return supports, proj
+        _, C = denoise(C, ctx.stage1)
+    atoms = [ctx.bs.F[:, select_support(c, ctx.config.paths_bs, ctx.support_guard)]
+             for c in C]
+    proj = [project_to_bs_subspace(Y, A, ctx.config.power) for Y, A in zip(pilots, atoms)]
+    return atoms, proj
 
 
-def _two_stage(pilots: list[PilotBlock], ctx: PipelineContext, solve) -> np.ndarray:
+def _two_stage(pilots: list[np.ndarray], ctx: PipelineContext, solve) -> np.ndarray:
     """Stage-1 front end, then solve(P) -> X on the projected paths of all trials."""
-    supports, proj = _stage1_project(pilots, ctx)
+    atoms, proj = _stage1_project(pilots, ctx)
     X_all = solve(np.concatenate(proj, axis=1))
     splits = np.cumsum([P.shape[1] for P in proj])[:-1]
     out = np.empty((len(pilots), ctx.config.n_bs, ctx.config.n_ris), dtype=np.complex128)
-    for i, (sup, X) in enumerate(zip(supports, np.split(X_all, splits, axis=1))):
-        out[i] = reconstruct(sup.A_hat, X)
+    for i, (A, X) in enumerate(zip(atoms, np.split(X_all, splits, axis=1))):
+        out[i] = reconstruct(A, X)
     return out
 
 
-def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
+def estimate_dncnn_omp(pilots: list[np.ndarray], ctx: PipelineContext) -> np.ndarray:
     """Learned support + per-path greedy pursuit on the cascaded dictionary."""
     def solve(P):
         """F x per path from the picked columns only: x has at most paths_ris nonzeros."""
@@ -99,7 +97,7 @@ def estimate_dncnn_omp(pilots: list[PilotBlock], ctx: PipelineContext) -> np.nda
     return _two_stage(pilots, ctx, solve)
 
 
-def estimate_dncnn_istanet(pilots: list[PilotBlock], ctx: PipelineContext) -> np.ndarray:
+def estimate_dncnn_istanet(pilots: list[np.ndarray], ctx: PipelineContext) -> np.ndarray:
     """Learned support + unrolled learned solver, batched across trials.
 
     The solver runs in complex64: the parameters, E and the projected paths

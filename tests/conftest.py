@@ -1,9 +1,25 @@
+import ctypes
+import os
+
+# one BLAS thread, as the package runs, set before numpy loads: threaded, some
+# OpenBLAS kernels split a wide product across threads and round otherwise
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 
 from polarce.channel import SystemConfig, make_phase_matrix
+from polarce.harness import _openblas
 from polarce.polar import GridConfig, build_cascaded_dictionary, build_dictionary
 from polarce.rng import substream
+
+# pytest loads numpy before this file when it resolves the numpy warning
+# classes of its filterwarnings, which is too late for the variable, so the
+# loaded library is set to the same count as well
+_set_threads = _openblas("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+if _set_threads is not None:
+    _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], None
+    _set_threads(int(os.environ["OPENBLAS_NUM_THREADS"]))
 
 
 @pytest.fixture(scope="session")

@@ -110,11 +110,12 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def cascaded_column(cas, l: int, p: int) -> int:
-    """Column of the cascaded dictionary that holds the departure/arrival grid
-    pair (l, p): the class nearest the pair's sin and curvature differences."""
-    grid = cas.source.grid
-    ds = _wrap_delta_sin(cas.delta_sin - grid.sin_angles[l] + grid.sin_angles[p], cas.source)
+def cascaded_column(cas, single, l: int, p: int) -> int:
+    """Column of the cascaded dictionary built from `single` that holds the
+    departure/arrival grid pair (l, p): the class nearest the pair's sin and
+    curvature differences."""
+    grid = single.grid
+    ds = _wrap_delta_sin(cas.delta_sin - grid.sin_angles[l] + grid.sin_angles[p], single)
     dc = cas.delta_curv - (grid.rings[l] - grid.rings[p]) / (2.0 * grid.z_delta)
     return int(np.argmin(ds * ds + dc * dc))
 

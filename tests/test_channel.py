@@ -193,10 +193,11 @@ class TestSimulatePilots:
     def test_noiseless_sum_schedule(self, small_system, rng):
         s = draw_scene(small_system, substream(1, "pilot-scene"))
         E = np.ones((small_system.n_ris, small_system.tau), dtype=complex)
-        blk = simulate_pilots(s, small_system, E, 0.0, rng)
+        Y = simulate_pilots(s, small_system, E, 0.0, rng)
+        assert Y.shape == (small_system.n_bs, small_system.tau)
         want = math.sqrt(small_system.power) * s.G[0].sum(axis=1)
         for t in range(small_system.tau):
-            np.testing.assert_allclose(blk.Y[:, t], want, atol=1e-13)
+            np.testing.assert_allclose(Y[:, t], want, atol=1e-13)
 
     def test_noise_only_variance(self):
         cfg = SystemConfig(n_bs=32, n_ris=4, tau=64, paths_bs=1, paths_ris=1)
@@ -207,8 +208,8 @@ class TestSimulatePilots:
         scene = SceneRealization(zero, geo, users, h, G)
         E = make_phase_matrix(cfg.n_ris, cfg.tau, substream(2, "E"))
         sigma2 = 0.37
-        blk = simulate_pilots(scene, cfg, E, sigma2, substream(2, "noise"))
-        mean_power = np.mean(np.abs(blk.Y) ** 2)
+        Y = simulate_pilots(scene, cfg, E, sigma2, substream(2, "noise"))
+        mean_power = np.mean(np.abs(Y) ** 2)
         assert abs(mean_power - sigma2) / sigma2 < 0.05
 
     def test_power_scaling(self, rng):
@@ -217,8 +218,8 @@ class TestSimulatePilots:
                                power=4.0)
         scene = draw_scene(base, substream(9, "sc"))
         E = make_phase_matrix(8, 5, substream(9, "E"))
-        y1 = simulate_pilots(scene, base, E, 0.0, rng).Y
-        y4 = simulate_pilots(scene, boosted, E, 0.0, rng).Y
+        y1 = simulate_pilots(scene, base, E, 0.0, rng)
+        y4 = simulate_pilots(scene, boosted, E, 0.0, rng)
         np.testing.assert_allclose(y4, 2.0 * y1, rtol=1e-14)
 
     def test_shape_and_variance_validation(self, small_system, rng):

@@ -13,6 +13,10 @@ to a function of that name passes it, by keyword or by position (a `*` or
 `**` argument passes everything it could reach). A default that no call
 overrides is a knob with one value in use.
 
+Every field of a dataclass of the package is read in the same sources, as
+an attribute (`lp.lam`) or as a string key (`w["kappa"]`). The check is by
+name too: a field passes when any attribute or key of its name is read.
+
 Every name a module of the package, of `perfbench/` or of the tests imports
 is read in that module or listed in its `__all__`.
 """
@@ -27,6 +31,17 @@ DOTTED = re.compile(r"\w+(\.\w+)+")
 
 # reached only from tests, and kept for what the tests compare against
 ALLOWED: dict[str, str] = {}
+
+
+# dataclass fields that only tests read, and what the tests read them for
+ALLOWED_FIELDS = {
+    "omp.OmpResult.residual_norm": "the pursuit's residual, which the stopping tests check",
+    "polar.CascadedDictionary.delta_sin": "each column's sin class, by which the tests "
+                                          "map a grid pair to its column",
+    "polar.CascadedDictionary.delta_curv": "each column's curvature class, as delta_sin",
+    "channel.SceneRealization.users": "the drawn user paths, which the prior tests check; "
+                                      "to be reshaped together with G",
+}
 
 
 # defaulted parameters that only tests set
@@ -77,6 +92,44 @@ def test_every_definition_has_a_caller():
     assert sorted(dead - set(ALLOWED)) == []
     # an oracle that gains a caller leaves the list
     assert sorted(set(ALLOWED) - dead) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    d = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+
+
+def _fields(tree):
+    """(qualified name, field) of every field of the module's dataclasses."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _field_reads(tree):
+    """Every attribute read and every string key of a read subscript."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)):
+            yield node.slice.value
+
+
+def _unread_fields() -> set[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in CALLERS}
+    reads = {name for tree in trees.values() for name in _field_reads(tree)}
+    return {f"{path.stem}.{qualname}" for path in SOURCES
+            for qualname, field in _fields(trees[path]) if field not in reads}
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields()
+    assert sorted(unread - set(ALLOWED_FIELDS)) == []
+    # a field that gains a reader leaves the list
+    assert sorted(set(ALLOWED_FIELDS) - unread) == []
 
 
 def _defaulted(tree):

@@ -1,4 +1,5 @@
 """Orchestration layer: configs, error metric, checkpoints, paired sweeps."""
+import ctypes
 import dataclasses
 import json
 import math
@@ -449,6 +450,28 @@ def test_package_import_pins_blas_to_one_thread():
     assert unset == one and unset.startswith("1 ")
 
 
+def test_tests_run_blas_on_one_thread():
+    """conftest pins OpenBLAS to one thread before numpy loads, as the package
+    import does: the blocked stage-2 tests hold only there on some kernels."""
+    get = harness._openblas("scipy_openblas_get_num_threads64_")
+    if get is None:
+        pytest.skip("numpy's BLAS does not report its thread count")
+    get.argtypes, get.restype = [], ctypes.c_int
+    assert get() == 1
+
+
+def test_meta_records_blas_kernel(tmp_path):
+    """The meta names the OpenBLAS kernel, here the one OPENBLAS_CORETYPE
+    forces, or null where numpy's BLAS does not name it."""
+    root = Path(harness.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_CORETYPE": "Haswell"}
+    script = ("import sys\nfrom polarce import harness\n"
+              "harness._write_outputs(sys.argv[1], 'x', ['a'], [], {})\n")
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True)
+    kernel = json.loads((tmp_path / "x.meta.json").read_text())["openblas_corename"]
+    assert kernel in (None, "Haswell")
+
+
 def running(pid: int) -> bool:
     """Whether a process exists and has not exited (a zombie has)."""
     try:
@@ -705,7 +728,7 @@ def test_default_context_picks_the_sweep_supports(small_system, small_bs_dict,
               for t, sc in enumerate(scenes)]
     ctx = PipelineContext(config=small_system, bs=small_bs_dict, cas=small_cas_dict,
                           E=small_E)
-    picks = lambda c: [sup.indices.tolist() for sup in _stage1_project(pilots, c)[0]]
+    picks = lambda c: [A.tolist() for A in _stage1_project(pilots, c)[0]]
     guard = SweepConfig().support_guard
     assert ctx.support_guard == guard
     assert picks(ctx) == picks(dataclasses.replace(ctx, support_guard=guard))

@@ -42,7 +42,7 @@ def scene_case(small_system, small_bs_dict, small_cas_dict):
     E = make_phase_matrix(system.n_ris, system.tau, substream(21, "phase"))
     scene = draw_scene(system, substream(21, "scene"))
     nv = noise_var_for_snr(scene, system, E, 20.0)
-    Y = simulate_pilots(scene, system, E, nv, substream(21, "noise")).Y
+    Y = simulate_pilots(scene, system, E, nv, substream(21, "noise"))
     prob = VectorizedProblem.build(small_bs_dict.F, small_cas_dict.F, E)
     return Y, prob, system.paths_bs * system.paths_ris
 
@@ -67,7 +67,7 @@ def paper():
 def scene_pilots(system, E, snr_db, seed):
     scene = draw_scene(system, substream(seed, "scene"))
     nv = noise_var_for_snr(scene, system, E, snr_db)
-    return simulate_pilots(scene, system, E, nv, substream(seed, "noise")).Y
+    return simulate_pilots(scene, system, E, nv, substream(seed, "noise"))
 
 
 def full_scan_omp(Y, problem, sparsity):
@@ -236,7 +236,7 @@ class TestOmp:
         power = 2.5
         lam0 = 0.8 - 0.4j
         i, j = 9, 17
-        raw_col = small_cas_dict.F[:, j] * small_cas_dict.col_scale
+        raw_col = small_cas_dict.F[:, j] / math.sqrt(small_cas_dict.F.shape[0])
         G = lam0 * np.outer(small_bs_dict.F[:, i], np.conj(raw_col))
         Y = math.sqrt(power) * (G @ small_E)
         res = omp(Y, problem, 1)

@@ -207,32 +207,33 @@ class TestCascadedDictionary:
         assert cas.F.shape[1] == len(reps)
         # every brute-force class is one column, up to the common scale
         for r in reps:
-            assert np.min(np.abs(r[:, None] - cas.col_scale * cas.F).max(axis=0)) < 1e-9
+            assert np.min(np.abs(r[:, None] - cas.F / math.sqrt(size)).max(axis=0)) < 1e-9
 
     def test_every_pair_reconstructs_exactly(self, ringed_dict, ringed_cas):
         F = ringed_dict.F
         G = F.shape[1]
         for l in range(G):
             for p in range(G):
-                want = ringed_cas.col_scale * ringed_cas.F[:, cascaded_column(ringed_cas, l, p)]
+                col = cascaded_column(ringed_cas, ringed_dict, l, p)
+                want = ringed_cas.F[:, col] / math.sqrt(16)
                 assert np.max(np.abs(F[:, l] * np.conj(F[:, p]) - want)) < 1e-9
 
     def test_pair_map_shape_and_range(self, ringed_dict, ringed_cas):
         G = ringed_dict.F.shape[1]
-        cols = {cascaded_column(ringed_cas, l, p) for l in range(G) for p in range(G)}
+        cols = {cascaded_column(ringed_cas, ringed_dict, l, p)
+                for l in range(G) for p in range(G)}
         # every canonical column is hit by at least one pair
         assert cols == set(range(ringed_cas.F.shape[1]))
 
     def test_scale_is_one_over_root_size(self, ringed_dict, ringed_cas):
         F = ringed_dict.F
         raw = F[:, :, None] * np.conj(F[:, None, :])
-        np.testing.assert_allclose(np.linalg.norm(raw, axis=0), ringed_cas.col_scale,
+        np.testing.assert_allclose(np.linalg.norm(raw, axis=0), 1.0 / math.sqrt(16),
                                    rtol=1e-12)
-        assert ringed_cas.col_scale == 1.0 / math.sqrt(16)
 
     def test_diagonal_pairs_share_the_dc_column(self, ringed_dict, ringed_cas):
         G = ringed_dict.F.shape[1]
-        cols = {cascaded_column(ringed_cas, j, j) for j in range(G)}
+        cols = {cascaded_column(ringed_cas, ringed_dict, j, j) for j in range(G)}
         assert len(cols) == 1
         j0 = cols.pop()
         assert ringed_cas.delta_sin[j0] == pytest.approx(0.0, abs=1e-12)
@@ -292,7 +293,7 @@ def coding_setup():
 class TestOnGridScene:
     def test_ris_side_rows_code_exactly(self, coding_setup):
         # stage 2's target x_l is the cascaded dictionary's coding of path l:
-        # sum_p conj(g_p) conj(rho_l) col_scale F[:, class of (dep_l, arr_p)]
+        # sum_p conj(g_p) conj(rho_l) F[:, class of (dep_l, arr_p)] / sqrt(M)
         system, bs, ris, cas = coding_setup
         rho = np.array([0.9 - 0.4j, -0.3 + 1.1j])
         gains = np.array([1.2 + 0.1j, -0.7 + 0.6j])
@@ -301,7 +302,7 @@ class TestOnGridScene:
                                arr_cols=arr_cols, rho=rho, gains=gains)
         rows = ris_side_rows(scene, system)
         for l, dep in enumerate(dep_cols):
-            want = sum(np.conj(g) * np.conj(rho[l]) * cas.col_scale
-                       * cas.F[:, cascaded_column(cas, dep, arr)]
+            want = sum(np.conj(g) * np.conj(rho[l]) / math.sqrt(system.n_ris)
+                       * cas.F[:, cascaded_column(cas, ris, dep, arr)]
                        for g, arr in zip(gains, arr_cols))
             np.testing.assert_allclose(rows[:, l], want, rtol=0, atol=1e-10)

@@ -551,8 +551,8 @@ class TestSinglePrecisionInference:
         got = estimate_dncnn_istanet(pilots, ctx)
         assert dtypes == {np.dtype(np.complex64), np.dtype(np.float32)}
         assert got.dtype == np.complex128
-        supports, proj = _stage1_project(pilots, ctx)
-        for g, sup, P in zip(got, supports, proj):
-            want = reconstruct(sup.A_hat, lista_forward(P, ctx.stage2, E))
+        atoms, proj = _stage1_project(pilots, ctx)
+        for g, A, P in zip(got, atoms, proj):
+            want = reconstruct(A, lista_forward(P, ctx.stage2, E))
             assert np.linalg.norm(g - want) <= 1e-5 * np.linalg.norm(want)
         assert ctx.stage2.F.dtype == np.complex128      # the context keeps its network
